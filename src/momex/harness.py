@@ -16,7 +16,6 @@ import json
 import math
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -198,7 +197,30 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+# the JSON type each field must have; flags arrive typed, config files may not
+_INT_FIELDS = ("p", "q", "iters", "seed", "data_seed", "synthetic", "dim", "log_stride")
+_REAL_FIELDS = ("gamma", "eta", "sigma", "conditioning", "wall_seconds")
+_STR_FIELDS = ("alg", "problem", "dataset", "target", "noise", "x0", "out", "format")
+
+
+def _check_types(ns: Dict) -> None:
+    for fields, types, want in (
+        (_INT_FIELDS, int, "an integer"),
+        (_REAL_FIELDS, (int, float), "a number"),
+        (_STR_FIELDS, str, "a string"),
+    ):
+        for key in fields:
+            val = ns.get(key)
+            _require(
+                val is None or (isinstance(val, types) and not isinstance(val, bool)),
+                f"--{key.replace('_', '-')} must be {want}, got {val!r}",
+            )
+
+
 def _validate(ns: Dict) -> RunConfig:
+    _check_types(ns)
+    for key in ("seed", "data_seed"):
+        _require(ns[key] >= 0, f"--{key.replace('_', '-')} must be >= 0, got {ns[key]}")
     alg = ns.get("alg")
     _require(alg in ALGORITHMS, f"--alg is required and must be one of {ALGORITHMS}")
     p, q = ns.get("p"), ns.get("q")
@@ -208,9 +230,8 @@ def _validate(ns: Dict) -> RunConfig:
             p is not None,
             "algorithm 'mem' requires --p, the smoothness order its schedule is built for",
         )
-        _require(int(p) >= 2, f"--p must be an integer >= 2, got {p}")
-        p = int(p)
-        q = p - 1 if q is None else int(q)
+        _require(p >= 2, f"--p must be an integer >= 2, got {p}")
+        q = p - 1 if q is None else q
         _require(q == p - 1, f"--q must equal p - 1 = {p - 1} for the built-in schedules")
         _require(gamma is None and eta is None, "--gamma/--eta do not apply to mem; the schedule sets them")
     elif alg == "nigt":
@@ -507,17 +528,22 @@ def compare(
     Each algorithm gets budget // (calls per iteration) iterations, so the
     cumulative oracle-call counts agree to within one iteration's worth of
     calls. All runs share the problem instance; the run seed varies as
-    base_seed .. base_seed + n_seeds - 1. Runs execute concurrently;
+    base_seed .. base_seed + n_seeds - 1. Runs execute one after another;
     outputs depend only on (config, seed).
 
     Raises:
         ValueError: no configs, configs disagreeing on problem or noise,
-            or a budget below one iteration for some algorithm.
+            labels that repeat, or a budget below one iteration for some
+            algorithm.
     """
     if not configs:
         raise ValueError("compare needs at least one configuration")
     if budget < 1:
         raise ValueError(f"budget must be >= 1 oracle call, got {budget}")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     fp = _fingerprint(configs[0])
     for c in configs[1:]:
         if _fingerprint(c) != fp:
@@ -537,6 +563,12 @@ def compare(
             labels.append(label)
     elif len(labels) != len(configs):
         raise ValueError(f"{len(labels)} labels for {len(configs)} configurations")
+    else:
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValueError(
+                    f"label {label!r} is given twice; each configuration needs its own"
+                )
 
     seeds = list(range(base_seed, base_seed + n_seeds))
     iterations: List[int] = []
@@ -561,13 +593,7 @@ def compare(
         records, _ = run_experiment(cfg)
         return records
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = {
-            (i, s): pool.submit(one, i, s)
-            for i in range(len(configs))
-            for s in seeds
-        }
-        results = {key: f.result() for key, f in futures.items()}
+    results = {(i, s): one(i, s) for i in range(len(configs)) for s in seeds}
 
     final: Dict[str, List[float]] = {}
     series: Dict[str, List[dict]] = {}
@@ -698,8 +724,7 @@ def verify_all(
             lambda: verify_mod.smoothness_ratio_check(flat, scalar_noise),
         ]
     )
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        reports = [f.result() for f in [pool.submit(j) for j in jobs]]
+    reports = [job() for job in jobs]
     return {
         "passed": all(r.passed for r in reports),
         "seed": seed,

@@ -74,16 +74,37 @@ def _check_index(k) -> None:
         raise ValueError(f"iteration index must be >= 0, got {k}")
 
 
+def _gamma_fault(vals: list) -> Optional[str]:
+    """Why a row of gammas (Python floats) is not valid input, or None."""
+    if not all(0.0 < v < 1.0 for v in vals):
+        return "extrapolation coefficients must lie in (0,1)"
+    if any(b >= a for a, b in zip(vals, vals[1:])):
+        return "extrapolation coefficients must be strictly decreasing"
+    return None
+
+
 def _as_gamma_array(gammas) -> np.ndarray:
     g = np.asarray(gammas, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("gammas must be a nonempty 1-d array")
-    if not np.all((g > 0.0) & (g < 1.0)):
-        raise ValueError(f"extrapolation coefficients must lie in (0,1), got {g}")
-    if g.size > 1 and not np.all(np.diff(g) < 0.0):
-        raise ValueError(
-            f"extrapolation coefficients must be strictly decreasing, got {g}"
-        )
+    fault = _gamma_fault(g.tolist())
+    if fault is not None:
+        raise ValueError(f"{fault}, got {g}")
+    return g
+
+
+def _as_gamma_stack(gammas) -> np.ndarray:
+    """Gammas as an (N, q) stack with every row checked; a 1-d input is
+    the stack of one and keeps the single-vector messages."""
+    g = np.asarray(gammas, dtype=float)
+    if g.ndim == 1:
+        return _as_gamma_array(g)[None, :]
+    if g.ndim != 2 or g.size == 0:
+        raise ValueError("gammas must be a nonempty 1-d array or (N, q) stack")
+    ok = ((g > 0.0) & (g < 1.0)).all(axis=1) & (np.diff(g, axis=1) < 0.0).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"bundle {i}: {_gamma_fault(g[i].tolist())}, got {g[i]}")
     return g
 
 
@@ -203,8 +224,7 @@ def params_general(k: int, p: int) -> IterationParams:
     if not math.isfinite(c):
         raise OverflowError(f"(k+p)^(2p/(3p+1)) overflows at k={k}, p={p}")
     eta = math.exp(-(2.0 * p + 1.0) / d * lg)
-    t = np.arange(1, p, dtype=float)
-    gammas = 1.0 / (t * c)
+    gammas = [1.0 / (t * c) for t in range(1, p)]
     thetas = solve_weights_closed_form(gammas)
     return IterationParams(
         k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=math.fsum(thetas)
@@ -285,47 +305,59 @@ def solve_weights_closed_form(gammas) -> np.ndarray:
     theta_t > 0 for odd t, theta_t < 0 for even t.
     """
     g = _as_gamma_array(gammas)
-    q = g.size
-    if q == 1:
+    if g.size == 1:
         return g.copy()
-    th = np.empty(q)
-    for i in range(q):
+    # Python floats: the same IEEE operations as numpy scalars, a fraction
+    # of the per-operation overhead
+    vals = g.tolist()
+    q = len(vals)
+    th = []
+    for i, gi in enumerate(vals):
         f = 1.0
-        for s in range(q):
+        for s, gs in enumerate(vals):
             if s != i:
-                f *= (g[s] - 1.0) / (g[s] - g[i])
-        th[i] = g[i] ** q * f
-    return th
+                f *= (gs - 1.0) / (gs - gi)
+        th.append(gi**q * f)
+    return np.array(th)
 
 
 def solve_weights_linear(gammas) -> np.ndarray:
-    """Dense-factorization oracle for (*).
+    """Dense-factorization oracle for (*), for one bundle or a stack.
 
-    Builds the reciprocal-power matrix R[r,t] = (1/gamma_t)**r, equilibrates
-    each row by its largest entry, and solves the scaled system. The raw
-    rows span many orders of magnitude, hence the q cap and the condition
-    check on the equilibrated matrix. Production code wants
-    solve_weights_closed_form; this path exists so the closed form can be
-    checked against an independent solver.
+    Takes one gamma vector (q,) or a stack (N, q) and returns thetas of the
+    same shape. Builds the reciprocal-power matrices R[r,t] = (1/gamma_t)**r,
+    equilibrates each row by its largest entry, and solves the scaled
+    systems with one stacked factorization. The raw rows span many orders
+    of magnitude, hence the q cap and the condition check on every
+    equilibrated matrix. Production code wants solve_weights_closed_form;
+    this path exists so the closed form can be checked against an
+    independent solver.
 
     Raises:
-        ValueError: q above DENSE_Q_CAP or invalid gammas.
-        IllConditionedSystem: equilibrated condition number above COND_LIMIT.
+        ValueError: q above DENSE_Q_CAP or invalid gammas; for a stack the
+            message names the first bad bundle.
+        IllConditionedSystem: some equilibrated condition number above
+            COND_LIMIT; for a stack the message names the first such bundle.
     """
-    g = _as_gamma_array(gammas)
-    q = g.size
+    single = np.ndim(gammas) == 1
+    g = _as_gamma_stack(gammas)
+    q = g.shape[1]
     if q > DENSE_Q_CAP:
         raise ValueError(f"dense solve supports q <= {DENSE_Q_CAP}, got {q}")
     u = 1.0 / g
-    rows = u[None, :] ** np.arange(1, q + 1, dtype=float)[:, None]
-    scale = rows.max(axis=1)
-    eq = rows / scale[:, None]
-    cond = float(np.linalg.cond(eq))
-    if cond > COND_LIMIT:
+    rows = u[:, None, :] ** np.arange(1, q + 1, dtype=float)[None, :, None]
+    scale = rows.max(axis=2)
+    eq = rows / scale[:, :, None]
+    cond = np.linalg.cond(eq)
+    bad = cond > COND_LIMIT
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = "" if single else f"bundle {i}: "
         raise IllConditionedSystem(
-            f"equilibrated system condition {cond:.3e} exceeds {COND_LIMIT:.0e}"
+            f"{where}equilibrated system condition {cond[i]:.3e} exceeds {COND_LIMIT:.0e}"
         )
-    return np.linalg.solve(eq, 1.0 / scale)
+    th = np.linalg.solve(eq, (1.0 / scale)[:, :, None])[:, :, 0]
+    return th[0] if single else th
 
 
 def weight_sum_closed_form(gammas) -> float:

@@ -417,15 +417,22 @@ def dense_agreement_sweep(p: int, k_max: int) -> float:
     """Worst relative gap between the production weights and the dense
     linear-solve oracle over k in 0..k_max.
 
-    Goes through solve_weights_linear bundle by bundle; the oracle shares
-    no code with the closed-form product.
+    The production bundles come one k at a time from params_general, the
+    scalar path the optimizer consumes; the oracle is batched over k, one
+    stacked solve_weights_linear call per sweep chunk, and shares no code
+    with the closed-form product.
     """
     worst = 0.0
-    for k in range(k_max + 1):
-        params = params_general(k, p)
-        ref = solve_weights_linear(params.gammas)
-        gap = float(np.max(np.abs(params.thetas - ref))) / float(np.max(np.abs(ref)))
-        worst = max(worst, gap)
+    for ks in _sweep_chunks(k_max):
+        gam = np.empty((ks.size, p - 1))
+        th = np.empty_like(gam)
+        for i, k in enumerate(ks.astype(int).tolist()):
+            params = params_general(k, p)
+            gam[i] = params.gammas
+            th[i] = params.thetas
+        ref = solve_weights_linear(gam)
+        gap = np.abs(th - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        worst = max(worst, float(gap.max()))
     return worst
 
 

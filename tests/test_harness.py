@@ -79,6 +79,38 @@ def test_validation_messages_name_the_flags():
         har.parse_config(["--alg", "sg", "--problem", "quadratic", "--iters", "1"])
 
 
+@pytest.mark.parametrize(
+    "field, value, flag",
+    [
+        ("p", 3.7, "--p"),
+        ("iters", "5", "--iters"),
+        ("seed", -1, "--seed"),
+        ("data_seed", -1, "--data-seed"),
+        ("sigma", "1", "--sigma"),
+        ("x0", [1, 2, 3], "--x0"),
+        ("synthetic", True, "--synthetic"),
+    ],
+)
+def test_config_file_field_types(tmp_path, capsys, field, value, flag):
+    base = {"alg": "mem", "p": 3, "problem": "datafit", "synthetic": 6,
+            "sigma": 1.0, "iters": 5}
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({**base, field: value}))
+    with pytest.raises(har.ConfigError, match=flag):
+        har.parse_config([], config_file=str(f))
+    assert har.main(["run", "--config", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--data-seed"])
+def test_cli_rejects_negative_seeds(capsys, flag):
+    rc = har.main(["run", "--alg", "sg", "--problem", "datafit", "--synthetic", "6",
+                   "--sigma", "1", "--iters", "3", flag, "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 0")
+
+
 def test_x0_parsing():
     base = ["--alg", "sg", "--problem", "quadratic", "--dim", "3", "--iters", "1"]
     _, _, x0 = har.build_problem(har.parse_config(base))
@@ -245,6 +277,27 @@ def test_compare_rejects_mismatched_problems():
     b = har.RunConfig(algorithm="sg", problem="datafit", synthetic=9, iters=1)
     with pytest.raises(ValueError, match="share the problem"):
         har.compare([a, b], budget=10)
+    with pytest.raises(ValueError, match="n_seeds"):
+        har.compare([a], budget=10, n_seeds=0)
+    with pytest.raises(ValueError, match="base_seed"):
+        har.compare([a], budget=10, base_seed=-1)
+
+
+def test_compare_rejects_duplicate_labels(capsys):
+    a = har.RunConfig(algorithm="sg", problem="datafit", synthetic=8, iters=1)
+    with pytest.raises(ValueError, match="'x' is given twice"):
+        har.compare([a, a], budget=10, labels=["x", "x"])
+    # unlabelled repeats are numbered apart, so none of their runs is lost
+    table = har.compare([a, a], budget=10, n_seeds=1)
+    assert table["labels"] == ["sg", "sg#2"]
+    assert len(table["final"]) == 2
+
+    rc = har.main(["compare", "--algs", "sg-pm:0.1:0.01,sg-pm:0.1:0.01",
+                   "--problem", "datafit", "--synthetic", "20", "--sigma", "1",
+                   "--budget", "50", "--seeds", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: label 'sg-pm:0.1:0.01' is given twice")
 
 
 def test_grid_search_surface():

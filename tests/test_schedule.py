@@ -153,6 +153,66 @@ def test_dense_solve_guards():
         sched.solve_weights_linear(np.array([0.5, 0.5 - 1e-14]))
 
 
+def test_stacked_dense_solve_matches_per_bundle():
+    for p in range(2, 7):
+        gammas = np.array([sched.params_general(k, p).gammas for k in range(0, 5000, 37)])
+        stacked = sched.solve_weights_linear(gammas)
+        assert stacked.shape == gammas.shape
+        for row, g in zip(stacked, gammas):
+            assert row.tobytes() == sched.solve_weights_linear(g).tobytes()
+
+
+def test_stacked_dense_solve_names_the_bad_bundle():
+    ill = np.array([[0.9, 0.6], [0.8, 0.4], [0.7, 0.3], [0.5, 0.5 - 1e-14], [0.6, 0.2]])
+    with pytest.raises(sched.IllConditionedSystem, match="bundle 3:"):
+        sched.solve_weights_linear(ill)
+    flat = ill.copy()
+    flat[3] = [0.5, 0.5]
+    flat[4] = [0.2, 0.6]
+    with pytest.raises(ValueError, match="bundle 3: .*strictly decreasing"):
+        sched.solve_weights_linear(flat)
+    outside = ill.copy()
+    outside[1] = [1.0, 0.4]
+    with pytest.raises(ValueError, match="bundle 1: .*\\(0,1\\)"):
+        sched.solve_weights_linear(outside)
+    with pytest.raises(ValueError, match="q <= 8"):
+        sched.solve_weights_linear(np.tile(1.0 / (np.arange(1, 10) * 2.0), (3, 1)))
+    with pytest.raises(ValueError, match="nonempty"):
+        sched.solve_weights_linear(np.empty((0, 2)))
+
+
+def _closed_form_numpy_scalars(gammas):
+    # the closed form as it read when it multiplied numpy scalars
+    g = np.asarray(gammas, dtype=float)
+    q = g.size
+    if q == 1:
+        return g.copy()
+    th = np.empty(q)
+    for i in range(q):
+        f = 1.0
+        for s in range(q):
+            if s != i:
+                f *= (g[s] - 1.0) / (g[s] - g[i])
+        th[i] = g[i] ** q * f
+    return th
+
+
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_bitwise_equals_numpy_scalar_loop(vals):
+    gammas = np.array(sorted(vals, reverse=True))
+    with np.errstate(all="ignore"):
+        ref = _closed_form_numpy_scalars(gammas)
+    assert sched.solve_weights_closed_form(gammas).tobytes() == ref.tobytes()
+
+
 def test_validate_schedule_weights():
     diag0 = sched.validate(sched.params_p3(0))
     assert diag0.residual <= 1e-12

@@ -128,6 +128,35 @@ def test_dense_agreement_sweep_small():
     assert ver.dense_agreement_sweep(4, 200) <= 1e-8
 
 
+def test_dense_agreement_sweep_matches_per_bundle_loop(monkeypatch):
+    # a small chunk so the sweep crosses several stacked solves
+    monkeypatch.setattr(ver, "_CHUNK", 37)
+    for p in range(2, 7):
+        worst = 0.0
+        for k in range(201):
+            params = ver.params_general(k, p)
+            ref = ver.solve_weights_linear(params.gammas)
+            gap = np.max(np.abs(params.thetas - ref)) / np.max(np.abs(ref))
+            worst = max(worst, float(gap))
+        assert ver.dense_agreement_sweep(p, 200) == worst
+
+
+def test_verify_all_reports_the_direct_checks():
+    import momex.harness as har
+
+    report = har.verify_all(k_max=200, bound_k_max=2000, n_draws=10_000)
+    assert report["passed"]
+    worst = {c["name"]: c["worst_case"] for c in report["checks"]}
+    assert len(worst) == len(report["checks"]) == 27
+    for p in range(2, 7):
+        cross = max(ver.weight_residual_sweep(p, 200) / 1e-9,
+                    ver.dense_agreement_sweep(p, 200) / 1e-8)
+        assert worst[f"schedule-cross:p{p}"] == cross
+        assert worst[f"sum-identity:p{p}"] == ver.sum_identity_check(p, 200).worst_case
+        assert worst[f"bounds:p{p}"] == ver.bound_sweep(p, 2000).worst_case
+    assert worst["p3-consistency"] == ver.p3_consistency_check(200).worst_case
+
+
 def test_sum_identity_check_small():
     rep = ver.sum_identity_check(5, 500)
     assert rep.passed
