@@ -21,11 +21,11 @@ def show_order(p: int) -> None:
 
 
 def main() -> None:
-    print("dedicated order-3 schedule vs the general closed form at k=100:")
+    print("literal order-3 form vs the general closed form at k=100:")
     a = sch.params_p3(100)
     b = sch.params_general(100, 3)
-    print(f"  p3-special thetas {a.thetas}")
-    print(f"  general    thetas {b.thetas}")
+    print(f"  literal order-3 form (verify oracle) thetas {a.thetas}")
+    print(f"  general closed form                  thetas {b.thetas}")
 
     for p in (2, 3, 5):
         show_order(p)

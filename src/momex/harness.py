@@ -353,20 +353,14 @@ def build_problem(config: RunConfig):
 
 def build_kind(config: RunConfig) -> AlgorithmKind:
     if config.algorithm == "mem":
-        mode = "p3-special" if config.p == 3 else "general-p"
-        return mem(ScheduleConfig(p=config.p, q=config.q, mode=mode))
+        return mem(ScheduleConfig(p=config.p, q=config.q))
     if config.algorithm == "nigt":
         return nigt(config.gamma, config.eta)
+    # a given --gamma/--eta holds for every k; an omitted one keeps the default rule
+    const = lambda v: None if v is None else (lambda k: v)
     if config.algorithm == "sg":
-        if config.eta is not None:
-            e = config.eta
-            return sg(lambda k: e)
-        return sg()
-    g, e = config.gamma, config.eta
-    return sg_pm(
-        gamma_rule=None if g is None else (lambda k: g),
-        eta_rule=None if e is None else (lambda k: e),
-    )
+        return sg(const(config.eta))
+    return sg_pm(const(config.gamma), const(config.eta))
 
 
 def run_experiment(config: RunConfig):
@@ -573,7 +567,7 @@ def compare(
     seeds = list(range(base_seed, base_seed + n_seeds))
     iterations: List[int] = []
     for c in configs:
-        per_iter = c.q if c.algorithm == "mem" else 1
+        per_iter = build_kind(c).q
         iters = budget // per_iter
         if iters < 1:
             raise ValueError(

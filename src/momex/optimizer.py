@@ -1,11 +1,17 @@
-"""Normalized stochastic gradient methods built from a shared step kernel.
+"""Normalized stochastic gradient methods as parameter streams into one kernel.
 
-The central method evaluates the stochastic gradient at q extrapolated
-points per iteration, all on one shared noise draw, combines them with the
-scheduled weights, and moves a fixed distance eta along the normalized
-momentum. Baselines reuse the same kernel where they coincide with it: the
-single-extrapolation variant with constant parameters IS the implicit
-gradient transport baseline, bit for bit.
+Every method runs the same recursion, mem_step: evaluate the stochastic
+gradient at q points extrapolated from the last two iterates, all on one
+shared noise draw, fold them into the momentum with signed weights, and
+step. A method is an AlgorithmKind: its q, a stream k -> IterationParams,
+and whether the step is normalized.
+
+- mem: the order-p schedule, q = p - 1 extrapolations.
+- sg-pm (normalized Polyak momentum): gamma = 1, so the query point is x
+  itself, and theta = gamma_k.
+- nigt (implicit gradient transport): one constant q = 1 bundle, so it IS
+  mem on a constant q = 1 stream, bit for bit.
+- sg: gamma = theta = 1, so m = g, and an unnormalized step x - eta_k g.
 """
 
 from __future__ import annotations
@@ -96,7 +102,10 @@ def momentum_update(
     """m = (1 - sum(theta)) m_prev + sum_t theta_t g_t."""
     if len(thetas) != len(grads):
         raise ValueError(f"{len(thetas)} weights for {len(grads)} gradients")
-    m = (1.0 - math.fsum(thetas)) * m_prev
+    w = 1.0 - math.fsum(thetas)
+    # weights summing to one drop m_prev outright, so m = g holds exactly
+    # even when m_prev is not finite (0 * inf would give NaN)
+    m = w * m_prev if w != 0.0 else 0.0
     for th, g in zip(thetas, grads):
         m = m + th * g
     return m
@@ -118,14 +127,19 @@ Oracle = Callable[[np.ndarray, Sample], np.ndarray]
 
 
 def mem_step(
-    state: OptimizerState, params: IterationParams, oracle: Oracle, sample: Sample
+    state: OptimizerState,
+    params: IterationParams,
+    oracle: Oracle,
+    sample: Sample,
+    normalized: bool = True,
 ) -> OptimizerState:
-    """One iteration of the multi-extrapolated method.
+    """One iteration of the shared recursion every method runs.
 
     Queries the oracle at the q points extrapolated with the carried
     (previous-iteration) gammas, all on the shared sample, folds them into
     the momentum with the carried thetas, then steps with this iteration's
-    eta. params becomes the next carry.
+    eta: a fixed length along m/||m||, or eta m when not normalized. params
+    becomes the next carry.
     """
     if params.k != state.k:
         raise ValueError(f"params are for k={params.k}, state is at k={state.k}")
@@ -134,7 +148,12 @@ def mem_step(
     )
     grads = [oracle(z, sample) for z in zs]
     m = momentum_update(state.m, state.carry.thetas, grads)
-    x_next, zero = normalized_step(state.x_cur, m, params.eta)
+    if normalized:
+        x_next, zero = normalized_step(state.x_cur, m, params.eta)
+    elif not params.eta > 0.0:
+        raise ValueError(f"eta must be positive, got {params.eta}")
+    else:
+        x_next, zero = state.x_cur - params.eta * m, False
     return OptimizerState(
         x_prev=state.x_cur,
         x_cur=x_next,
@@ -147,132 +166,98 @@ def mem_step(
     )
 
 
+@dataclass(frozen=True)
+class AlgorithmKind:
+    """A method as mem_step sees it: q query points per iteration, the
+    bundle for each iteration k, and whether the step is normalized."""
+
+    name: str
+    q: int
+    params: Callable[[int], IterationParams]
+    normalized: bool = True
+
+
+def _unextrapolated(k: int, theta: float, eta: float) -> IterationParams:
+    """q = 1 bundle that queries x itself (gamma = 1) and mixes the next
+    gradient in with weight theta."""
+    return IterationParams(
+        k=k, eta=eta, gammas=[1.0], thetas=[theta], theta_sum=theta
+    )
+
+
+def mem(schedule: ScheduleConfig) -> AlgorithmKind:
+    """The multi-extrapolated method under the order-p schedule."""
+    return AlgorithmKind(
+        name="mem", q=schedule.q, params=lambda k: params_for(schedule, k)
+    )
+
+
+def sg(eta_rule: Optional[Callable[[int], float]] = None) -> AlgorithmKind:
+    """Decaying-step gradient descent, x - eta_k g with m = g; default
+    eta_k = (k+1)^(-1/2)."""
+    eta_rule = eta_rule or (lambda k: (k + 1.0) ** -0.5)
+    return AlgorithmKind(
+        name="sg",
+        q=1,
+        params=lambda k: _unextrapolated(k, 1.0, eta_rule(k)),
+        normalized=False,
+    )
+
+
+def sg_pm(
+    gamma_rule: Optional[Callable[[int], float]] = None,
+    eta_rule: Optional[Callable[[int], float]] = None,
+) -> AlgorithmKind:
+    """Normalized Polyak momentum, m = (1 - gamma) m_prev + gamma g(x) with
+    gamma from the previous iteration; defaults gamma_k = (k+1)^(-1/2),
+    eta_k = (k+1)^(-3/4)."""
+    gamma_rule = gamma_rule or (lambda k: (k + 1.0) ** -0.5)
+    eta_rule = eta_rule or (lambda k: (k + 1.0) ** -0.75)
+
+    def params(k: int) -> IterationParams:
+        gamma = gamma_rule(k)
+        if not 0.0 < gamma <= 1.0:
+            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+        return _unextrapolated(k, gamma, eta_rule(k))
+
+    return AlgorithmKind(name="sg-pm", q=1, params=params)
+
+
+def nigt(gamma: float, eta: float) -> AlgorithmKind:
+    """Implicit gradient transport: the q = 1 kernel with one constant
+    (gamma, eta) bundle, so it matches mem on a constant q = 1 stream."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    thetas = solve_weights_closed_form([gamma])
+    bundle = IterationParams(
+        k=0, eta=eta, gammas=[gamma], thetas=thetas, theta_sum=float(thetas[0])
+    )
+    return AlgorithmKind(name="nigt", q=1, params=lambda k: replace(bundle, k=k))
+
+
 def sg_step(
     state: OptimizerState, eta: float, oracle: Oracle, sample: Sample
 ) -> OptimizerState:
-    """Plain stochastic gradient: x - eta g, no normalization, m := g."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    g = oracle(state.x_cur, sample)
-    return OptimizerState(
-        x_prev=state.x_cur,
-        x_cur=state.x_cur - eta * g,
-        m=g,
-        k=state.k + 1,
-        carry=state.carry,
-        oracle_calls=state.oracle_calls + 1,
-        zero_steps=state.zero_steps,
-        zs=(state.x_cur,),
-    )
+    """One step of sg() at a constant eta."""
+    kind = sg(lambda k: eta)
+    return mem_step(state, kind.params(state.k), oracle, sample, kind.normalized)
 
 
 def sgpm_step(
     state: OptimizerState, gamma: float, eta: float, oracle: Oracle, sample: Sample
 ) -> OptimizerState:
-    """Normalized gradient with Polyak momentum, no extrapolation.
-
-    m = (1 - theta) m_prev + theta g(x) with theta carried from the
-    previous iteration (theta = 1 on the first step), then the normalized
-    eta step. gamma becomes next iteration's mixing weight.
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    g = oracle(state.x_cur, sample)
-    m = momentum_update(state.m, state.carry.thetas, [g])
-    x_next, zero = normalized_step(state.x_cur, m, eta)
-    carry = IterationParams(
-        k=state.k,
-        eta=eta,
-        gammas=np.array([1.0]),
-        thetas=np.array([gamma]),
-        theta_sum=gamma,
-    )
-    return OptimizerState(
-        x_prev=state.x_cur,
-        x_cur=x_next,
-        m=m,
-        k=state.k + 1,
-        carry=carry,
-        oracle_calls=state.oracle_calls + 1,
-        zero_steps=state.zero_steps + int(zero),
-        zs=(state.x_cur,),
-    )
-
-
-def _constant_params(k: int, gamma: float, eta: float) -> IterationParams:
-    gammas = np.array([gamma])
-    thetas = solve_weights_closed_form(gammas)
-    return IterationParams(
-        k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=float(thetas[0])
-    )
+    """One step of sg_pm() at a constant (gamma, eta)."""
+    kind = sg_pm(lambda k: gamma, lambda k: eta)
+    return mem_step(state, kind.params(state.k), oracle, sample)
 
 
 def nigt_step(
     state: OptimizerState, gamma: float, eta: float, oracle: Oracle, sample: Sample
 ) -> OptimizerState:
-    """Implicit gradient transport step: the q = 1 kernel with constant
-    (gamma, eta). Delegation, not reimplementation, so the equivalence is
-    exact by construction."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    return mem_step(state, _constant_params(state.k, gamma, eta), oracle, sample)
-
-
-GammaRule = Callable[[int], float]
-EtaRule = Callable[[int], float]
-
-
-@dataclass(frozen=True)
-class AlgorithmKind:
-    """A method plus whatever parameter source it uses.
-
-    Exactly one of schedule (mem), constant gamma/eta (nigt), or the
-    per-iteration rules (sg, sg-pm) is populated.
-    """
-
-    name: str
-    schedule: Optional[ScheduleConfig] = None
-    gamma: Optional[float] = None
-    eta: Optional[float] = None
-    gamma_rule: Optional[GammaRule] = None
-    eta_rule: Optional[EtaRule] = None
-
-    @property
-    def q(self) -> int:
-        return self.schedule.q if self.schedule is not None else 1
-
-
-def mem(schedule: ScheduleConfig) -> AlgorithmKind:
-    return AlgorithmKind(name="mem", schedule=schedule)
-
-
-def sg(eta_rule: Optional[EtaRule] = None) -> AlgorithmKind:
-    """Decaying-step gradient descent; default eta_k = (k+1)^(-1/2)."""
-    return AlgorithmKind(
-        name="sg", eta_rule=eta_rule or (lambda k: (k + 1.0) ** -0.5)
-    )
-
-
-def sg_pm(
-    gamma_rule: Optional[GammaRule] = None, eta_rule: Optional[EtaRule] = None
-) -> AlgorithmKind:
-    """Normalized Polyak momentum; defaults gamma_k = (k+1)^(-1/2),
-    eta_k = (k+1)^(-3/4)."""
-    return AlgorithmKind(
-        name="sg-pm",
-        gamma_rule=gamma_rule or (lambda k: (k + 1.0) ** -0.5),
-        eta_rule=eta_rule or (lambda k: (k + 1.0) ** -0.75),
-    )
-
-
-def nigt(gamma: float, eta: float) -> AlgorithmKind:
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return AlgorithmKind(name="nigt", gamma=gamma, eta=eta)
+    """One step of nigt(gamma, eta)."""
+    return mem_step(state, nigt(gamma, eta).params(state.k), oracle, sample)
 
 
 @dataclass(frozen=True)
@@ -294,24 +279,6 @@ class RunResult:
     state: OptimizerState
     iterates: Tuple[np.ndarray, ...]
     metric_grad_evals: int
-
-
-def _advance(
-    kind: AlgorithmKind,
-    state: OptimizerState,
-    oracle: Oracle,
-    sample: Sample,
-) -> OptimizerState:
-    k = state.k
-    if kind.name == "mem":
-        return mem_step(state, params_for(kind.schedule, k), oracle, sample)
-    if kind.name == "nigt":
-        return nigt_step(state, kind.gamma, kind.eta, oracle, sample)
-    if kind.name == "sg-pm":
-        return sgpm_step(state, kind.gamma_rule(k), kind.eta_rule(k), oracle, sample)
-    if kind.name == "sg":
-        return sg_step(state, kind.eta_rule(k), oracle, sample)
-    raise ValueError(f"unknown algorithm {kind.name!r}")
 
 
 def run(
@@ -376,15 +343,13 @@ def run(
             metric_grad_evals=metric_evals,
         )
 
+    def oracle(z: np.ndarray, sample: Sample) -> np.ndarray:
+        return stochastic_grad(problem, noise, z, sample)
+
     for k in range(budget):
         sample = draw_sample(noise, problem.dim, seed, k)
         prev_x = state.x_cur
-        state = _advance(
-            kind,
-            state,
-            lambda z, s: stochastic_grad(problem, noise, z, s),
-            sample,
-        )
+        state = mem_step(state, kind.params(k), oracle, sample, kind.normalized)
         if store_iterates:
             iterates.append(state.x_cur.copy())
         if k % log_stride == 0 or k == budget - 1:

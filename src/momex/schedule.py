@@ -8,10 +8,12 @@ reciprocal-power system
     sum_t theta_t / gamma_t**r = 1    for r = 1..q,                    (*)
 
 whose coefficient matrix is Vandermonde-like in the reciprocals 1/gamma_t.
-This module evaluates the built-in decreasing schedules, solves (*) either
-in closed form (the production path) or by dense factorization (an
+This module evaluates the built-in order-p schedule, solves (*) either in
+closed form (the production path) or by dense factorization (an
 independent oracle), and measures the identities, sign pattern, and bounds
-that the closed form is supposed to satisfy.
+that the closed form is supposed to satisfy. The literal order-3 form
+(params_p3, p3_arrays) is kept only as an oracle for the order-p schedule
+at p = 3.
 
 All values are plain 64-bit floats; every function here is pure and every
 returned object is immutable, so bundles can be shared freely across
@@ -22,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "DENSE_Q_CAP",
     "COND_LIMIT",
-    "MODES",
     "ScheduleConfig",
     "IterationParams",
     "PotentialWeight",
@@ -56,8 +57,6 @@ __all__ = [
 # closed form has no such limit and is the path production code uses.
 DENSE_Q_CAP = 8
 COND_LIMIT = 1e12
-
-MODES = ("general-p", "p3-special", "custom")
 
 
 class IllConditionedSystem(ValueError):
@@ -110,36 +109,19 @@ def _as_gamma_stack(gammas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Which per-iteration schedule a method runs under.
-
-    Modes "general-p" and "p3-special" pair q = p - 1 extrapolations with
-    the built-in decreasing rules; "p3-special" is the dedicated order-3
-    form and requires p = 3. Mode "custom" takes user rules for the gammas
-    and the step size. Custom gammas are experimental: the weight solve only
-    requires them strictly decreasing in (0,1), and nothing else guides
-    their choice.
-    """
+    """The built-in order-p schedule, which pairs q = p - 1 extrapolations
+    with decreasing step and mixing rules. Any other schedule is a
+    per-k stream of IterationParams handed to the optimizer directly."""
 
     p: int
     q: int
-    mode: str = "general-p"
-    custom_gammas: Optional[Callable[[int], Sequence[float]]] = None
-    custom_eta: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
         _check_order(self.p)
-        if self.q < 1:
-            raise ValueError(f"extrapolation count must be >= 1, got {self.q}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode in ("general-p", "p3-special") and self.q != self.p - 1:
-            raise ValueError("built-in schedules pair q = p - 1")
-        if self.mode == "p3-special" and self.p != 3:
-            raise ValueError("p3-special requires p = 3")
-        if self.mode == "custom" and (
-            self.custom_gammas is None or self.custom_eta is None
-        ):
-            raise ValueError("custom mode needs custom_gammas and custom_eta rules")
+        if self.q != self.p - 1:
+            raise ValueError(
+                f"the order-p schedule pairs q = p - 1, got p={self.p}, q={self.q}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,15 +206,16 @@ def params_general(k: int, p: int) -> IterationParams:
     if not math.isfinite(c):
         raise OverflowError(f"(k+p)^(2p/(3p+1)) overflows at k={k}, p={p}")
     eta = math.exp(-(2.0 * p + 1.0) / d * lg)
+    # c > 1 and finite, so these lie in (0,1) and decrease: valid by construction
     gammas = [1.0 / (t * c) for t in range(1, p)]
-    thetas = solve_weights_closed_form(gammas)
+    thetas = _closed_form(gammas)
     return IterationParams(
         k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=math.fsum(thetas)
     )
 
 
 def params_p3(k: int) -> IterationParams:
-    """Bundle of the dedicated third-order schedule, in its literal form.
+    """Bundle of the third-order schedule in its literal form (an oracle).
 
         eta_k    = (k+3)^(-7/10)
         gamma_1  = (k+3)^(-3/5),          gamma_2 = gamma_1 / 2
@@ -256,24 +239,8 @@ def params_p3(k: int) -> IterationParams:
 
 
 def params_for(config: ScheduleConfig, k: int) -> IterationParams:
-    """Bundle for iteration k under the configured mode."""
-    if config.mode == "p3-special":
-        return params_p3(k)
-    if config.mode == "general-p":
-        return params_general(k, config.p)
-    gammas = np.asarray(config.custom_gammas(k), dtype=float)
-    if gammas.size != config.q:
-        raise ValueError(
-            f"custom rule returned {gammas.size} gammas, config says q={config.q}"
-        )
-    thetas = solve_weights_closed_form(gammas)
-    return IterationParams(
-        k=k,
-        eta=float(config.custom_eta(k)),
-        gammas=gammas,
-        thetas=thetas,
-        theta_sum=math.fsum(thetas),
-    )
+    """Bundle for iteration k of the configured schedule."""
+    return params_general(k, config.p)
 
 
 def init_params(q: int) -> IterationParams:
@@ -295,6 +262,21 @@ def init_params(q: int) -> IterationParams:
     )
 
 
+def _closed_form(vals: list) -> list:
+    """solve_weights_closed_form on a valid row of Python floats; the same
+    IEEE operations as numpy scalars, a fraction of the per-operation
+    overhead."""
+    q = len(vals)
+    th = []
+    for i, gi in enumerate(vals):
+        f = 1.0
+        for s, gs in enumerate(vals):
+            if s != i:
+                f *= (gs - 1.0) / (gs - gi)
+        th.append(gi**q * f)
+    return th
+
+
 def solve_weights_closed_form(gammas) -> np.ndarray:
     """Unique solution of (*) written directly in the gammas.
 
@@ -304,21 +286,7 @@ def solve_weights_closed_form(gammas) -> np.ndarray:
     empty product collapses to theta = gamma exactly. Signs alternate:
     theta_t > 0 for odd t, theta_t < 0 for even t.
     """
-    g = _as_gamma_array(gammas)
-    if g.size == 1:
-        return g.copy()
-    # Python floats: the same IEEE operations as numpy scalars, a fraction
-    # of the per-operation overhead
-    vals = g.tolist()
-    q = len(vals)
-    th = []
-    for i, gi in enumerate(vals):
-        f = 1.0
-        for s, gs in enumerate(vals):
-            if s != i:
-                f *= (gs - 1.0) / (gs - gi)
-        th.append(gi**q * f)
-    return np.array(th)
+    return np.array(_closed_form(_as_gamma_array(gammas).tolist()))
 
 
 def solve_weights_linear(gammas) -> np.ndarray:
@@ -409,7 +377,7 @@ def potential_weight(k: int, config) -> PotentialWeight:
     """Error-discount weight p_k = (k+p)^((p-1)/(3p+1)).
 
     At p = 3 the exponent reduces to 1/5, which is also what the dedicated
-    third-order analysis uses, so one formula covers both modes. Accepts a
+    third-order analysis uses, so one formula covers every order. Accepts a
     ScheduleConfig or a bare order p. Nondecreasing in k, and never more
     than doubles from one index to the next.
     """
@@ -426,16 +394,11 @@ def check_potential_inequality(k: int, config) -> bool:
     otherwise. This is the contraction the error-discount weights were
     chosen for; the built-in schedules satisfy it at every k.
     """
-    cfg = (
-        config
-        if isinstance(config, ScheduleConfig)
-        else ScheduleConfig(p=_order_of(config), q=_order_of(config) - 1)
-    )
-    params = params_for(cfg, k)
-    s = params.theta_sum
-    pk = potential_weight(k, cfg.p).value
-    pk1 = potential_weight(k + 1, cfg.p).value
-    d = 2.0 if cfg.p == 3 else cfg.p + 1.0
+    p = _order_of(config)
+    s = params_general(k, p).theta_sum
+    pk = potential_weight(k, p).value
+    pk1 = potential_weight(k + 1, p).value
+    d = 2.0 if p == 3 else p + 1.0
     return bool((1.0 - s) * pk1 <= (1.0 - s / d) * pk)
 
 

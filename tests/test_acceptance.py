@@ -6,6 +6,7 @@ unit suites own the fine-grained cases; these tests exercise the public
 surface end to end.
 """
 
+import math
 import time
 
 import numpy as np
@@ -93,7 +94,7 @@ def test_step_length_and_extrapolation_identities():
     problem = prob.datafit_problem(ds)
     noise = prob.NoiseModel("scalar-gaussian-envelope", 10.0)
     oracle = lambda z, s: prob.stochastic_grad(problem, noise, z, s)
-    config = sch.ScheduleConfig(p=3, q=2, mode="p3-special")
+    config = sch.ScheduleConfig(p=3, q=2)
 
     state = opt.initial_state(np.ones(problem.dim), q=2)
     worst_step = 0.0
@@ -123,14 +124,16 @@ def test_single_extrapolation_constant_schedule_reproduces_nigt():
     noise = prob.NoiseModel("scalar-gaussian-envelope", 5.0)
     x0 = np.ones(problem.dim)
 
-    constant = sch.ScheduleConfig(
-        p=2, q=1, mode="custom",
-        custom_gammas=lambda k: (0.3,),
-        custom_eta=lambda k: 0.05,
+    thetas = sch.solve_weights_closed_form((0.3,))
+    constant = opt.AlgorithmKind(
+        name="mem", q=1,
+        params=lambda k: sch.IterationParams(
+            k=k, eta=0.05, gammas=(0.3,), thetas=thetas, theta_sum=math.fsum(thetas)
+        ),
     )
     a = opt.run(opt.nigt(gamma=0.3, eta=0.05), problem, noise, x0,
                 budget=400, seed=21)
-    b = opt.run(opt.mem(constant), problem, noise, x0, budget=400, seed=21)
+    b = opt.run(constant, problem, noise, x0, budget=400, seed=21)
     assert _strip_timing(a.records) == _strip_timing(b.records)
     assert np.array_equal(a.state.x_cur, b.state.x_cur)
     assert np.array_equal(a.state.m, b.state.m)

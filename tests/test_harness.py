@@ -7,6 +7,7 @@ import pytest
 import momex.harness as har
 import momex.problems as prob
 from momex.optimizer import TrajectoryRecord
+from momex.schedule import params_general
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +124,16 @@ def test_x0_parsing():
         har.build_problem(har.parse_config(base + ["--x0", "1.5,2.5"]))
 
 
-def test_mem_p3_uses_special_schedule():
+def test_mem_p3_uses_general_schedule():
     cfg = har.parse_config(["--alg", "mem", "--p", "3",
                             "--problem", "datafit", "--synthetic", "6", "--iters", "1"])
     kind = har.build_kind(cfg)
-    assert kind.schedule.mode == "p3-special"
-    assert kind.schedule.q == 2
+    assert kind.q == 2
+    for k in (0, 1, 1234):
+        a, b = kind.params(k), params_general(k, 3)
+        assert a.k == b.k and a.eta == b.eta and a.theta_sum == b.theta_sum
+        np.testing.assert_array_equal(a.gammas, b.gammas)
+        np.testing.assert_array_equal(a.thetas, b.thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_mem_step_matches_literal_recursion():
     transcription of the update rules; the trajectories must agree."""
     problem = _datafit(n=10, seed=3)
     noise = prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=3.0)
-    cfg = sched.ScheduleConfig(p=3, q=2, mode="p3-special")
+    cfg = sched.ScheduleConfig(p=3, q=2)
     oracle = _oracle(problem, noise)
 
     x0 = np.ones(10)
@@ -114,7 +114,7 @@ def test_mem_step_matches_literal_recursion():
 def test_mem_step_identities_short_run():
     problem = _datafit(n=8, seed=1)
     noise = prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=2.0)
-    cfg = sched.ScheduleConfig(p=3, q=2, mode="p3-special")
+    cfg = sched.ScheduleConfig(p=3, q=2)
     oracle = _oracle(problem, noise)
     state = opt.initial_state(np.ones(8), q=2)
     xs = [state.x_cur]
@@ -154,7 +154,10 @@ def test_sg_step_algebra():
     noise = prob.NoiseModel()
     state = opt.initial_state(np.array([1.0, 2.0]), q=1)
     sample = prob.draw_sample(noise, 2, 0, 0)
-    state = opt.sg_step(state, 0.1, _oracle(problem, noise), sample)
+    kind = opt.sg(lambda k: 0.1)
+    state = opt.mem_step(
+        state, kind.params(0), _oracle(problem, noise), sample, kind.normalized
+    )
     np.testing.assert_array_equal(state.m, np.array([1.0, 2.0]))  # m := g
     np.testing.assert_allclose(
         state.x_cur, np.array([1.0, 2.0]) - 0.1 * np.array([1.0, 2.0])
@@ -167,11 +170,12 @@ def test_sgpm_step_algebra():
     x0 = np.array([1.0, 2.0])
     state = opt.initial_state(x0, q=1)
     sample = prob.draw_sample(noise, 2, 0, 0)
+    kind = opt.sg_pm(lambda k: 0.5, lambda k: 0.1)
     # warm-start carry has theta = 1, so the first update is m = g
-    state = opt.sgpm_step(state, 0.5, 0.1, _oracle(problem, noise), sample)
+    state = opt.mem_step(state, kind.params(0), _oracle(problem, noise), sample)
     np.testing.assert_array_equal(state.m, x0)
     g2 = state.x_cur.copy()
-    state = opt.sgpm_step(state, 0.5, 0.1, _oracle(problem, noise), sample)
+    state = opt.mem_step(state, kind.params(1), _oracle(problem, noise), sample)
     np.testing.assert_allclose(state.m, 0.5 * x0 + 0.5 * g2, rtol=1e-15)
 
 
@@ -179,14 +183,15 @@ def test_nigt_matches_constant_mem():
     problem = _datafit(n=9, seed=6)
     noise = prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=5.0)
     x0 = np.ones(9)
-    custom = sched.ScheduleConfig(
-        p=2,
+    thetas = sched.solve_weights_closed_form([0.3])
+    constant = opt.AlgorithmKind(
+        name="mem",
         q=1,
-        mode="custom",
-        custom_gammas=lambda k: [0.3],
-        custom_eta=lambda k: 0.05,
+        params=lambda k: sched.IterationParams(
+            k=k, eta=0.05, gammas=[0.3], thetas=thetas, theta_sum=math.fsum(thetas)
+        ),
     )
-    a = opt.run(opt.mem(custom), problem, noise, x0, budget=100, seed=11)
+    a = opt.run(constant, problem, noise, x0, budget=100, seed=11)
     b = opt.run(opt.nigt(0.3, 0.05), problem, noise, x0, budget=100, seed=11)
     np.testing.assert_array_equal(a.state.x_cur, b.state.x_cur)
     np.testing.assert_array_equal(a.state.m, b.state.m)
@@ -203,7 +208,7 @@ def test_nigt_matches_constant_mem():
 
 def test_run_budget_zero_sentinel():
     problem = prob.quadratic_problem(3, conditioning=2.0)
-    kind = opt.mem(sched.ScheduleConfig(p=3, q=2, mode="p3-special"))
+    kind = opt.mem(sched.ScheduleConfig(p=3, q=2))
     res = opt.run(kind, problem, prob.NoiseModel(), np.ones(3), budget=0, seed=0)
     assert len(res.records) == 1
     rec = res.records[0]
@@ -255,7 +260,7 @@ def test_run_wall_ceiling_stops_early():
 def test_zero_momentum_freezes_iterate():
     # starting at the exact minimizer with no noise, every direction is zero
     problem = prob.quadratic_problem(3, conditioning=2.0)
-    kind = opt.mem(sched.ScheduleConfig(p=3, q=2, mode="p3-special"))
+    kind = opt.mem(sched.ScheduleConfig(p=3, q=2))
     res = opt.run(kind, problem, prob.NoiseModel(), np.zeros(3), budget=5, seed=0)
     assert res.state.zero_steps == 5
     np.testing.assert_array_equal(res.state.x_cur, np.zeros(3))

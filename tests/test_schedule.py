@@ -245,32 +245,6 @@ def test_builtin_config_requires_matching_q():
         sched.ScheduleConfig(p=3, q=1)
     with pytest.raises(ValueError):
         sched.ScheduleConfig(p=1, q=1)
-    with pytest.raises(ValueError):
-        sched.ScheduleConfig(p=4, q=3, mode="p3-special")
-
-
-def test_custom_config_needs_both_rules():
-    with pytest.raises(ValueError):
-        sched.ScheduleConfig(p=2, q=1, mode="custom", custom_gammas=lambda k: [0.5])
-    cfg = sched.ScheduleConfig(
-        p=2,
-        q=1,
-        mode="custom",
-        custom_gammas=lambda k: [0.5],
-        custom_eta=lambda k: 0.01,
-    )
-    pm = sched.params_for(cfg, 7)
-    assert pm.eta == 0.01
-    assert pm.gammas[0] == 0.5
-    assert pm.thetas[0] == 0.5  # q=1 collapse
-
-
-def test_params_for_dispatches_to_p3():
-    cfg = sched.ScheduleConfig(p=3, q=2, mode="p3-special")
-    a = sched.params_for(cfg, 11)
-    b = sched.params_p3(11)
-    assert a.eta == b.eta
-    np.testing.assert_array_equal(a.thetas, b.thetas)
 
 
 # ---------------------------------------------------------------------------
