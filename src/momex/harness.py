@@ -16,7 +16,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,13 +71,42 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the flag at fault."""
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+def _flag(field: str) -> str:
+    return "--alg" if field == "algorithm" else "--" + field.replace("_", "-")
+
+
+# the JSON type each field must have; flags arrive typed, config files may not
+_INT_FIELDS = ("p", "q", "iters", "seed", "data_seed", "synthetic", "dim", "log_stride")
+_REAL_FIELDS = ("gamma", "eta", "sigma", "conditioning", "wall_seconds")
+_STR_FIELDS = ("algorithm", "problem", "dataset", "target", "noise", "x0", "out", "format")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment, fully determined. All fields are JSON-native."""
+    """One experiment, fully determined. All fields are JSON-native.
 
-    algorithm: str
-    problem: str
-    iters: int
+    Construction validates every field, whatever builds the config: flags,
+    a config file, compare's tokens, ``dataclasses.replace`` or a direct
+    call. ``algorithm``, ``problem`` and ``iters`` are required. Omitted
+    fields are normalized: q becomes p - 1 for mem, conditioning 1.0 for
+    the quadratic, noise "scalar-gaussian-envelope" exactly when sigma is
+    given (else "none"), and sigma 0.0 when noise is "none". A normalized
+    config passes ``replace`` unchanged.
+
+    Raises:
+        ConfigError: a field of the wrong type, a value violating its
+            constraint, or a field that does not apply to the algorithm or
+            problem; the message names the flag.
+    """
+
+    algorithm: Optional[str] = None
+    problem: Optional[str] = None
+    iters: Optional[int] = None
     seed: int = 0
     p: Optional[int] = None
     q: Optional[int] = None
@@ -89,13 +118,121 @@ class RunConfig:
     data_seed: int = 0
     dim: Optional[int] = None
     conditioning: Optional[float] = None
-    noise: str = "none"
-    sigma: float = 0.0
+    noise: Optional[str] = None
+    sigma: Optional[float] = None
     wall_seconds: Optional[float] = None
     x0: str = "ones"
     log_stride: int = 1
     out: Optional[str] = None
     format: str = "csv"
+
+    def __post_init__(self) -> None:
+        set_ = lambda name, val: object.__setattr__(self, name, val)
+        defaults = {f.name: f.default for f in fields(self)}
+        for names, types, want in (
+            (_INT_FIELDS, int, "an integer"),
+            (_REAL_FIELDS, (int, float), "a number"),
+            (_STR_FIELDS, str, "a string"),
+        ):
+            for name in names:
+                val = getattr(self, name)
+                _require(
+                    (val is None and defaults[name] is None)
+                    or (isinstance(val, types) and not isinstance(val, bool)),
+                    f"{_flag(name)} must be {want}, got {val!r}",
+                )
+        for name in _REAL_FIELDS:
+            val = getattr(self, name)
+            try:
+                finite = val is None or math.isfinite(val)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            _require(finite, f"{_flag(name)} must be finite, got {val!r}")
+        for name in ("seed", "data_seed"):
+            val = getattr(self, name)
+            _require(val >= 0, f"{_flag(name)} must be >= 0, got {val}")
+
+        alg, p, q, gamma, eta = self.algorithm, self.p, self.q, self.gamma, self.eta
+        _require(alg in ALGORITHMS, f"--alg is required and must be one of {ALGORITHMS}")
+        if alg == "mem":
+            _require(
+                p is not None,
+                "algorithm 'mem' requires --p, the smoothness order its schedule is built for",
+            )
+            _require(p >= 2, f"--p must be an integer >= 2, got {p}")
+            if q is None:
+                set_("q", p - 1)
+            _require(self.q == p - 1, f"--q must equal p - 1 = {p - 1} for the built-in schedules")
+            _require(gamma is None and eta is None, "--gamma/--eta do not apply to mem; the schedule sets them")
+        elif alg == "nigt":
+            _require(p is None and q is None, "--p/--q do not apply to nigt")
+            _require(gamma is not None and 0.0 < gamma < 1.0, "nigt requires --gamma in (0, 1)")
+            _require(eta is not None and eta > 0.0, "nigt requires --eta > 0")
+        else:
+            _require(p is None and q is None, f"--p/--q do not apply to {alg}")
+            if alg == "sg":
+                _require(gamma is None, "--gamma does not apply to sg")
+            elif gamma is not None:
+                _require(0.0 < gamma <= 1.0, f"--gamma must lie in (0, 1], got {gamma}")
+            if eta is not None:
+                _require(eta > 0.0, f"--eta must be positive, got {eta}")
+
+        problem, synthetic, dataset = self.problem, self.synthetic, self.dataset
+        _require(problem in PROBLEMS, f"--problem is required and must be one of {PROBLEMS}")
+        if problem == "quadratic":
+            _require(
+                synthetic is None and dataset is None,
+                "problem 'quadratic' takes --dim/--conditioning, not --synthetic/--dataset",
+            )
+            _require(self.dim is not None and self.dim >= 1, "problem 'quadratic' requires --dim >= 1")
+            conditioning = 1.0 if self.conditioning is None else float(self.conditioning)
+            _require(conditioning >= 1.0, f"--conditioning must be >= 1, got {conditioning}")
+            set_("conditioning", conditioning)
+        else:
+            _require(
+                self.dim is None and self.conditioning is None,
+                f"--dim/--conditioning apply to quadratic, not {problem}",
+            )
+            _require(
+                (synthetic is None) != (dataset is None),
+                f"problem {problem!r} needs exactly one data source: --synthetic N or --dataset PATH",
+            )
+            if synthetic is not None:
+                _require(synthetic >= 1, f"--synthetic must be >= 1, got {synthetic}")
+
+        noise, sigma = self.noise, self.sigma
+        if noise is None:
+            noise = "none" if sigma is None else "scalar-gaussian-envelope"
+        _require(noise in NOISE_KINDS, f"--noise must be one of {NOISE_KINDS}, got {noise!r}")
+        if noise == "none":
+            # 0.0 is what normalization stores, so a normalized config re-validates
+            _require(
+                sigma is None or sigma == 0.0,
+                "--sigma needs a gaussian --noise kind; omit --noise to default to scalar-gaussian-envelope",
+            )
+            sigma = 0.0
+        else:
+            _require(sigma is not None and sigma > 0.0, f"--noise {noise!r} requires --sigma > 0")
+        set_("noise", noise)
+        set_("sigma", float(sigma))
+
+        _require(self.iters is not None and self.iters >= 0, "--iters is required and must be >= 0")
+        if self.wall_seconds is not None:
+            _require(self.wall_seconds > 0.0, f"--wall-seconds must be positive, got {self.wall_seconds}")
+        _require(self.log_stride >= 1, f"--log-stride must be >= 1, got {self.log_stride}")
+        if self.x0 not in ("ones", "zeros"):
+            try:
+                coords = [float(v) for v in self.x0.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    '--x0 must be "ones", "zeros", or a comma-separated vector'
+                ) from None
+            _require(all(map(math.isfinite, coords)), f"--x0 entries must be finite, got {self.x0!r}")
+        _require(self.format in ("csv", "json"), "--format must be csv or json")
+        if gamma is not None:
+            set_("gamma", float(gamma))
+        if eta is not None:
+            set_("eta", float(eta))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +257,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 
 def _run_parser() -> _Parser:
     p = _Parser(prog="momex run", add_help=False)
-    p.add_argument("--alg", choices=ALGORITHMS)
+    p.add_argument("--alg", choices=ALGORITHMS, dest="algorithm")
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--gamma", type=float)
@@ -136,195 +273,49 @@ def _run_parser() -> _Parser:
     return p
 
 
-_DEFAULTS = {
-    "target": "target",
-    "data_seed": 0,
-    "noise": None,  # resolved from --sigma below
-    "sigma": None,
-    "seed": 0,
-    "x0": "ones",
-    "log_stride": 1,
-    "format": "csv",
-}
+def _read_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            vals = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"--config: cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--config: {path} is not valid JSON: {exc}") from exc
+    if not isinstance(vals, dict):
+        raise ConfigError(f"--config: {path} must hold a JSON object")
+    vals.pop("config", None)
+    if "alg" in vals:
+        _require("algorithm" not in vals, f"--config: {path} gives both 'alg' and 'algorithm'")
+        vals["algorithm"] = vals.pop("alg")
+    known = {f.name for f in fields(RunConfig)}
+    for key in vals:
+        _require(key in known, f"--config: unknown field {key!r} in {path}")
+    return vals
 
 
 def parse_config(argv: Sequence[str], config_file: Optional[str] = None) -> RunConfig:
-    """Build a validated RunConfig from run-subcommand flags.
+    """Build a RunConfig from run-subcommand flags over a config file.
 
     A JSON config file (--config or the second argument) supplies values
     for any flag not given on the command line; explicit flags always win.
-    Unset fields take the documented defaults: seed 0, x0 "ones",
-    log_stride 1, format csv, data_seed 0, and noise
-    "scalar-gaussian-envelope" exactly when --sigma is given.
+    The file's keys are RunConfig's field names, as the ``run --format
+    json`` config echo writes them; ``alg`` is accepted for ``algorithm``.
+    A null value counts as not given. The merge goes to RunConfig as it
+    stands, so its defaults and checks are the only ones.
 
     Raises:
-        ConfigError: unknown flag, missing required flag, or a value
-            violating its constraint; the message names the flag.
+        ConfigError: unknown flag or file key, unreadable file, or any
+            error RunConfig raises; the message names the flag.
     """
     argv = list(argv)
     if argv and argv[0] == "run":
         argv = argv[1:]
-    ns = vars(_run_parser().parse_args(argv))
-    path = config_file or ns.pop("config", None)
-    if path is not None:
-        try:
-            with open(path) as fh:
-                file_vals = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"--config: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--config: {path} is not valid JSON: {exc}") from exc
-        if not isinstance(file_vals, dict):
-            raise ConfigError(f"--config: {path} must hold a JSON object")
-        file_vals.pop("config", None)
-        known = set(ns) | {"alg"}
-        for key in file_vals:
-            if key not in known:
-                raise ConfigError(f"--config: unknown field {key!r} in {path}")
-        for key, val in file_vals.items():
-            if ns.get(key) is None:
-                ns[key] = val
-    else:
-        ns.pop("config", None)
-    for key, val in _DEFAULTS.items():
-        if ns.get(key) is None:
-            ns[key] = val
-    return _validate(ns)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-# the JSON type each field must have; flags arrive typed, config files may not
-_INT_FIELDS = ("p", "q", "iters", "seed", "data_seed", "synthetic", "dim", "log_stride")
-_REAL_FIELDS = ("gamma", "eta", "sigma", "conditioning", "wall_seconds")
-_STR_FIELDS = ("alg", "problem", "dataset", "target", "noise", "x0", "out", "format")
-
-
-def _check_types(ns: Dict) -> None:
-    for fields, types, want in (
-        (_INT_FIELDS, int, "an integer"),
-        (_REAL_FIELDS, (int, float), "a number"),
-        (_STR_FIELDS, str, "a string"),
-    ):
-        for key in fields:
-            val = ns.get(key)
-            _require(
-                val is None or (isinstance(val, types) and not isinstance(val, bool)),
-                f"--{key.replace('_', '-')} must be {want}, got {val!r}",
-            )
-
-
-def _validate(ns: Dict) -> RunConfig:
-    _check_types(ns)
-    for key in ("seed", "data_seed"):
-        _require(ns[key] >= 0, f"--{key.replace('_', '-')} must be >= 0, got {ns[key]}")
-    alg = ns.get("alg")
-    _require(alg in ALGORITHMS, f"--alg is required and must be one of {ALGORITHMS}")
-    p, q = ns.get("p"), ns.get("q")
-    gamma, eta = ns.get("gamma"), ns.get("eta")
-    if alg == "mem":
-        _require(
-            p is not None,
-            "algorithm 'mem' requires --p, the smoothness order its schedule is built for",
-        )
-        _require(p >= 2, f"--p must be an integer >= 2, got {p}")
-        q = p - 1 if q is None else q
-        _require(q == p - 1, f"--q must equal p - 1 = {p - 1} for the built-in schedules")
-        _require(gamma is None and eta is None, "--gamma/--eta do not apply to mem; the schedule sets them")
-    elif alg == "nigt":
-        _require(p is None and q is None, "--p/--q do not apply to nigt")
-        _require(gamma is not None and 0.0 < gamma < 1.0, "nigt requires --gamma in (0, 1)")
-        _require(eta is not None and eta > 0.0, "nigt requires --eta > 0")
-    else:
-        _require(p is None and q is None, f"--p/--q do not apply to {alg}")
-        if alg == "sg":
-            _require(gamma is None, "--gamma does not apply to sg")
-        elif gamma is not None:
-            _require(0.0 < gamma <= 1.0, f"--gamma must lie in (0, 1], got {gamma}")
-        if eta is not None:
-            _require(eta > 0.0, f"--eta must be positive, got {eta}")
-
-    problem = ns.get("problem")
-    _require(problem in PROBLEMS, f"--problem is required and must be one of {PROBLEMS}")
-    synthetic, dataset = ns.get("synthetic"), ns.get("dataset")
-    dim, conditioning = ns.get("dim"), ns.get("conditioning")
-    if problem == "quadratic":
-        _require(
-            synthetic is None and dataset is None,
-            "problem 'quadratic' takes --dim/--conditioning, not --synthetic/--dataset",
-        )
-        _require(dim is not None and dim >= 1, "problem 'quadratic' requires --dim >= 1")
-        conditioning = 1.0 if conditioning is None else float(conditioning)
-        _require(conditioning >= 1.0, f"--conditioning must be >= 1, got {conditioning}")
-    else:
-        _require(
-            dim is None and conditioning is None,
-            f"--dim/--conditioning apply to quadratic, not {problem}",
-        )
-        _require(
-            (synthetic is None) != (dataset is None),
-            f"problem {problem!r} needs exactly one data source: --synthetic N or --dataset PATH",
-        )
-        if synthetic is not None:
-            _require(synthetic >= 1, f"--synthetic must be >= 1, got {synthetic}")
-
-    noise, sigma = ns.get("noise"), ns.get("sigma")
-    if noise is None:
-        noise = "none" if sigma is None else "scalar-gaussian-envelope"
-    if noise == "none":
-        _require(
-            sigma is None,
-            "--sigma needs a gaussian --noise kind; omit --noise to default to scalar-gaussian-envelope",
-        )
-        sigma = 0.0
-    else:
-        _require(
-            sigma is not None and sigma > 0.0,
-            f"--noise {noise!r} requires --sigma > 0",
-        )
-
-    iters = ns.get("iters")
-    _require(iters is not None and iters >= 0, "--iters is required and must be >= 0")
-    wall = ns.get("wall_seconds")
-    if wall is not None:
-        _require(wall > 0.0, f"--wall-seconds must be positive, got {wall}")
-    _require(ns["log_stride"] >= 1, f"--log-stride must be >= 1, got {ns['log_stride']}")
-    x0 = str(ns["x0"])
-    if x0 not in ("ones", "zeros"):
-        try:
-            [float(v) for v in x0.split(",")]
-        except ValueError:
-            raise ConfigError(
-                '--x0 must be "ones", "zeros", or a comma-separated vector'
-            ) from None
-    _require(ns["format"] in ("csv", "json"), "--format must be csv or json")
-
-    return RunConfig(
-        algorithm=alg,
-        problem=problem,
-        iters=int(iters),
-        seed=int(ns["seed"]),
-        p=p,
-        q=q,
-        gamma=None if gamma is None else float(gamma),
-        eta=None if eta is None else float(eta),
-        synthetic=synthetic,
-        dataset=dataset,
-        target=str(ns["target"]),
-        data_seed=int(ns["data_seed"]),
-        dim=dim,
-        conditioning=conditioning,
-        noise=noise,
-        sigma=float(sigma),
-        wall_seconds=wall,
-        x0=x0,
-        log_stride=int(ns["log_stride"]),
-        out=ns.get("out"),
-        format=ns["format"],
-    )
+    flags = vars(_run_parser().parse_args(argv))
+    path = config_file or flags.pop("config")
+    flags.pop("config", None)
+    file_vals = {} if path is None else _read_config_file(path)
+    merged = {k: v for src in (file_vals, flags) for k, v in src.items() if v is not None}
+    return RunConfig(**merged)
 
 
 def build_problem(config: RunConfig):
@@ -360,7 +351,9 @@ def build_kind(config: RunConfig) -> AlgorithmKind:
     const = lambda v: None if v is None else (lambda k: v)
     if config.algorithm == "sg":
         return sg(const(config.eta))
-    return sg_pm(const(config.gamma), const(config.eta))
+    if config.algorithm == "sg-pm":
+        return sg_pm(const(config.gamma), const(config.eta))
+    raise ValueError(f"no algorithm kind for {config.algorithm!r}")
 
 
 def run_experiment(config: RunConfig):
@@ -452,6 +445,17 @@ def parse_records(text: str) -> Tuple[TrajectoryRecord, ...]:
     return tuple(out)
 
 
+def _json_payload(records, config: Optional[RunConfig], summary: Optional[dict]) -> str:
+    return json.dumps(
+        {
+            "config": None if config is None else asdict(config),
+            "summary": summary,
+            "records": [asdict(r) for r in records],
+        },
+        indent=2,
+    )
+
+
 def emit(
     records: Sequence[TrajectoryRecord],
     path: str,
@@ -464,14 +468,7 @@ def emit(
     if format == "csv":
         payload = records_to_csv(records)
     elif format == "json":
-        payload = json.dumps(
-            {
-                "config": None if config is None else asdict(config),
-                "summary": summary,
-                "records": [asdict(r) for r in records],
-            },
-            indent=2,
-        )
+        payload = _json_payload(records, config, summary)
     else:
         raise ValueError(f"format must be csv or json, got {format!r}")
     try:
@@ -741,41 +738,39 @@ def _cmd_run(argv: Sequence[str]) -> int:
     elif config.format == "csv":
         sys.stdout.write(records_to_csv(records))
     else:
-        emit_text = json.dumps(
-            {
-                "config": asdict(config),
-                "summary": summary,
-                "records": [asdict(r) for r in records],
-            },
-            indent=2,
-        )
-        print(emit_text)
+        print(_json_payload(records, config, summary))
     return 0
 
 
+# the argument lists an --algs token may carry after its algorithm name
+_TOKEN_ARGS = {
+    "mem": [("q",)],
+    "nigt": [("gamma", "eta")],
+    "sg": [(), ("eta",)],
+    "sg-pm": [(), ("eta",), ("gamma", "eta")],
+}
+
+
 def _parse_alg_token(token: str) -> dict:
-    parts = token.split(":")
-    name = parts[0]
+    name, *args = token.split(":")
+    _require(name in _TOKEN_ARGS, f"--algs: unknown algorithm {name!r} in {token!r}")
+    keys = next((ks for ks in _TOKEN_ARGS[name] if len(ks) == len(args)), None)
+    if keys is None:
+        forms = " or ".join(":".join([name, *map(str.upper, ks)]) for ks in _TOKEN_ARGS[name])
+        raise ConfigError(f"--algs: malformed token {token!r}; expected {forms}")
+    vals = {"algorithm": name}
+    for key, arg in zip(keys, args):
+        kind, want = (int, "an integer") if key == "q" else (float, "a number")
+        try:
+            vals[key] = kind(arg)
+        except ValueError:
+            raise ConfigError(
+                f"--algs: {key.upper()} in {token!r} must be {want}, got {arg!r}"
+            ) from None
     if name == "mem":
-        if len(parts) != 2:
-            raise ConfigError(f"--algs: mem token must be mem:Q, got {token!r}")
-        q = int(parts[1])
-        return {"algorithm": "mem", "q": q, "p": q + 1}
-    if name == "nigt":
-        if len(parts) != 3:
-            raise ConfigError(f"--algs: nigt token must be nigt:GAMMA:ETA, got {token!r}")
-        return {"algorithm": "nigt", "gamma": float(parts[1]), "eta": float(parts[2])}
-    if name in ("sg", "sg-pm"):
-        out = {"algorithm": name}
-        if len(parts) == 2:
-            out["eta"] = float(parts[1])
-        elif len(parts) == 3 and name == "sg-pm":
-            out["gamma"] = float(parts[1])
-            out["eta"] = float(parts[2])
-        elif len(parts) != 1:
-            raise ConfigError(f"--algs: malformed token {token!r}")
-        return out
-    raise ConfigError(f"--algs: unknown algorithm {name!r} in {token!r}")
+        _require(vals["q"] >= 1, f"--algs: Q in {token!r} must be an integer >= 1")
+        vals["p"] = vals["q"] + 1
+    return vals
 
 
 def _cmd_compare(argv: Sequence[str]) -> int:
@@ -786,73 +781,44 @@ def _cmd_compare(argv: Sequence[str]) -> int:
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--base-seed", type=int, default=0, dest="base_seed")
     p.add_argument("--out")
-    ns = p.parse_args(argv)
-    tokens = [t.strip() for t in ns.algs.split(",") if t.strip()]
+    ns = vars(p.parse_args(argv))
+    algs, budget, seeds, base_seed, out = (
+        ns.pop(k) for k in ("algs", "budget", "seeds", "base_seed", "out")
+    )
+    problem_flags = {k: v for k, v in ns.items() if v is not None}
+    tokens = [t.strip() for t in algs.split(",") if t.strip()]
     if not tokens:
         raise ConfigError("--algs must name at least one algorithm")
-    configs = []
-    for tok in tokens:
-        fields = _parse_alg_token(tok)
-        base = {
-            "alg": fields["algorithm"],
-            "p": fields.get("p"),
-            "q": fields.get("q"),
-            "gamma": fields.get("gamma"),
-            "eta": fields.get("eta"),
-            "problem": ns.problem,
-            "synthetic": ns.synthetic,
-            "dataset": ns.dataset,
-            "target": ns.target,
-            "data_seed": ns.data_seed,
-            "dim": ns.dim,
-            "conditioning": ns.conditioning,
-            "noise": ns.noise,
-            "sigma": ns.sigma,
-            "iters": ns.budget,
-            "wall_seconds": None,
-            "seed": None,
-            "x0": ns.x0,
-            "log_stride": None,
-            "out": None,
-            "format": None,
-        }
-        for key, val in _DEFAULTS.items():
-            if base.get(key) is None:
-                base[key] = val
-        configs.append(_validate(base))
-    table = compare(
-        configs,
-        budget=ns.budget,
-        n_seeds=ns.seeds,
-        base_seed=ns.base_seed,
-        labels=tokens,
-    )
+    configs = [
+        RunConfig(**_parse_alg_token(tok), **problem_flags, iters=budget) for tok in tokens
+    ]
+    table = compare(configs, budget=budget, n_seeds=seeds, base_seed=base_seed, labels=tokens)
     text = json.dumps(table, indent=2)
-    if ns.out:
-        with open(ns.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
-        print(json.dumps({"out": ns.out, "median_final": table["median_final"]}))
+        print(json.dumps({"out": out, "median_final": table["median_final"]}))
     else:
         print(text)
     return 0
 
 
 def _cmd_verify(argv: Sequence[str]) -> int:
-    p = _Parser(prog="momex verify", add_help=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-max", type=int, default=10**4, dest="k_max")
-    p.add_argument("--bound-k-max", type=int, default=10**6, dest="bound_k_max")
-    p.add_argument("--draws", type=int, default=10**5)
-    p.add_argument("--out")
-    ns = p.parse_args(argv)
-    report = verify_all(
-        seed=ns.seed, k_max=ns.k_max, bound_k_max=ns.bound_k_max, n_draws=ns.draws
-    )
+    # flags left out stay out of the namespace, so verify_all's defaults apply
+    p = _Parser(prog="momex verify", add_help=False, argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k-max", type=int, dest="k_max")
+    p.add_argument("--bound-k-max", type=int, dest="bound_k_max")
+    p.add_argument("--draws", type=int, dest="n_draws")
+    p.add_argument("--out", default=None)
+    ns = vars(p.parse_args(argv))
+    out = ns.pop("out")
+    report = verify_all(**ns)
     text = json.dumps(report, indent=2)
-    if ns.out:
-        with open(ns.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
-        print(json.dumps({"out": ns.out, "passed": report["passed"]}))
+        print(json.dumps({"out": out, "passed": report["passed"]}))
     else:
         print(text)
     return 0 if report["passed"] else 1

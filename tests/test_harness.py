@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import momex.harness as har
 import momex.problems as prob
@@ -110,6 +112,128 @@ def test_cli_rejects_negative_seeds(capsys, flag):
                    "--sigma", "1", "--iters", "3", flag, "-1"])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--eta", "inf"),
+        ("--gamma", "nan"),
+        ("--sigma", "nan"),
+        ("--conditioning", "inf"),
+        ("--wall-seconds", "inf"),
+        ("--x0", "nan,1,1"),
+    ],
+)
+def test_cli_rejects_non_finite_numbers(capsys, flag, value):
+    rc = har.main(["run", "--alg", "sg", "--problem", "quadratic", "--dim", "3",
+                   "--iters", "3", flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "kwargs, flag",
+    [
+        (dict(algorithm="adam"), "--alg"),
+        (dict(algorithm="mem"), "--p"),
+        (dict(algorithm="sg", noise="none", sigma=1.0), "--sigma"),
+        (dict(algorithm="sg", noise="gaussian", sigma=1.0), "--noise"),
+        (dict(algorithm="sg", seed=None), "--seed"),
+        (dict(algorithm="sg", eta=float("inf")), "--eta"),
+        (dict(algorithm="sg", eta=10**400), "--eta"),
+    ],
+)
+def test_direct_construction_is_validated(kwargs, flag):
+    with pytest.raises(har.ConfigError, match=flag):
+        har.RunConfig(problem="quadratic", dim=3, iters=5, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, normalized",
+    [
+        (dict(algorithm="mem", p=4, problem="quadratic", dim=3),
+         dict(q=3, conditioning=1.0, noise="none", sigma=0.0)),
+        (dict(algorithm="sg", problem="datafit", synthetic=5, sigma=2),
+         dict(noise="scalar-gaussian-envelope", sigma=2.0)),
+        (dict(algorithm="nigt", gamma=0.5, eta=1, problem="robust", synthetic=5,
+              noise="elementwise-gaussian-envelope", sigma=1.0),
+         dict(eta=1.0, conditioning=None)),
+        (dict(algorithm="sg-pm", problem="quadratic", dim=2, noise="none", sigma=0.0),
+         dict(sigma=0.0, conditioning=1.0)),
+    ],
+)
+def test_normalized_config_survives_replace(kwargs, normalized):
+    cfg = har.RunConfig(iters=3, **kwargs)
+    for key, val in normalized.items():
+        got = getattr(cfg, key)
+        assert got == val and type(got) is type(val), key
+    assert replace(cfg) == cfg
+
+
+_POSITIVE = st.floats(1e-6, 10.0)
+_ALG_FIELDS = {
+    "mem": st.fixed_dictionaries({"p": st.integers(2, 6)}),
+    "sg": st.fixed_dictionaries({}, optional={"eta": _POSITIVE}),
+    "sg-pm": st.fixed_dictionaries({}, optional={"gamma": st.floats(1e-6, 1.0), "eta": _POSITIVE}),
+    "nigt": st.fixed_dictionaries({"gamma": st.floats(1e-6, 0.999), "eta": _POSITIVE}),
+}
+
+
+def _config_kwargs():
+    alg = st.sampled_from(list(_ALG_FIELDS)).flatmap(
+        lambda a: _ALG_FIELDS[a].map(lambda d: {"algorithm": a, **d})
+    )
+    problem = st.one_of(
+        st.fixed_dictionaries({"problem": st.just("quadratic"), "dim": st.integers(1, 50)},
+                              optional={"conditioning": st.floats(1.0, 1e6)}),
+        st.fixed_dictionaries({"problem": st.sampled_from(["datafit", "robust"])},
+                              optional={"data_seed": st.integers(0, 2**32)}).flatmap(
+            lambda d: st.one_of(
+                st.fixed_dictionaries({"synthetic": st.integers(1, 500)}),
+                st.fixed_dictionaries({"dataset": st.text(min_size=1), "target": st.text()}),
+            ).map(lambda src: {**d, **src})
+        ),
+    )
+    noise = st.one_of(
+        st.just({}),
+        st.just({"noise": "none"}),
+        st.fixed_dictionaries({"sigma": st.floats(1e-6, 1e3)}, optional={
+            "noise": st.sampled_from(["scalar-gaussian-envelope", "elementwise-gaussian-envelope"])
+        }),
+    )
+    rest = st.fixed_dictionaries({"iters": st.integers(0, 10**6)}, optional={
+        "seed": st.integers(0, 2**63),
+        "wall_seconds": st.floats(1e-3, 1e5),
+        "x0": st.sampled_from(["ones", "zeros", "1.5,-2", "0.1"]),
+        "log_stride": st.integers(1, 1000),
+        "out": st.text(min_size=1),
+        "format": st.sampled_from(["csv", "json"]),
+    })
+    return st.tuples(alg, problem, noise, rest).map(
+        lambda parts: {k: v for part in parts for k, v in part.items()}
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_kwargs())
+def test_config_echo_round_trips_through_parse_config(tmp_path_factory, kwargs):
+    cfg = har.RunConfig(**kwargs)
+    assert replace(cfg) == cfg
+    f = tmp_path_factory.mktemp("echo") / "cfg.json"
+    f.write_text(json.dumps(asdict(cfg)))
+    assert har.parse_config([], config_file=str(f)) == cfg
+
+
+def test_config_file_takes_alg_or_algorithm(tmp_path):
+    f = tmp_path / "cfg.json"
+    base = {"problem": "datafit", "synthetic": 6, "iters": 2}
+    f.write_text(json.dumps({**base, "algorithm": "sg"}))
+    assert har.parse_config([], config_file=str(f)).algorithm == "sg"
+    f.write_text(json.dumps({**base, "algorithm": "sg", "alg": "sg"}))
+    with pytest.raises(har.ConfigError, match="'alg' and 'algorithm'"):
+        har.parse_config([], config_file=str(f))
 
 
 def test_x0_parsing():
@@ -237,6 +361,26 @@ def test_cli_compare_runs(tmp_path, capsys):
     assert table["labels"] == ["sg", "sg-pm:0.5:0.1"]
     assert table["iterations"]["sg"] == 20
     assert set(table["ordering"]) == set(table["labels"])
+
+
+@pytest.mark.parametrize(
+    "token, words",
+    [
+        ("mem:abc", ["Q", "integer"]),
+        ("nigt:a:b", ["GAMMA", "number"]),
+        ("sg:x", ["ETA", "number"]),
+        ("mem:0", ["Q", ">= 1"]),
+        ("sg-pm:1:2:3", ["malformed", "sg-pm:GAMMA:ETA"]),
+    ],
+)
+def test_cli_compare_token_errors_name_the_token(capsys, token, words):
+    rc = har.main(["compare", "--algs", f"sg,{token}", "--problem", "datafit",
+                   "--synthetic", "6", "--budget", "10", "--seeds", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --algs") and repr(token) in err
+    for word in words:
+        assert word in err
 
 
 def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):
