@@ -17,7 +17,7 @@ import math
 import statistics
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,6 +233,18 @@ class RunConfig:
             set_("gamma", float(gamma))
         if eta is not None:
             set_("eta", float(eta))
+
+
+def _int_at_least(lo: int):
+    # an argparse type, so that argparse's error names the flag
+    def parse(text: str) -> int:
+        val = int(text)
+        if val < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {val}")
+        return val
+
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -518,9 +530,12 @@ def compare(
 
     Each algorithm gets budget // (calls per iteration) iterations, so the
     cumulative oracle-call counts agree to within one iteration's worth of
-    calls. All runs share the problem instance; the run seed varies as
-    base_seed .. base_seed + n_seeds - 1. Runs execute one after another;
-    outputs depend only on (config, seed).
+    calls. The problem, noise model and initial point are built once, from
+    the first config, and each config's AlgorithmKind once; every seed of
+    a config then goes straight through optimizer.run. The run seed varies
+    as base_seed .. base_seed + n_seeds - 1. Runs execute one after
+    another; outputs depend only on (config, seed). wall_seconds and
+    log_stride of the configs are ignored.
 
     Raises:
         ValueError: no configs, configs disagreeing on problem or noise,
@@ -562,47 +577,30 @@ def compare(
                 )
 
     seeds = list(range(base_seed, base_seed + n_seeds))
-    iterations: List[int] = []
-    for c in configs:
-        per_iter = build_kind(c).q
-        iters = budget // per_iter
+    kinds = [build_kind(c) for c in configs]
+    iterations = [budget // kind.q for kind in kinds]
+    for c, kind, iters in zip(configs, kinds, iterations):
         if iters < 1:
             raise ValueError(
-                f"budget {budget} is below one iteration ({per_iter} calls) for {_label(c)}"
+                f"budget {budget} is below one iteration ({kind.q} calls) for {_label(c)}"
             )
-        iterations.append(iters)
 
-    def one(i: int, seed: int):
-        cfg = replace(
-            configs[i],
-            iters=iterations[i],
-            seed=seed,
-            log_stride=max(1, iterations[i] // 200),
-            wall_seconds=None,
-            out=None,
-        )
-        records, _ = run_experiment(cfg)
-        return records
-
-    results = {(i, s): one(i, s) for i in range(len(configs)) for s in seeds}
-
-    final: Dict[str, List[float]] = {}
-    series: Dict[str, List[dict]] = {}
-    for i, label in enumerate(labels):
-        per_seed = [results[(i, s)] for s in seeds]
+    problem, noise, x0 = build_problem(configs[0])
+    final, series = {}, {}
+    for label, kind, iters in zip(labels, kinds, iterations):
+        per_seed = [
+            run(kind, problem, noise, x0, iters, s, log_stride=max(1, iters // 200)).records
+            for s in seeds
+        ]
         final[label] = [recs[-1].rel_obj for recs in per_seed]
-        rows = []
-        for j, ref in enumerate(per_seed[0]):
-            rows.append(
-                {
-                    "k": ref.k,
-                    "oracle_calls": ref.oracle_calls,
-                    "rel_obj_median": statistics.median(
-                        recs[j].rel_obj for recs in per_seed
-                    ),
-                }
-            )
-        series[label] = rows
+        series[label] = [
+            {
+                "k": row[0].k,
+                "oracle_calls": row[0].oracle_calls,
+                "rel_obj_median": statistics.median(r.rel_obj for r in row),
+            }
+            for row in zip(*per_seed)
+        ]
     median_final = {label: statistics.median(final[label]) for label in labels}
     ordering = sorted(labels, key=lambda lb: median_final[lb])
     return {
@@ -631,9 +629,11 @@ def grid_search(
     """Sweep constant hyperparameters for a baseline and report the grid.
 
     Defaults: etas log-spaced 1e-3..1, gammas 0.02..0.8. The sweep covers
-    eta alone for sg, (gamma, eta) pairs for sg-pm and nigt. Returns every
-    grid point with its median final rel_obj, best first; the input config
-    is never modified and the winner is never applied silently.
+    eta alone for sg, (gamma, eta) pairs for sg-pm and nigt. The grid runs
+    through compare, one label per point; every method searched makes one
+    oracle call per iteration, so the budget counts iterations. Returns
+    every grid point with its median final rel_obj, best first; the input
+    config is never modified and the winner is never applied silently.
     """
     if config.algorithm == "mem":
         raise ValueError("mem's schedule is parameter-free; nothing to search")
@@ -645,18 +645,16 @@ def grid_search(
         combos = [(None, e) for e in etas]
     else:
         combos = [(g, e) for g in gammas for e in etas]
-    rows = []
-    for g, e in combos:
-        cfg = replace(config, gamma=g, eta=e, iters=budget, seed=base_seed)
-        finals = []
-        for s in range(base_seed, base_seed + n_seeds):
-            records, _ = run_experiment(
-                replace(cfg, seed=s, log_stride=max(1, budget // 50))
-            )
-            finals.append(records[-1].rel_obj)
-        rows.append(
-            {"gamma": g, "eta": e, "median_final_rel_obj": statistics.median(finals)}
-        )
+    table = compare(
+        [replace(config, gamma=g, eta=e) for g, e in combos],
+        budget,
+        n_seeds=n_seeds,
+        base_seed=base_seed,
+    )
+    rows = [
+        {"gamma": g, "eta": e, "median_final_rel_obj": table["median_final"][label]}
+        for (g, e), label in zip(combos, table["labels"])
+    ]
     rows.sort(key=lambda r: r["median_final_rel_obj"])
     return {"algorithm": config.algorithm, "grid": rows, "best": rows[0]}
 
@@ -688,34 +686,27 @@ def verify_all(
     y_unit = np.zeros(df.dim)
     y_unit[0] = 1.0
 
-    jobs = []
+    reports = []
     for p in ps:
-        jobs.append(lambda p=p: verify_mod.schedule_cross_check(p, k_max))
-        jobs.append(lambda p=p: verify_mod.sum_identity_check(p, k_max))
-        jobs.append(lambda p=p: verify_mod.bound_sweep(p, bound_k_max))
-    jobs.extend(
-        [
-            lambda: verify_mod.p3_consistency_check(k_max),
-            lambda: verify_mod.gradient_check(df, 20, seed),
-            lambda: verify_mod.gradient_check(rb, 20, seed + 1),
-            lambda: verify_mod.gradient_check(qd, 20, seed + 2),
-            lambda: verify_mod.taylor_remainder_check(qd, xq, yq, 1),
-            lambda: verify_mod.taylor_remainder_check(qd, xq, yq, 2),
-            lambda: verify_mod.taylor_remainder_check(qd, xq, yq, 3),
-            lambda: verify_mod.taylor_remainder_check(df, xd, yd, 2),
-            lambda: verify_mod.noise_unbiasedness_check(
-                df, scalar_noise, np.ones(df.dim), n_draws, seed + 3
-            ),
-            lambda: verify_mod.noise_unbiasedness_check(
-                qd, elem_noise, np.ones(qd.dim), n_draws, seed + 4
-            ),
-            lambda: verify_mod.noise_moment_check(
-                df, scalar_noise, np.zeros(df.dim), y_unit, n_draws, seed + 5
-            ),
-            lambda: verify_mod.smoothness_ratio_check(flat, scalar_noise),
-        ]
-    )
-    reports = [job() for job in jobs]
+        reports.append(verify_mod.schedule_cross_check(p, k_max))
+        reports.append(verify_mod.sum_identity_check(p, k_max))
+        reports.append(verify_mod.bound_sweep(p, bound_k_max))
+    reports += [
+        verify_mod.p3_consistency_check(k_max),
+        verify_mod.gradient_check(df, 20, seed),
+        verify_mod.gradient_check(rb, 20, seed + 1),
+        verify_mod.gradient_check(qd, 20, seed + 2),
+        verify_mod.taylor_remainder_check(qd, xq, yq, 1),
+        verify_mod.taylor_remainder_check(qd, xq, yq, 2),
+        verify_mod.taylor_remainder_check(qd, xq, yq, 3),
+        verify_mod.taylor_remainder_check(df, xd, yd, 2),
+        verify_mod.noise_unbiasedness_check(df, scalar_noise, np.ones(df.dim), n_draws, seed + 3),
+        verify_mod.noise_unbiasedness_check(qd, elem_noise, np.ones(qd.dim), n_draws, seed + 4),
+        verify_mod.noise_moment_check(
+            df, scalar_noise, np.zeros(df.dim), y_unit, n_draws, seed + 5
+        ),
+        verify_mod.smoothness_ratio_check(flat, scalar_noise),
+    ]
     return {
         "passed": all(r.passed for r in reports),
         "seed": seed,
@@ -777,9 +768,9 @@ def _cmd_compare(argv: Sequence[str]) -> int:
     p = _Parser(prog="momex compare", add_help=False)
     p.add_argument("--algs", required=True, metavar="TOK[,TOK...]")
     _add_problem_flags(p)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--base-seed", type=int, default=0, dest="base_seed")
+    p.add_argument("--budget", type=_int_at_least(1), required=True)
+    p.add_argument("--seeds", type=_int_at_least(1), default=10)
+    p.add_argument("--base-seed", type=_int_at_least(0), default=0, dest="base_seed")
     p.add_argument("--out")
     ns = vars(p.parse_args(argv))
     algs, budget, seeds, base_seed, out = (
@@ -806,10 +797,11 @@ def _cmd_compare(argv: Sequence[str]) -> int:
 def _cmd_verify(argv: Sequence[str]) -> int:
     # flags left out stay out of the namespace, so verify_all's defaults apply
     p = _Parser(prog="momex verify", add_help=False, argument_default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k-max", type=int, dest="k_max")
-    p.add_argument("--bound-k-max", type=int, dest="bound_k_max")
-    p.add_argument("--draws", type=int, dest="n_draws")
+    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--k-max", type=_int_at_least(0), dest="k_max")
+    p.add_argument("--bound-k-max", type=_int_at_least(0), dest="bound_k_max")
+    # noise_moment_check needs 10^4 draws
+    p.add_argument("--draws", type=_int_at_least(10_000), dest="n_draws")
     p.add_argument("--out", default=None)
     ns = vars(p.parse_args(argv))
     out = ns.pop("out")
@@ -826,12 +818,10 @@ def _cmd_verify(argv: Sequence[str]) -> int:
 
 def _cmd_gen_data(argv: Sequence[str]) -> int:
     p = _Parser(prog="momex gen-data", add_help=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     ns = p.parse_args(argv)
-    if ns.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {ns.n}")
     save_dataset(generate_synthetic(ns.n, ns.seed), ns.out)
     print(json.dumps({"out": ns.out, "n": ns.n, "seed": ns.seed}))
     return 0

@@ -295,8 +295,8 @@ def run(
     """Drive a method for `budget` iterations and log its trajectory.
 
     Row k pairs x^k with the momentum computed during iteration k (the
-    momentum the convergence measure couples to x^k); the row logged before
-    any iteration has run uses a zero momentum sentinel, so its mom_err is
+    momentum the convergence measure couples to x^k); at budget 0 the only
+    row pairs x^0 with the initial zero momentum, so its mom_err is
     ||grad f(x^0)||. Metric gradients (for grad_norm and mom_err) are exact
     and counted separately from oracle calls. Logging happens every
     log_stride iterations, plus the last iteration and a closing row at
@@ -315,12 +315,9 @@ def run(
     t0 = time.perf_counter()
     records = []
     iterates = [state.x_cur.copy()] if store_iterates else []
-    metric_evals = 0
 
-    def log_row(k: int, x: np.ndarray, m: Optional[np.ndarray], calls: int):
-        nonlocal metric_evals
+    def log_row(k: int, x: np.ndarray, m: np.ndarray, calls: int):
         g = problem.gradient(x)
-        metric_evals += 1
         f = problem.value(x)
         records.append(
             TrajectoryRecord(
@@ -328,19 +325,10 @@ def run(
                 f_val=float(f),
                 rel_obj=float(f / f0) if f0 != 0.0 else float("nan"),
                 grad_norm=float(np.linalg.norm(g)),
-                mom_err=float(np.linalg.norm((m if m is not None else 0.0) - g)),
+                mom_err=float(np.linalg.norm(m - g)),
                 oracle_calls=calls,
                 elapsed_seconds=time.perf_counter() - t0,
             )
-        )
-
-    if budget == 0:
-        log_row(0, state.x_cur, None, 0)
-        return RunResult(
-            records=tuple(records),
-            state=state,
-            iterates=tuple(iterates),
-            metric_grad_evals=metric_evals,
         )
 
     def oracle(z: np.ndarray, sample: Sample) -> np.ndarray:
@@ -362,7 +350,7 @@ def run(
         records=tuple(records),
         state=state,
         iterates=tuple(iterates),
-        metric_grad_evals=metric_evals,
+        metric_grad_evals=len(records),  # one exact gradient per logged row
     )
 
 

@@ -16,15 +16,14 @@ that the closed form is supposed to satisfy. The literal order-3 form
 at p = 3.
 
 All values are plain 64-bit floats; every function here is pure and every
-returned object is immutable, so bundles can be shared freely across
-threads.
+returned object is immutable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -133,28 +132,27 @@ class IterationParams:
     (0,1); validate() measures those properties for hand-built bundles.
     theta_sum is stored as the exactly rounded sum of the thetas. The
     warm-up row from init_params() intentionally sits outside these
-    conventions (gamma = 1, equal positive weights).
+    conventions (gamma = 1, equal positive weights). gammas and thetas
+    are stored as tuples of Python floats, whatever sequence they came in.
     """
 
     k: int
     eta: float
-    gammas: np.ndarray
-    thetas: np.ndarray
+    gammas: Tuple[float, ...]
+    thetas: Tuple[float, ...]
     theta_sum: float
 
     def __post_init__(self):
-        g = np.array(self.gammas, dtype=float)
-        t = np.array(self.thetas, dtype=float)
+        g = np.asarray(self.gammas, dtype=float)
+        t = np.asarray(self.thetas, dtype=float)
         if g.ndim != 1 or g.shape != t.shape:
             raise ValueError("gammas and thetas must be 1-d arrays of equal length")
-        g.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "gammas", g)
-        object.__setattr__(self, "thetas", t)
+        object.__setattr__(self, "gammas", tuple(g.tolist()))
+        object.__setattr__(self, "thetas", tuple(t.tolist()))
 
     @property
     def q(self) -> int:
-        return self.gammas.size
+        return len(self.gammas)
 
 
 @dataclass(frozen=True)
@@ -346,8 +344,8 @@ def validate(params: IterationParams) -> WeightDiagnostics:
 
     Never raises; failures are carried in the flags so sweeps can aggregate.
     """
-    g = params.gammas
-    th = params.thetas
+    g = np.asarray(params.gammas)
+    th = np.asarray(params.thetas)
     u = 1.0 / g
     worst = 0.0
     row_norm = 0.0

@@ -257,29 +257,21 @@ def noise_unbiasedness_check(
             samples=0,
             detail="envelope vanishes at this point; oracle is exact",
         )
-    if noise.kind == "scalar-gaussian-envelope":
-        xi = rng.standard_normal(n_draws)
-        for i in range(5):
-            got = stochastic_grad(problem, noise, x, Sample(float(xi[i]), -1, i))
-            expect = g + scale * float(xi[i])
-            if float(np.max(np.abs(got - expect))) > _bridge_tolerance(
-                float(np.max(np.abs(expect)))
-            ):
-                raise RuntimeError("draw reduction disagrees with the oracle path")
-        # every coordinate shares the one scalar draw, so one z-score covers all
-        z = abs(float(xi.mean())) * math.sqrt(n_draws) / float(xi.std(ddof=1))
+    scalar = noise.kind == "scalar-gaussian-envelope"
+    xi = rng.standard_normal(n_draws if scalar else (n_draws, problem.dim))
+    for i in range(5):
+        draw = float(xi[i]) if scalar else xi[i]
+        got = stochastic_grad(problem, noise, x, Sample(draw, -1, i))
+        expect = g + scale * draw
+        if float(np.max(np.abs(got - expect))) > _bridge_tolerance(
+            float(np.max(np.abs(expect)))
+        ):
+            raise RuntimeError("draw reduction disagrees with the oracle path")
+    # a scalar draw is shared by every coordinate, so its one z-score covers all
+    z = float(np.max(np.abs(xi.mean(axis=0)) * math.sqrt(n_draws) / xi.std(axis=0, ddof=1)))
+    if scalar:
         detail = "scalar draw; single z-score covers every coordinate; tol 4 SE"
     else:
-        xi = rng.standard_normal((n_draws, problem.dim))
-        for i in range(5):
-            got = stochastic_grad(problem, noise, x, Sample(xi[i], -1, i))
-            expect = g + scale * xi[i]
-            if float(np.max(np.abs(got - expect))) > _bridge_tolerance(
-                float(np.max(np.abs(expect)))
-            ):
-                raise RuntimeError("draw reduction disagrees with the oracle path")
-        zs = np.abs(xi.mean(axis=0)) * math.sqrt(n_draws) / xi.std(axis=0, ddof=1)
-        z = float(zs.max())
         detail = f"worst coordinate z-score of {problem.dim}; tol 4 SE"
     return CheckReport(
         name=f"unbiased:{noise.kind}",

@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -402,6 +403,40 @@ def test_cli_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
+_COMPARE = ["compare", "--algs", "sg", "--problem", "quadratic", "--dim", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen-data", "--n", "5", "--seed", "-1"], "--seed"),
+        (["gen-data", "--n", "0"], "--n"),
+        ([*_COMPARE, "--budget", "10", "--seeds", "0"], "--seeds"),
+        ([*_COMPARE, "--budget", "10", "--base-seed", "-1"], "--base-seed"),
+        ([*_COMPARE, "--budget", "0"], "--budget"),
+        (["verify", "--k-max", "-1"], "--k-max"),
+        (["verify", "--bound-k-max", "-1"], "--bound-k-max"),
+        (["verify", "--draws", "5"], "--draws"),
+        (["verify", "--seed", "-1"], "--seed"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_cli_bounds_name_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "g.csv"
+    if argv[0] == "gen-data":
+        argv = [*argv, "--out", str(out)]
+    assert har.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: must be >= ")
+    assert not out.exists()
+
+
+def test_verify_report_at_small_sizes_is_json():
+    report = har.verify_all(k_max=3, bound_k_max=0, n_draws=10_000, ps=(2, 3))
+    assert json.loads(json.dumps(report)) == report
+    assert all(type(c["passed"]) is bool for c in report["checks"])
+
+
 # ---------------------------------------------------------------------------
 # compare and grid search
 # ---------------------------------------------------------------------------
@@ -449,6 +484,47 @@ def test_compare_rejects_duplicate_labels(capsys):
     assert err.startswith("error: label 'sg-pm:0.1:0.01' is given twice")
 
 
+def test_compare_builds_the_problem_once(monkeypatch):
+    built, kinds = [], []
+    build_problem, build_kind = har.build_problem, har.build_kind
+    monkeypatch.setattr(har, "build_problem", lambda c: built.append(c) or build_problem(c))
+    monkeypatch.setattr(har, "build_kind", lambda c: kinds.append(c) or build_kind(c))
+    monkeypatch.setattr(har, "run_experiment", None)
+    base = dict(problem="datafit", synthetic=8, sigma=1.0, iters=1)
+    configs = [
+        har.RunConfig(algorithm="mem", p=3, **base),
+        har.RunConfig(algorithm="sg-pm", **base),
+        har.RunConfig(algorithm="nigt", gamma=0.2, eta=0.05, **base),
+    ]
+    table = har.compare(configs, budget=20, n_seeds=3)
+    assert built == configs[:1]
+    assert kinds == configs
+    assert all(len(table["final"][lb]) == 3 for lb in table["labels"])
+
+
+def test_compare_on_a_dataset_matches_run_experiment(tmp_path):
+    path = tmp_path / "data.csv"
+    prob.save_dataset(prob.generate_synthetic(12, 4), str(path))
+    base = dict(problem="datafit", dataset=str(path), sigma=2.0, iters=1)
+    configs = [
+        har.RunConfig(algorithm="mem", p=3, **base),
+        har.RunConfig(algorithm="sg-pm", gamma=0.2, eta=0.05, **base),
+    ]
+    table = har.compare(configs, budget=60, n_seeds=3, base_seed=2)
+    for cfg, label in zip(configs, table["labels"]):
+        iters = table["iterations"][label]
+        per_seed = [
+            har.run_experiment(
+                replace(cfg, iters=iters, seed=s, log_stride=max(1, iters // 200))
+            )[0]
+            for s in table["seeds"]
+        ]
+        assert table["final"][label] == [recs[-1].rel_obj for recs in per_seed]
+        assert [row["rel_obj_median"] for row in table["series"][label]] == [
+            statistics.median(rows) for rows in zip(*[[r.rel_obj for r in recs] for recs in per_seed])
+        ]
+
+
 def test_grid_search_surface():
     cfg = har.RunConfig(algorithm="mem", p=3, q=2, problem="datafit",
                         synthetic=6, iters=1)
@@ -462,3 +538,23 @@ def test_grid_search_surface():
     assert sweep["best"]["median_final_rel_obj"] == min(
         g["median_final_rel_obj"] for g in sweep["grid"]
     )
+
+
+def test_grid_search_rows_are_medians_of_seeded_runs():
+    cfg = har.RunConfig(algorithm="sg-pm", problem="robust", synthetic=8,
+                        sigma=1.0, iters=1)
+    sweep = har.grid_search(cfg, budget=30, etas=[0.05, 0.2], gammas=[0.1, 0.5],
+                            n_seeds=3, base_seed=1)
+    assert len(sweep["grid"]) == 4
+    for row in sweep["grid"]:
+        finals = [
+            har.run_experiment(
+                replace(cfg, gamma=row["gamma"], eta=row["eta"], iters=30, seed=s)
+            )[0][-1].rel_obj
+            for s in (1, 2, 3)
+        ]
+        assert row["median_final_rel_obj"] == statistics.median(finals)
+    medians = [row["median_final_rel_obj"] for row in sweep["grid"]]
+    assert medians == sorted(medians)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        har.grid_search(cfg, budget=0, etas=[0.05], gammas=[0.1])

@@ -236,6 +236,17 @@ def test_validate_flags_broken_sign_pattern():
     assert not sched.validate(doctored).signs_alternate
 
 
+def test_bundle_fields_are_float_tuples():
+    pm = sched.params_general(10, 4)
+    assert type(pm.gammas) is tuple and type(pm.thetas) is tuple
+    assert all(type(v) is float for v in pm.gammas + pm.thetas)
+    assert pm.q == 3
+    with pytest.raises(ValueError, match="1-d"):
+        sched.IterationParams(k=0, eta=1.0, gammas=[[0.5]], thetas=[[1.0]], theta_sum=1.0)
+    with pytest.raises(ValueError, match="equal length"):
+        sched.IterationParams(k=0, eta=1.0, gammas=[0.5, 0.25], thetas=[1.0], theta_sum=1.0)
+
+
 # ---------------------------------------------------------------------------
 # schedule configs
 # ---------------------------------------------------------------------------
