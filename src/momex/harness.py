@@ -28,6 +28,7 @@ from .optimizer import (
     mem,
     nigt,
     run,
+    run_batch,
     sg,
     sg_pm,
 )
@@ -400,6 +401,7 @@ def run_experiment(config: RunConfig):
         "oracle_calls": result.state.oracle_calls,
         "zero_direction_steps": result.state.zero_steps,
         "metric_grad_evals": result.metric_grad_evals,
+        "status": result.status,
     }
     c = problem.constants
     if (
@@ -531,11 +533,12 @@ def compare(
     Each algorithm gets budget // (calls per iteration) iterations, so the
     cumulative oracle-call counts agree to within one iteration's worth of
     calls. The problem, noise model and initial point are built once, from
-    the first config, and each config's AlgorithmKind once; every seed of
-    a config then goes straight through optimizer.run. The run seed varies
-    as base_seed .. base_seed + n_seeds - 1. Runs execute one after
-    another; outputs depend only on (config, seed). wall_seconds and
-    log_stride of the configs are ignored.
+    the first config, and each config's AlgorithmKind once; one run_batch
+    steps all seeds of every config, each (seed, k) drawn once. The run
+    seed varies as base_seed .. base_seed + n_seeds - 1. Outputs depend only
+    on (config, seed), bit for bit. wall_seconds and log_stride of the
+    configs are ignored. status lists each seed's run status; warnings names
+    every median that takes in non-finite finals.
 
     Raises:
         ValueError: no configs, configs disagreeing on problem or noise,
@@ -586,13 +589,16 @@ def compare(
             )
 
     problem, noise, x0 = build_problem(configs[0])
-    final, series = {}, {}
-    for label, kind, iters in zip(labels, kinds, iterations):
-        per_seed = [
-            run(kind, problem, noise, x0, iters, s, log_stride=max(1, iters // 200)).records
-            for s in seeds
-        ]
+    strides = [max(1, iters // 200) for iters in iterations]
+    batches = run_batch(kinds, problem, noise, x0, iterations, seeds, strides)
+    final, status, series, warnings = {}, {}, {}, []
+    for label, results in zip(labels, batches):
+        per_seed = [r.records for r in results]
         final[label] = [recs[-1].rel_obj for recs in per_seed]
+        status[label] = [r.status for r in results]
+        bad = [s for s, v in zip(seeds, final[label]) if not math.isfinite(v)]
+        if bad:
+            warnings.append(f"median_final of {label!r} includes non-finite finals (seeds {bad})")
         series[label] = [
             {
                 "k": row[0].k,
@@ -615,6 +621,8 @@ def compare(
         "median_final": median_final,
         "ordering": ordering,
         "series": series,
+        "status": status,
+        "warnings": warnings,
     }
 
 
@@ -784,6 +792,8 @@ def _cmd_compare(argv: Sequence[str]) -> int:
         RunConfig(**_parse_alg_token(tok), **problem_flags, iters=budget) for tok in tokens
     ]
     table = compare(configs, budget=budget, n_seeds=seeds, base_seed=base_seed, labels=tokens)
+    for warning in table["warnings"]:
+        print(f"warning: {warning}", file=sys.stderr)
     text = json.dumps(table, indent=2)
     if out:
         with open(out, "w") as fh:

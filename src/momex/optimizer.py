@@ -12,6 +12,10 @@ and whether the step is normalized.
 - nigt (implicit gradient transport): one constant q = 1 bundle, so it IS
   mem on a constant q = 1 stream, bit for bit.
 - sg: gamma = theta = 1, so m = g, and an unnormalized step x - eta_k g.
+
+A state holds one run, (n,), or a stack of runs, (S, n), whose rows each
+get the bits they would get alone; run_batch steps all seeds of several
+kinds together and run is its one-kind, one-seed case.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problems import NoiseModel, Sample, SmoothProblem, draw_sample, stochastic_grad
+from .problems import NoiseModel, Sample, SmoothProblem, _norm, draw_sample, stochastic_grad
 from .schedule import (
     IterationParams,
     ScheduleConfig,
@@ -50,6 +54,7 @@ __all__ = [
     "sg_pm",
     "nigt",
     "run",
+    "run_batch",
     "select_output_iterate",
 ]
 
@@ -61,6 +66,7 @@ class OptimizerState:
     carry holds the parameters used during the previous iteration; the
     extrapolation at iteration k reads last iteration's gammas, not the
     current ones. zs keeps the most recent query points for inspection.
+    Arrays are (n,) or (S, n) for S runs; zero_steps then counts per run.
     """
 
     x_prev: np.ndarray
@@ -74,10 +80,10 @@ class OptimizerState:
 
 
 def initial_state(x0, q: int) -> OptimizerState:
-    """State before iteration 0: x^-1 = x^0, m^-1 = 0, init carry row."""
+    """State before iteration 0 from x0 (n,) or (S, n): x^-1 = x^0, m^-1 = 0."""
     x0 = np.asarray(x0, dtype=float).copy()
-    if x0.ndim != 1:
-        raise ValueError(f"x0 must be 1-d, got shape {x0.shape}")
+    if x0.ndim not in (1, 2):
+        raise ValueError(f"x0 must be (n,) or (S, n), got shape {x0.shape}")
     return OptimizerState(
         x_prev=x0.copy(),
         x_cur=x0,
@@ -113,16 +119,21 @@ def momentum_update(
 
 def normalized_step(
     x_cur: np.ndarray, m: np.ndarray, eta: float
-) -> Tuple[np.ndarray, bool]:
-    """x - eta m/||m||; a zero direction leaves x unchanged and flags it."""
+) -> Tuple[np.ndarray, Union[bool, np.ndarray]]:
+    """x - eta m/||m|| per row; a zero direction leaves its row unchanged
+    and is flagged (a bool per row, or False when no row has one)."""
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
-    nm = float(np.linalg.norm(m))
-    if nm == 0.0:
-        return x_cur, True
-    return x_cur - (eta / nm) * m, False
+    nm = np.sqrt(np.vecdot(m, m, keepdims=True))  # bitwise np.linalg.norm per row
+    if np.count_nonzero(nm) == nm.size:
+        return x_cur - (eta / nm) * m, False
+    # rows with a zero direction keep x; dividing them by 1.0 keeps the division quiet
+    zero = nm == 0.0
+    step = (eta / np.where(zero, 1.0, nm)) * m
+    return np.where(zero, x_cur, x_cur - step), zero[..., 0]
 
 
+# (stacked query points (q, ..., n), shared sample) -> stacked gradients
 Oracle = Callable[[np.ndarray, Sample], np.ndarray]
 
 
@@ -135,18 +146,18 @@ def mem_step(
 ) -> OptimizerState:
     """One iteration of the shared recursion every method runs.
 
-    Queries the oracle at the q points extrapolated with the carried
-    (previous-iteration) gammas, all on the shared sample, folds them into
-    the momentum with the carried thetas, then steps with this iteration's
-    eta: a fixed length along m/||m||, or eta m when not normalized. params
-    becomes the next carry.
+    Queries the oracle once, at the q points extrapolated with the carried
+    (previous-iteration) gammas stacked as (q, ..., n), all on the shared
+    sample, folds them into the momentum with the carried thetas, then
+    steps with this iteration's eta: a fixed length along m/||m||, or eta m
+    when not normalized. params becomes the next carry, for every run.
     """
     if params.k != state.k:
         raise ValueError(f"params are for k={params.k}, state is at k={state.k}")
     zs = tuple(
         extrapolate(state.x_cur, state.x_prev, g) for g in state.carry.gammas
     )
-    grads = [oracle(z, sample) for z in zs]
+    grads = oracle(np.array(zs), sample)
     m = momentum_update(state.m, state.carry.thetas, grads)
     if normalized:
         x_next, zero = normalized_step(state.x_cur, m, params.eta)
@@ -161,7 +172,7 @@ def mem_step(
         k=state.k + 1,
         carry=params,
         oracle_calls=state.oracle_calls + len(zs),
-        zero_steps=state.zero_steps + int(zero),
+        zero_steps=state.zero_steps + zero,
         zs=zs,
     )
 
@@ -275,10 +286,124 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
+    """One run's rows, final state ((n,) arrays) and stored iterates.
+    status is "completed", "wall-clock" (stopped by the ceiling) or
+    "non-finite at k": iteration k left a momentum norm or next iterate
+    that is not finite. Nothing is frozen; the rows show what followed."""
+
     records: Tuple[TrajectoryRecord, ...]
     state: OptimizerState
     iterates: Tuple[np.ndarray, ...]
     metric_grad_evals: int
+    status: str = "completed"
+
+
+# A block of at most _BLOCK_MAX iterations shares one draw array and one
+# batched metric evaluation; each block array (iterations x seeds x n)
+# holds at most _BLOCK_VALUES values, so memory stays bounded at any size.
+_BLOCK_VALUES, _BLOCK_MAX = 1 << 15, 256
+
+
+def run_batch(
+    kinds: Sequence[AlgorithmKind],
+    problem: SmoothProblem,
+    noise: NoiseModel,
+    x0,
+    budgets: Sequence[int],
+    seeds: Sequence[int],
+    log_strides: Sequence[int],
+    wall_seconds: Optional[float] = None,
+    store_iterates: bool = False,
+) -> list[Tuple[RunResult, ...]]:
+    """run for every (kind, seed) pair; per kind, one RunResult per seed.
+
+    Row k pairs x^k with the momentum computed during iteration k (the
+    momentum the convergence measure couples to x^k); at budget 0 the only
+    row pairs x^0 with the initial zero momentum, so its mom_err is
+    ||grad f(x^0)||. Metric gradients (for grad_norm and mom_err) are exact
+    and counted separately from oracle calls. Logging happens every
+    log_stride iterations, plus the last iteration and a closing row at
+    k = budget. wall_seconds, when set, stops the batch after the first
+    iteration that ends past it; closing rows refer to the last completed
+    iterates. Seeds feed the per-iteration noise draws only, never the data.
+
+    All seeds of a kind step as one (S, n) state; the kinds advance block
+    by block, each block's (seed, k) draws made once for all of them. Every
+    run is bit for bit what it is alone (elapsed_seconds aside).
+    """
+    x0, S, seeds = np.asarray(x0, dtype=float), len(seeds), tuple(seeds)
+    if len({len(kinds), len(budgets), len(log_strides)}) > 1 or not S or x0.ndim != 1:
+        raise ValueError(f"{len(kinds)} kinds, {len(budgets)} budgets, {len(log_strides)} "
+                         f"log strides, {S} seeds and x0 of shape {x0.shape}")
+    if min(budgets) < 0 or min(log_strides) < 1:
+        raise ValueError(f"budget must be >= 0 and log_stride >= 1: {budgets}, {log_strides}")
+    f0, t0 = problem.value(x0), time.perf_counter()
+    states = [initial_state(np.tile(x0, (S, 1)), kind.q) for kind in kinds]
+    records = [[[] for _ in seeds] for _ in kinds]
+    iterates = [[st.x_cur] for st in states]
+    bad_at = [np.full(S, -1) for _ in kinds]  # first non-finite iteration per seed
+    oracle = lambda z, sample: stochastic_grad(problem, noise, z, sample)
+
+    def log(i, X, M, ks, calls, times):
+        G, F = problem.gradient(X), problem.value(X)  # one call each for all rows
+        rel = F / f0 if f0 != 0.0 else np.full(F.shape, np.nan)
+        cols = (a.T.tolist() for a in (F, rel, _norm(G), _norm(M - G)))
+        for recs, *row in zip(records[i], *cols):
+            recs.extend(map(TrajectoryRecord, ks, *row, calls, times))
+
+    block, stopped = max(1, min(_BLOCK_MAX, _BLOCK_VALUES // (S * x0.size))), False
+    for k0 in range(0, max(budgets), block):
+        k1 = min(k0 + block, max(budgets))
+        xis = np.zeros((k1 - k0, S)) if noise.kind == "none" else np.array(
+            [[draw_sample(noise, problem.dim, s, k).xi for s in seeds] for k in range(k0, k1)])
+        for i, kind in enumerate(kinds):
+            if stopped or budgets[i] <= k0:
+                continue
+            # x^k0 .. and m^k0 .. of the block, copied so that each step's arrays
+            # are freed at once (holding them slows numpy's allocator)
+            X, M = np.empty((k1 - k0 + 1, S, x0.size)), np.empty((k1 - k0, S, x0.size))
+            state, params, calls, times = states[i], kind.params, [], []
+            X[0] = state.x_cur
+            for k in range(k0, min(k1, budgets[i])):
+                sample = Sample(xis[k - k0], seeds, k)
+                state = mem_step(state, params(k), oracle, sample, kind.normalized)
+                X[k - k0 + 1], M[k - k0] = state.x_cur, state.m
+                calls.append(state.oracle_calls)
+                times.append(time.perf_counter() - t0)
+                if wall_seconds is not None and times[-1] > wall_seconds:
+                    stopped = True
+                    break
+            states[i], n = state, len(calls)
+            if store_iterates:
+                iterates[i].extend(X[1 : n + 1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = ~(np.isfinite(X[1 : n + 1]).all(-1) & np.isfinite(np.vecdot(M[:n], M[:n])))
+            bad_at[i] = np.where((bad_at[i] < 0) & bad.any(0), k0 + bad.argmax(0), bad_at[i])
+            # row k pairs x^k (the point the momentum was computed at) with m^k
+            rows = [j for j in range(n)
+                    if (k0 + j) % log_strides[i] == 0 or k0 + j == budgets[i] - 1]
+            log(i, X[rows], M[rows], [k0 + j for j in rows], [calls[j] for j in rows],
+                [times[j] for j in rows])
+        if stopped:
+            break
+
+    results = []
+    for i, st in enumerate(states):
+        log(i, st.x_cur[None], st.m[None], [st.k], [st.oracle_calls], [time.perf_counter() - t0])
+        zero_steps = np.broadcast_to(st.zero_steps, S)
+        ended = "completed" if st.k == budgets[i] else "wall-clock"
+        results.append(tuple(
+            RunResult(
+                tuple(recs),
+                replace(st, x_prev=st.x_prev[s], x_cur=st.x_cur[s], m=st.m[s],
+                        zero_steps=int(zero_steps[s]), zs=tuple(z[s] for z in st.zs)),
+                tuple(x[s].copy() for x in iterates[i]) if store_iterates else (),
+                len(recs),  # one exact gradient per logged row
+                f"non-finite at {bad_at[i][s]}" if bad_at[i][s] >= 0 else ended,
+            )
+            for s, recs in enumerate(records[i])
+        ))
+    return results
 
 
 def run(
@@ -292,66 +417,12 @@ def run(
     wall_seconds: Optional[float] = None,
     store_iterates: bool = False,
 ) -> RunResult:
-    """Drive a method for `budget` iterations and log its trajectory.
-
-    Row k pairs x^k with the momentum computed during iteration k (the
-    momentum the convergence measure couples to x^k); at budget 0 the only
-    row pairs x^0 with the initial zero momentum, so its mom_err is
-    ||grad f(x^0)||. Metric gradients (for grad_norm and mom_err) are exact
-    and counted separately from oracle calls. Logging happens every
-    log_stride iterations, plus the last iteration and a closing row at
-    k = budget.
-
-    wall_seconds, when set, stops the loop early after the first iteration
-    that exceeds it; the closing row still refers to the last completed
-    iterate. seed feeds the per-iteration noise draws only, never the data.
-    """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    if log_stride < 1:
-        raise ValueError(f"log_stride must be >= 1, got {log_stride}")
-    state = initial_state(x0, kind.q)
-    f0 = problem.value(state.x_cur)
-    t0 = time.perf_counter()
-    records = []
-    iterates = [state.x_cur.copy()] if store_iterates else []
-
-    def log_row(k: int, x: np.ndarray, m: np.ndarray, calls: int):
-        g = problem.gradient(x)
-        f = problem.value(x)
-        records.append(
-            TrajectoryRecord(
-                k=k,
-                f_val=float(f),
-                rel_obj=float(f / f0) if f0 != 0.0 else float("nan"),
-                grad_norm=float(np.linalg.norm(g)),
-                mom_err=float(np.linalg.norm(m - g)),
-                oracle_calls=calls,
-                elapsed_seconds=time.perf_counter() - t0,
-            )
-        )
-
-    def oracle(z: np.ndarray, sample: Sample) -> np.ndarray:
-        return stochastic_grad(problem, noise, z, sample)
-
-    for k in range(budget):
-        sample = draw_sample(noise, problem.dim, seed, k)
-        prev_x = state.x_cur
-        state = mem_step(state, kind.params(k), oracle, sample, kind.normalized)
-        if store_iterates:
-            iterates.append(state.x_cur.copy())
-        if k % log_stride == 0 or k == budget - 1:
-            # row k pairs x^k (the point the momentum was computed at) with m^k
-            log_row(k, prev_x, state.m, state.oracle_calls)
-        if wall_seconds is not None and time.perf_counter() - t0 > wall_seconds:
-            break
-    log_row(state.k, state.x_cur, state.m, state.oracle_calls)
-    return RunResult(
-        records=tuple(records),
-        state=state,
-        iterates=tuple(iterates),
-        metric_grad_evals=len(records),  # one exact gradient per logged row
+    """Drive a method for `budget` iterations and log its trajectory:
+    run_batch with one kind and one seed."""
+    ((result,),) = run_batch(
+        [kind], problem, noise, x0, [budget], [seed], [log_stride], wall_seconds, store_iterates
     )
+    return result
 
 
 def select_output_iterate(

@@ -2,16 +2,17 @@
 
 Objectives are immutable bundles of exact value and gradient callables.
 Gradients are hand-derived (no autodiff) and checked against central finite
-differences by the verify module. The noise model perturbs gradients with a
-bounded envelope g(x) = sigma_tilde * min(sqrt(||x||), 1) * ones(n), which
-keeps the perturbation uniformly bounded while still breaking mean-squared
+differences by the verify module. value, gradient and stochastic_grad take
+a point (n,) or a stack (..., n) and give each row the bits it gets alone.
+The noise model perturbs gradients with a bounded envelope
+g(x) = sigma_tilde * min(sqrt(||x||), 1) * ones(n), which keeps the
+perturbation uniformly bounded while still breaking mean-squared
 smoothness near the origin.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -48,16 +49,13 @@ class DatasetFormatError(ValueError):
 def sigmoid(t):
     """Logistic function 1/(1 + e^-t), stable on both tails.
 
-    The sign split never exponentiates a positive argument, so there is no
-    overflow anywhere on the float64 range; |t| >= 37 saturates to 0 or 1 at
-    machine precision. Accepts scalars or arrays.
+    With e = exp(-|t|) no positive argument is ever exponentiated, so there
+    is no overflow anywhere on the float64 range; |t| >= 37 saturates to 0
+    or 1 at machine precision. Accepts scalars or arrays of any shape.
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 
@@ -82,6 +80,7 @@ class ProblemConstants:
 class SmoothProblem:
     """Objective with exact value and gradient callables on R^dim.
 
+    value maps points (..., dim) to (...) and gradient to (..., dim).
     taylor_gradient(x, dx, order), when present, returns the order-`order`
     expansion of the gradient around x evaluated at x + dx, exactly; only
     problems whose derivative tensors are known in closed form supply it.
@@ -97,9 +96,25 @@ class SmoothProblem:
 
 def _check_point(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"point has shape {x.shape}, problem expects ({dim},)")
+    if x.shape[-1:] != (dim,):
+        raise ValueError(f"point has shape {x.shape}, problem expects (..., {dim})")
     return x
+
+
+def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M x per row x of X, as one matrix-vector product each (X @ M.T is a
+    matrix product whose bits depend on the number of rows)."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _norm(X: np.ndarray) -> np.ndarray:
+    """||x|| for every row x of X, bitwise np.linalg.norm of the row."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def _per_point(v):
+    """A Python float for one point, the array for a stack of points."""
+    return float(v) if v.ndim == 0 else v
 
 
 @dataclass(frozen=True)
@@ -123,9 +138,10 @@ class NoiseModel:
         if self.sigma_tilde < 0.0:
             raise ValueError("sigma_tilde must be nonnegative")
 
-    def envelope_scale(self, x) -> float:
-        """sigma_tilde * min(sqrt(||x||), 1): each coordinate of g(x)."""
-        return self.sigma_tilde * min(math.sqrt(float(np.linalg.norm(x))), 1.0)
+    def envelope_scale(self, x):
+        """sigma_tilde * min(sqrt(||x||), 1): each coordinate of g(x), per row."""
+        x = np.asarray(x, dtype=float)
+        return _per_point(self.sigma_tilde * np.minimum(np.sqrt(_norm(x)), 1.0))
 
     def envelope(self, x) -> np.ndarray:
         """The full envelope vector g(x)."""
@@ -139,6 +155,8 @@ class Sample:
 
     A single Sample must be shared by every gradient query inside its
     iteration; that coupling is what the momentum combination relies on.
+    For a stack of S runs, xi is (S,) for the scalar kind or (S, n), and
+    run_seed holds the S seeds.
     """
 
     xi: Union[float, np.ndarray]
@@ -162,18 +180,19 @@ def draw_sample(noise: NoiseModel, dim: int, run_seed: int, k: int) -> Sample:
 
 
 def apply_noise(grad: np.ndarray, noise: NoiseModel, x, xi) -> np.ndarray:
-    """Perturb an already-computed gradient at x with the draw xi."""
+    """Perturb an already-computed gradient at x with the draw xi; a stack
+    of draws broadcasts against the leading axes of stacked points."""
     if noise.kind == "none":
         return grad
     scale = noise.envelope_scale(x)
-    if noise.kind == "scalar-gaussian-envelope":
-        if np.ndim(xi) != 0:
-            raise ValueError("scalar noise kind expects a scalar draw")
-        return grad + scale * float(xi)
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != grad.shape:
+    if noise.kind == "scalar-gaussian-envelope":
+        if xi.ndim >= grad.ndim:
+            raise ValueError("scalar noise kind expects one scalar draw per point")
+        return grad + np.multiply(scale, xi)[..., None]
+    if xi.shape[-1:] != grad.shape[-1:]:
         raise ValueError(f"draw has shape {xi.shape}, gradient has {grad.shape}")
-    return grad + scale * xi
+    return grad + np.asarray(scale)[..., None] * xi
 
 
 def stochastic_grad(
@@ -199,12 +218,12 @@ def datafit_problem(dataset: "Dataset") -> SmoothProblem:
     n = A.shape[1]
 
     def value(x):
-        r = sigmoid(A @ _check_point(x, n)) - b
-        return float(r @ r)
+        r = sigmoid(_matvec(A, _check_point(x, n))) - b
+        return _per_point(np.vecdot(r, r))
 
     def gradient(x):
-        s = sigmoid(A @ _check_point(x, n))
-        return At @ (2.0 * (s - b) * s * (1.0 - s))
+        s = sigmoid(_matvec(A, _check_point(x, n)))
+        return _matvec(At, 2.0 * (s - b) * s * (1.0 - s))
 
     return SmoothProblem(
         name="datafit",
@@ -227,14 +246,14 @@ def robust_problem(dataset: "Dataset") -> SmoothProblem:
     n = A.shape[1]
 
     def value(x):
-        r = A @ _check_point(x, n) - b
+        r = _matvec(A, _check_point(x, n)) - b
         r2 = r * r
-        return float(np.sum(r2 / (1.0 + r2)))
+        return _per_point(np.sum(r2 / (1.0 + r2), axis=-1))
 
     def gradient(x):
-        r = A @ _check_point(x, n) - b
+        r = _matvec(A, _check_point(x, n)) - b
         d = 1.0 + r * r
-        return At @ (2.0 * r / (d * d))
+        return _matvec(At, 2.0 * r / (d * d))
 
     return SmoothProblem(
         name="robust",
@@ -261,7 +280,7 @@ def quadratic_problem(n: int, conditioning: float = 1.0) -> SmoothProblem:
 
     def value(x):
         x = _check_point(x, n)
-        return 0.5 * float(x @ (lam * x))
+        return _per_point(0.5 * np.vecdot(x, lam * x))
 
     def gradient(x):
         return lam * _check_point(x, n)

@@ -525,6 +525,67 @@ def test_compare_on_a_dataset_matches_run_experiment(tmp_path):
         ]
 
 
+def test_compare_on_robust_with_elementwise_noise_matches_run_experiment():
+    base = dict(problem="robust", synthetic=10, data_seed=3, sigma=1.5,
+                noise="elementwise-gaussian-envelope", iters=1)
+    configs = [
+        har.RunConfig(algorithm="mem", p=4, **base),
+        har.RunConfig(algorithm="sg", eta=0.02, **base),
+        har.RunConfig(algorithm="nigt", gamma=0.3, eta=0.03, **base),
+    ]
+    table = har.compare(configs, budget=450, n_seeds=3, base_seed=11)
+    for cfg, label in zip(configs, table["labels"]):
+        iters = table["iterations"][label]
+        runs = [
+            har.run_experiment(
+                replace(cfg, iters=iters, seed=s, log_stride=max(1, iters // 200))
+            )
+            for s in table["seeds"]
+        ]
+        assert table["final"][label] == [recs[-1].rel_obj for recs, _ in runs]
+        assert table["status"][label] == [summary["status"] for _, summary in runs]
+        first = [(row["k"], row["oracle_calls"]) for row in table["series"][label]]
+        assert first == [(r.k, r.oracle_calls) for r in runs[0][0]]
+    assert table["warnings"] == []
+
+
+def test_compare_draws_each_seed_and_iteration_once(monkeypatch):
+    import momex.optimizer as opt
+
+    calls = []
+    draw = opt.draw_sample
+    monkeypatch.setattr(opt, "draw_sample", lambda *a: calls.append(a) or draw(*a))
+    base = dict(problem="datafit", synthetic=8, sigma=1.0, iters=1)
+    configs = [
+        har.RunConfig(algorithm="mem", p=3, **base),
+        har.RunConfig(algorithm="mem", p=4, **base),
+        har.RunConfig(algorithm="sg-pm", **base),
+    ]
+    table = har.compare(configs, budget=600, n_seeds=3)
+    assert max(table["iterations"].values()) == 600
+    assert len(calls) == 3 * 600
+    assert len({(a[2], a[3]) for a in calls}) == 3 * 600
+    calls.clear()
+    har.compare([replace(c, noise="none", sigma=None) for c in configs], budget=60, n_seeds=2)
+    assert calls == []  # nothing to draw without noise
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_says_when_a_median_takes_in_non_finite_finals(capsys):
+    argv = ["compare", "--algs", "sg:1.0,sg:0.001", "--problem", "quadratic",
+            "--dim", "5", "--conditioning", "1000", "--budget", "150", "--seeds", "2"]
+    assert har.main(argv) == 0
+    out = capsys.readouterr()
+    table = json.loads(out.out)
+    assert table["status"] == {"sg:1.0": ["non-finite at 51"] * 2,
+                               "sg:0.001": ["completed"] * 2}
+    assert table["warnings"] == ["median_final of 'sg:1.0' includes non-finite finals (seeds [0, 1])"]
+    assert "warning: median_final of 'sg:1.0'" in out.err
+    _, summary = har.run_experiment(har.RunConfig(
+        algorithm="sg", eta=1.0, problem="quadratic", dim=5, conditioning=1000.0, iters=150))
+    assert summary["status"] == "non-finite at 51"
+
+
 def test_grid_search_surface():
     cfg = har.RunConfig(algorithm="mem", p=3, q=2, problem="datafit",
                         synthetic=6, iters=1)

@@ -295,3 +295,113 @@ def test_noise_free_descent_examples():
     kind = opt.mem(sched.ScheduleConfig(p=2, q=1))
     res = opt.run(kind, problem, prob.NoiseModel(), np.ones(5), budget=2000, seed=0)
     assert res.records[-1].rel_obj < 0.05
+
+
+# ---------------------------------------------------------------------------
+# stacked runs: every row bit for bit what it is alone
+# ---------------------------------------------------------------------------
+
+def _strip(records):
+    return [
+        (r.k, r.f_val, r.rel_obj, r.grad_norm, r.mom_err, r.oracle_calls)
+        for r in records
+    ]
+
+
+def _same_state(a, b):
+    for field in ("x_prev", "x_cur", "m"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert (a.k, a.oracle_calls, a.zero_steps) == (b.k, b.oracle_calls, b.zero_steps)
+    assert len(a.zs) == len(b.zs)
+    assert all(np.array_equal(za, zb) for za, zb in zip(a.zs, b.zs))
+
+
+BATCH_KINDS = [
+    opt.mem(sched.ScheduleConfig(p=2, q=1)),
+    opt.mem(sched.ScheduleConfig(p=3, q=2)),
+    opt.mem(sched.ScheduleConfig(p=4, q=3)),
+    opt.sg(lambda k: 0.01),
+    opt.sg_pm(),
+    opt.nigt(0.3, 0.05),
+]
+
+
+@pytest.mark.parametrize("noise_kind", ["none", "scalar-gaussian-envelope",
+                                        "elementwise-gaussian-envelope"])
+@pytest.mark.parametrize("name", ["datafit", "robust", "quadratic"])
+def test_run_batch_matches_single_runs(name, noise_kind):
+    if name == "quadratic":
+        problem = prob.quadratic_problem(7, conditioning=20.0)
+    else:
+        make = prob.datafit_problem if name == "datafit" else prob.robust_problem
+        problem = make(prob.generate_synthetic(9, seed=2))
+    noise = prob.NoiseModel(noise_kind, 0.0 if noise_kind == "none" else 2.0)
+    x0 = np.full(problem.dim, 0.6)
+    seeds = [3, 4, 5, 6]
+    budgets = [37, 40, 25, 40, 33, 40]
+    strides = [1, 3, 7, 1, 2, 5]
+    batches = opt.run_batch(BATCH_KINDS, problem, noise, x0, budgets, seeds, strides,
+                            store_iterates=True)
+    for kind, budget, stride, results in zip(BATCH_KINDS, budgets, strides, batches):
+        assert len(results) == len(seeds)
+        for seed, got in zip(seeds, results):
+            alone = opt.run(kind, problem, noise, x0, budget, seed, log_stride=stride,
+                            store_iterates=True)
+            assert _strip(got.records) == _strip(alone.records)
+            _same_state(got.state, alone.state)
+            assert len(got.iterates) == budget + 1
+            assert all(np.array_equal(a, b) for a, b in zip(got.iterates, alone.iterates))
+            assert got.status == alone.status == "completed"
+
+
+def test_mem_step_on_a_stack_matches_each_row():
+    """A stacked state with a zero-momentum row (x at the minimizer, where
+    the envelope vanishes too) steps every row as it steps alone."""
+    problem = prob.quadratic_problem(5, conditioning=3.0)
+    noise = prob.NoiseModel("elementwise-gaussian-envelope", 1.5)
+    oracle = _oracle(problem, noise)
+    kind = opt.mem(sched.ScheduleConfig(p=3, q=2))
+    x0 = np.array([np.zeros(5), np.linspace(-1.0, 1.0, 5), np.full(5, 0.3)])
+    stacked = opt.initial_state(x0, kind.q)
+    rows = [opt.initial_state(x, kind.q) for x in x0]
+    for k in range(6):
+        draws = [prob.draw_sample(noise, 5, s, k) for s in range(3)]
+        xi = np.array([d.xi for d in draws])
+        stacked = opt.mem_step(stacked, kind.params(k), oracle, prob.Sample(xi, (0, 1, 2), k))
+        rows = [opt.mem_step(st, kind.params(k), oracle, d) for st, d in zip(rows, draws)]
+        for i, row in enumerate(rows):
+            assert np.array_equal(stacked.x_cur[i], row.x_cur)
+            assert np.array_equal(stacked.m[i], row.m)
+    assert list(np.broadcast_to(stacked.zero_steps, 3)) == [6, 0, 0]
+    assert [row.zero_steps for row in rows] == [6, 0, 0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_status_reports_how_runs_end():
+    problem = prob.quadratic_problem(5, conditioning=1000.0)
+    diverging = opt.sg(lambda k: 1.0)
+    res = opt.run(diverging, problem, prob.NoiseModel(), np.ones(5), 150, seed=0)
+    # f reaches ~4.5e302 at k = 50; iteration 51's momentum overflows
+    assert res.status == "non-finite at 51"
+    assert math.isfinite(res.records[50].f_val)
+    assert math.isnan(res.records[-1].f_val)
+    assert len(res.records) == 151  # nothing is frozen or cut short
+    assert opt.run(diverging, problem, prob.NoiseModel(), np.ones(5), 50, 0).status == "completed"
+
+    slow = opt.run(opt.sg(), _datafit(), prob.NoiseModel(), np.ones(10), 10**7, seed=0,
+                   wall_seconds=1e-4)
+    assert slow.status == "wall-clock"
+    assert slow.state.k < 10**7
+
+
+def test_run_batch_rejects_bad_arguments():
+    problem = prob.quadratic_problem(3)
+    kind = opt.sg()
+    with pytest.raises(ValueError, match="budget"):
+        opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [-1], [0], [1])
+    with pytest.raises(ValueError, match="log_stride"):
+        opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [5], [0], [0])
+    with pytest.raises(ValueError, match="seed"):
+        opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [5], [], [1])
+    with pytest.raises(ValueError, match="1 kinds, 2 budgets, 1 log strides"):
+        opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [5, 6], [0], [1])

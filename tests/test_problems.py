@@ -30,6 +30,32 @@ def test_sigmoid_array_broadcast():
     assert np.all((out > 0) & (out < 1))
 
 
+def _sigmoid_by_sign_split(t):
+    """The earlier form: boolean masks split the two tails."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_matches_the_sign_split_bit_for_bit():
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+               745.0, -745.0, 800.0, -800.0, 37.0, -37.0, np.nan]
+    t = np.concatenate([rng.standard_normal(10**6) * 10.0 ** rng.integers(-3, 3, 10**6),
+                        special])
+    got, want = prob.sigmoid(t), _sigmoid_by_sign_split(t)
+    # NaN stays NaN; only its sign bit may differ
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    assert prob.sigmoid(-0.0) == 0.5
+
+
 @given(st.floats(min_value=-60.0, max_value=60.0))
 @settings(max_examples=300, deadline=None)
 def test_sigmoid_symmetry(t):
@@ -100,6 +126,45 @@ def test_quadratic_problem():
     np.testing.assert_array_equal(p.taylor_gradient(x, dx, 2), p.gradient(x + dx))
     with pytest.raises(ValueError):
         prob.quadratic_problem(4, conditioning=0.5)
+
+
+@pytest.mark.parametrize("name", ["datafit", "robust", "quadratic"])
+def test_stacked_points_give_each_row_its_own_bits(name):
+    """value and gradient on a stack (S, q, n) equal row-by-row calls, at
+    one row and at S * q rows."""
+    n = 50
+    if name == "quadratic":
+        p = prob.quadratic_problem(n, conditioning=30.0)
+    else:
+        make = prob.datafit_problem if name == "datafit" else prob.robust_problem
+        p = make(prob.generate_synthetic(n, seed=5))
+    rng = np.random.default_rng(1)
+    for shape in [(1, n), (4, 3, n), (16, n)]:
+        X = rng.standard_normal(shape) * 0.3
+        G, F = p.gradient(X), p.value(X)
+        assert G.shape == shape and F.shape == shape[:-1]
+        for idx in np.ndindex(*shape[:-1]):
+            assert np.array_equal(G[idx], p.gradient(X[idx]))
+            assert F[idx] == p.value(X[idx])
+    assert type(p.value(np.ones(n))) is float
+
+
+def test_stacked_noise_broadcasts_one_draw_per_point():
+    p = prob.quadratic_problem(4, conditioning=2.0)
+    X = np.array([[[0.1, 0.2, 0.3, 0.4], [2.0, 0.0, 1.0, 0.0]],
+                  [[0.0, 0.0, 0.0, 0.0], [0.5, -0.5, 0.5, -0.5]]])  # (q=2, S=2, n)
+    for kind, xi in [("scalar-gaussian-envelope", np.array([0.7, -1.3])),
+                     ("elementwise-gaussian-envelope", np.array([[0.1, -0.2, 0.3, 1.0],
+                                                                  [2.0, 0.5, -1.0, 0.0]]))]:
+        noise = prob.NoiseModel(kind, 3.0)
+        G = prob.stochastic_grad(p, noise, X, prob.Sample(xi, (0, 1), 0))
+        for t in range(2):
+            for s in range(2):
+                want = prob.stochastic_grad(p, noise, X[t, s], prob.Sample(xi[s], s, 0))
+                assert np.array_equal(G[t, s], want)
+    with pytest.raises(ValueError, match="one scalar draw per point"):
+        prob.stochastic_grad(p, prob.NoiseModel("scalar-gaussian-envelope", 1.0), X,
+                             prob.Sample(np.ones((2, 2, 4)), 0, 0))
 
 
 def test_problem_rejects_wrong_shape():
