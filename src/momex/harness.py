@@ -16,8 +16,9 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
+from typing import Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -64,8 +65,19 @@ __all__ = [
 
 CSV_HEADER = "k,f_val,rel_obj,grad_norm,mom_err,oracle_calls,elapsed_seconds"
 
-ALGORITHMS = ("mem", "sg", "sg-pm", "nigt")
-PROBLEMS = ("datafit", "robust", "quadratic")
+# the allowed values of every field that has a fixed set
+_CHOICES = {
+    "algorithm": ("mem", "sg", "sg-pm", "nigt"),
+    "problem": ("datafit", "robust", "quadratic"),
+    "noise": NOISE_KINDS,
+    "format": ("csv", "json"),
+}
+# the fields compare's configs must share: its problem flags, and what
+# build_problem reads
+_PROBLEM_FIELDS = (
+    "problem", "synthetic", "dataset", "target", "data_seed",
+    "dim", "conditioning", "noise", "sigma", "x0",
+)
 
 
 class ConfigError(ValueError):
@@ -81,10 +93,14 @@ def _flag(field: str) -> str:
     return "--alg" if field == "algorithm" else "--" + field.replace("_", "-")
 
 
-# the JSON type each field must have; flags arrive typed, config files may not
-_INT_FIELDS = ("p", "q", "iters", "seed", "data_seed", "synthetic", "dim", "log_stride")
-_REAL_FIELDS = ("gamma", "eta", "sigma", "conditioning", "wall_seconds")
-_STR_FIELDS = ("algorithm", "problem", "dataset", "target", "noise", "x0", "out", "format")
+def _x0_coords(text: str) -> list:
+    """--x0's comma-separated coordinates, each finite."""
+    try:
+        coords = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError('--x0 must be "ones", "zeros", or a comma-separated vector') from None
+    _require(all(map(math.isfinite, coords)), f"--x0 entries must be finite, got {text!r}")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -129,32 +145,27 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         set_ = lambda name, val: object.__setattr__(self, name, val)
-        defaults = {f.name: f.default for f in fields(self)}
-        for names, types, want in (
-            (_INT_FIELDS, int, "an integer"),
-            (_REAL_FIELDS, (int, float), "a number"),
-            (_STR_FIELDS, str, "a string"),
-        ):
-            for name in names:
-                val = getattr(self, name)
-                _require(
-                    (val is None and defaults[name] is None)
-                    or (isinstance(val, types) and not isinstance(val, bool)),
-                    f"{_flag(name)} must be {want}, got {val!r}",
-                )
-        for name in _REAL_FIELDS:
+        for name, kind in _KINDS.items():
             val = getattr(self, name)
-            try:
-                finite = val is None or math.isfinite(val)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            _require(finite, f"{_flag(name)} must be finite, got {val!r}")
+            types, want = _WANT[kind]
+            _require(
+                (val is None and getattr(RunConfig, name) is None)
+                or (isinstance(val, types) and not isinstance(val, bool)),
+                f"{_flag(name)} must be {want}, got {val!r}",
+            )
+            if kind is float:
+                try:
+                    finite = val is None or math.isfinite(val)
+                except OverflowError:  # an integer beyond the float range
+                    finite = False
+                _require(finite, f"{_flag(name)} must be finite, got {val!r}")
         for name in ("seed", "data_seed"):
             val = getattr(self, name)
             _require(val >= 0, f"{_flag(name)} must be >= 0, got {val}")
 
         alg, p, q, gamma, eta = self.algorithm, self.p, self.q, self.gamma, self.eta
-        _require(alg in ALGORITHMS, f"--alg is required and must be one of {ALGORITHMS}")
+        algorithms = _CHOICES["algorithm"]
+        _require(alg in algorithms, f"--alg is required and must be one of {algorithms}")
         if alg == "mem":
             _require(
                 p is not None,
@@ -179,7 +190,8 @@ class RunConfig:
                 _require(eta > 0.0, f"--eta must be positive, got {eta}")
 
         problem, synthetic, dataset = self.problem, self.synthetic, self.dataset
-        _require(problem in PROBLEMS, f"--problem is required and must be one of {PROBLEMS}")
+        problems = _CHOICES["problem"]
+        _require(problem in problems, f"--problem is required and must be one of {problems}")
         if problem == "quadratic":
             _require(
                 synthetic is None and dataset is None,
@@ -204,7 +216,8 @@ class RunConfig:
         noise, sigma = self.noise, self.sigma
         if noise is None:
             noise = "none" if sigma is None else "scalar-gaussian-envelope"
-        _require(noise in NOISE_KINDS, f"--noise must be one of {NOISE_KINDS}, got {noise!r}")
+        noises = _CHOICES["noise"]
+        _require(noise in noises, f"--noise must be one of {noises}, got {noise!r}")
         if noise == "none":
             # 0.0 is what normalization stores, so a normalized config re-validates
             _require(
@@ -222,18 +235,18 @@ class RunConfig:
             _require(self.wall_seconds > 0.0, f"--wall-seconds must be positive, got {self.wall_seconds}")
         _require(self.log_stride >= 1, f"--log-stride must be >= 1, got {self.log_stride}")
         if self.x0 not in ("ones", "zeros"):
-            try:
-                coords = [float(v) for v in self.x0.split(",")]
-            except ValueError:
-                raise ConfigError(
-                    '--x0 must be "ones", "zeros", or a comma-separated vector'
-                ) from None
-            _require(all(map(math.isfinite, coords)), f"--x0 entries must be finite, got {self.x0!r}")
-        _require(self.format in ("csv", "json"), "--format must be csv or json")
+            _x0_coords(self.x0)
+        _require(self.format in _CHOICES["format"], "--format must be csv or json")
         if gamma is not None:
             set_("gamma", float(gamma))
         if eta is not None:
             set_("eta", float(eta))
+
+
+# each field's kind, int, float or str, from its annotation (Optional[X] -> X)
+_KINDS = {name: (get_args(t) or (t,))[0] for name, t in get_type_hints(RunConfig).items()}
+# what a kind's type check accepts and asks for; flags arrive typed, config files may not
+_WANT = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 
 
 def _int_at_least(lo: int):
@@ -255,34 +268,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--synthetic", type=int, metavar="N")
-    p.add_argument("--dataset", metavar="PATH")
-    p.add_argument("--target", metavar="COLUMN")
-    p.add_argument("--data-seed", type=int, dest="data_seed")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--conditioning", type=float)
-    p.add_argument("--noise", choices=NOISE_KINDS)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--x0")
+def _add_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
+    """One flag per RunConfig field named, typed and restricted as the field is."""
+    for name in names:
+        kind = _KINDS[name]
+        parser.add_argument(
+            _flag(name), dest=name, type=None if kind is str else kind, choices=_CHOICES.get(name)
+        )
 
 
 def _run_parser() -> _Parser:
     p = _Parser(prog="momex run", add_help=False)
-    p.add_argument("--alg", choices=ALGORITHMS, dest="algorithm")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eta", type=float)
-    _add_problem_flags(p)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--wall-seconds", type=float, dest="wall_seconds")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--log-stride", type=int, dest="log_stride")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--config", metavar="FILE")
+    _add_flags(p, list(_KINDS))
+    p.add_argument("--config")
     return p
 
 
@@ -300,9 +298,8 @@ def _read_config_file(path: str) -> dict:
     if "alg" in vals:
         _require("algorithm" not in vals, f"--config: {path} gives both 'alg' and 'algorithm'")
         vals["algorithm"] = vals.pop("alg")
-    known = {f.name for f in fields(RunConfig)}
     for key in vals:
-        _require(key in known, f"--config: unknown field {key!r} in {path}")
+        _require(key in _KINDS, f"--config: unknown field {key!r} in {path}")
     return vals
 
 
@@ -347,11 +344,8 @@ def build_problem(config: RunConfig):
     elif config.x0 == "zeros":
         x0 = np.zeros(problem.dim)
     else:
-        x0 = np.array([float(v) for v in config.x0.split(",")])
-        if x0.size != problem.dim:
-            raise ConfigError(
-                f"--x0 has {x0.size} coordinates, problem has dimension {problem.dim}"
-            )
+        x0 = np.array(_x0_coords(config.x0))
+        _require(x0.size == problem.dim, f"--x0 has {x0.size} coordinates, problem has dimension {problem.dim}")
     return problem, noise, x0
 
 
@@ -459,7 +453,26 @@ def parse_records(text: str) -> Tuple[TrajectoryRecord, ...]:
     return tuple(out)
 
 
-def _json_payload(records, config: Optional[RunConfig], summary: Optional[dict]) -> str:
+def _output(text: str, path: Optional[str] = None, receipt: Optional[dict] = None) -> None:
+    """Print text (newline-terminated), or write it to path as is and then
+    print the receipt, if any, as one JSON line with the path."""
+    if path is None:
+        print(text, end="" if text.endswith("\n") else "\n")
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    if receipt is not None:
+        print(json.dumps({"out": path, **receipt}))
+
+
+def _payload(records, format: str, config: Optional[RunConfig], summary: Optional[dict]) -> str:
+    if format not in _CHOICES["format"]:
+        raise ValueError(f"format must be csv or json, got {format!r}")
+    if format == "csv":
+        return records_to_csv(records)
     return json.dumps(
         {
             "config": None if config is None else asdict(config),
@@ -479,17 +492,7 @@ def emit(
 ) -> None:
     """Write records to path; csv as specified by CSV_HEADER, json as an
     object with the config echo, the summary, and the record array."""
-    if format == "csv":
-        payload = records_to_csv(records)
-    elif format == "json":
-        payload = _json_payload(records, config, summary)
-    else:
-        raise ValueError(f"format must be csv or json, got {format!r}")
-    try:
-        with open(path, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    _output(_payload(records, format, config, summary), path)
 
 
 def _label(config: RunConfig) -> str:
@@ -505,19 +508,7 @@ def _label(config: RunConfig) -> str:
     return config.algorithm + (f"({','.join(parts)})" if parts else "")
 
 
-def _fingerprint(config: RunConfig):
-    return (
-        config.problem,
-        config.synthetic,
-        config.dataset,
-        config.target,
-        config.data_seed,
-        config.dim,
-        config.conditioning,
-        config.noise,
-        config.sigma,
-        config.x0,
-    )
+_fingerprint = attrgetter(*_PROBLEM_FIELDS)
 
 
 def compare(
@@ -731,13 +722,9 @@ def verify_all(
 def _cmd_run(argv: Sequence[str]) -> int:
     config = parse_config(argv)
     records, summary = run_experiment(config)
-    if config.out is not None:
-        emit(records, config.out, config.format, config, summary)
-        print(json.dumps({"out": config.out, **summary}))
-    elif config.format == "csv":
-        sys.stdout.write(records_to_csv(records))
-    else:
-        print(_json_payload(records, config, summary))
+    if summary["status"].startswith("non-finite"):
+        print(f"warning: the run's status is {summary['status']!r}", file=sys.stderr)
+    _output(_payload(records, config.format, config, summary), config.out, summary)
     return 0
 
 
@@ -759,12 +746,11 @@ def _parse_alg_token(token: str) -> dict:
         raise ConfigError(f"--algs: malformed token {token!r}; expected {forms}")
     vals = {"algorithm": name}
     for key, arg in zip(keys, args):
-        kind, want = (int, "an integer") if key == "q" else (float, "a number")
         try:
-            vals[key] = kind(arg)
+            vals[key] = _KINDS[key](arg)
         except ValueError:
             raise ConfigError(
-                f"--algs: {key.upper()} in {token!r} must be {want}, got {arg!r}"
+                f"--algs: {key.upper()} in {token!r} must be {_WANT[_KINDS[key]][1]}, got {arg!r}"
             ) from None
     if name == "mem":
         _require(vals["q"] >= 1, f"--algs: Q in {token!r} must be an integer >= 1")
@@ -774,33 +760,25 @@ def _parse_alg_token(token: str) -> dict:
 
 def _cmd_compare(argv: Sequence[str]) -> int:
     p = _Parser(prog="momex compare", add_help=False)
-    p.add_argument("--algs", required=True, metavar="TOK[,TOK...]")
-    _add_problem_flags(p)
+    p.add_argument("--algs", required=True)
+    _add_flags(p, _PROBLEM_FIELDS)
     p.add_argument("--budget", type=_int_at_least(1), required=True)
     p.add_argument("--seeds", type=_int_at_least(1), default=10)
     p.add_argument("--base-seed", type=_int_at_least(0), default=0, dest="base_seed")
     p.add_argument("--out")
-    ns = vars(p.parse_args(argv))
-    algs, budget, seeds, base_seed, out = (
-        ns.pop(k) for k in ("algs", "budget", "seeds", "base_seed", "out")
-    )
-    problem_flags = {k: v for k, v in ns.items() if v is not None}
-    tokens = [t.strip() for t in algs.split(",") if t.strip()]
+    ns = p.parse_args(argv)
+    problem_flags = {k: getattr(ns, k) for k in _PROBLEM_FIELDS if getattr(ns, k) is not None}
+    tokens = [t.strip() for t in ns.algs.split(",") if t.strip()]
     if not tokens:
         raise ConfigError("--algs must name at least one algorithm")
     configs = [
-        RunConfig(**_parse_alg_token(tok), **problem_flags, iters=budget) for tok in tokens
+        RunConfig(**_parse_alg_token(tok), **problem_flags, iters=ns.budget) for tok in tokens
     ]
-    table = compare(configs, budget=budget, n_seeds=seeds, base_seed=base_seed, labels=tokens)
+    table = compare(configs, ns.budget, n_seeds=ns.seeds, base_seed=ns.base_seed, labels=tokens)
     for warning in table["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
-    text = json.dumps(table, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(json.dumps({"out": out, "median_final": table["median_final"]}))
-    else:
-        print(text)
+    # an empty --out prints, as no --out does
+    _output(json.dumps(table, indent=2), ns.out or None, {"median_final": table["median_final"]})
     return 0
 
 
@@ -816,13 +794,7 @@ def _cmd_verify(argv: Sequence[str]) -> int:
     ns = vars(p.parse_args(argv))
     out = ns.pop("out")
     report = verify_all(**ns)
-    text = json.dumps(report, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        print(json.dumps({"out": out, "passed": report["passed"]}))
-    else:
-        print(text)
+    _output(json.dumps(report, indent=2), out or None, {"passed": report["passed"]})
     return 0 if report["passed"] else 1
 
 
@@ -851,18 +823,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(_USAGE)
         return 0
+    commands = {"run": _cmd_run, "compare": _cmd_compare, "verify": _cmd_verify, "gen-data": _cmd_gen_data}
     cmd, rest = argv[0], argv[1:]
-    try:
-        if cmd == "run":
-            return _cmd_run(rest)
-        if cmd == "compare":
-            return _cmd_compare(rest)
-        if cmd == "verify":
-            return _cmd_verify(rest)
-        if cmd == "gen-data":
-            return _cmd_gen_data(rest)
+    if cmd not in commands:
         print(f"error: unknown command {cmd!r}\n{_USAGE}", file=sys.stderr)
         return 2
+    try:
+        return commands[cmd](rest)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

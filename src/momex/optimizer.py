@@ -304,6 +304,8 @@ class RunResult:
 _BLOCK_VALUES, _BLOCK_MAX = 1 << 15, 256
 
 
+# a diverging run reports its status instead of numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_batch(
     kinds: Sequence[AlgorithmKind],
     problem: SmoothProblem,
@@ -376,8 +378,7 @@ def run_batch(
             states[i], n = state, len(calls)
             if store_iterates:
                 iterates[i].extend(X[1 : n + 1])
-            with np.errstate(over="ignore", invalid="ignore"):
-                bad = ~(np.isfinite(X[1 : n + 1]).all(-1) & np.isfinite(np.vecdot(M[:n], M[:n])))
+            bad = ~(np.isfinite(X[1 : n + 1]).all(-1) & np.isfinite(np.vecdot(M[:n], M[:n])))
             bad_at[i] = np.where((bad_at[i] < 0) & bad.any(0), k0 + bad.argmax(0), bad_at[i])
             # row k pairs x^k (the point the momentum was computed at) with m^k
             rows = [j for j in range(n)

@@ -143,11 +143,6 @@ class NoiseModel:
         x = np.asarray(x, dtype=float)
         return _per_point(self.sigma_tilde * np.minimum(np.sqrt(_norm(x)), 1.0))
 
-    def envelope(self, x) -> np.ndarray:
-        """The full envelope vector g(x)."""
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape, self.envelope_scale(x))
-
 
 @dataclass(frozen=True, eq=False)
 class Sample:

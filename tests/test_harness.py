@@ -1,7 +1,8 @@
 import json
 import math
 import statistics
-from dataclasses import asdict, replace
+import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,78 @@ def test_x0_parsing():
         har.build_problem(har.parse_config(base + ["--x0", "1.5,2.5"]))
 
 
+# the flag table as it stands: a field's kind and allowed values
+_INT_FIELDS = {"p", "q", "iters", "seed", "data_seed", "synthetic", "dim", "log_stride"}
+_REAL_FIELDS = {"gamma", "eta", "sigma", "conditioning", "wall_seconds"}
+_CHOICES = {
+    "algorithm": ("mem", "sg", "sg-pm", "nigt"),
+    "problem": ("datafit", "robust", "quadratic"),
+    "noise": prob.NOISE_KINDS,
+    "format": ("csv", "json"),
+}
+
+
+def _parser_of(monkeypatch, argv):
+    """The parser a subcommand builds, caught as it parses argv."""
+    seen = []
+
+    def catch(self, args):
+        seen.append(self)
+        raise har.ConfigError("caught")
+
+    monkeypatch.setattr(har._Parser, "parse_args", catch)
+    assert har.main(argv) == 2
+    return {a.dest: a for a in seen[0]._actions}
+
+
+def test_flags_are_the_config_fields(monkeypatch):
+    names = [f.name for f in fields(har.RunConfig)]
+    run = _parser_of(monkeypatch, ["run"])
+    assert sorted(run) == sorted([*names, "config"])
+    for name in names:
+        flag = run[name]
+        dashed = "--alg" if name == "algorithm" else "--" + name.replace("_", "-")
+        kind = int if name in _INT_FIELDS else float if name in _REAL_FIELDS else None
+        assert (flag.option_strings, flag.type) == ([dashed], kind)
+        assert flag.choices == _CHOICES.get(name)
+
+    shared = _parser_of(monkeypatch, ["compare"])
+    own = ["algs", "budget", "seeds", "base_seed", "out"]
+    assert sorted(shared) == sorted([*har._PROBLEM_FIELDS, *own])
+    for name in har._PROBLEM_FIELDS:
+        flag = shared[name]
+        assert (flag.option_strings, flag.type, flag.choices) == (
+            run[name].option_strings, run[name].type, run[name].choices)
+
+
+class _Reads:
+    """A config that records the names of the fields read from it."""
+
+    def __init__(self, config):
+        self._config, self.names = config, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self._config, name)
+
+
+def test_build_problem_reads_only_the_shared_fields(tmp_path):
+    # compare builds one problem for all its configs, so build_problem may
+    # depend only on the fields _fingerprint makes them share
+    data = tmp_path / "d.csv"
+    prob.save_dataset(prob.generate_synthetic(5, 1), data)
+    read = set()
+    for kwargs in (
+        dict(problem="quadratic", dim=3, conditioning=10.0, x0="1,2,3"),
+        dict(problem="datafit", synthetic=4, data_seed=2, sigma=1.0, x0="zeros"),
+        dict(problem="robust", dataset=str(data), noise="elementwise-gaussian-envelope", sigma=0.5),
+    ):
+        config = _Reads(har.RunConfig(algorithm="sg", iters=1, **kwargs))
+        har.build_problem(config)
+        read |= config.names
+    assert read == set(har._PROBLEM_FIELDS)
+
+
 def test_mem_p3_uses_general_schedule():
     cfg = har.parse_config(["--alg", "mem", "--p", "3",
                             "--problem", "datafit", "--synthetic", "6", "--iters", "1"])
@@ -332,6 +405,36 @@ def test_cli_run_writes_file_and_summary(tmp_path, capsys):
     assert out.read_text().startswith(har.CSV_HEADER)
     summary = json.loads(capsys.readouterr().out)
     assert summary["iterations"] == 3
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_cli_diverging_run_warns_once(tmp_path, capsys, to_file):
+    out = tmp_path / "d.csv"
+    argv = ["run", "--alg", "sg", "--eta", "1.0", "--problem", "quadratic", "--dim", "5",
+            "--conditioning", "1000", "--iters", "150"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert har.main([*argv, "--out", str(out)] if to_file else argv) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "warning: the run's status is 'non-finite at 51'\n"
+    records = har.parse_records(out.read_text() if to_file else printed.out)
+    assert len(records) == 151 and math.isnan(records[-1].f_val)
+    if to_file:
+        assert json.loads(printed.out)["status"] == "non-finite at 51"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--alg", "sg", "--problem", "quadratic", "--dim", "2", "--iters", "3"],
+    ["compare", "--algs", "sg", "--problem", "quadratic", "--dim", "2", "--budget", "3",
+     "--seeds", "1"],
+    ["verify", "--k-max", "3", "--bound-k-max", "0", "--draws", "10000"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_out_names_the_path(tmp_path, capsys, argv):
+    path = tmp_path / "no" / "such.json"
+    assert har.main([*argv, "--out", str(path)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"error: cannot write {path}: ")
 
 
 def test_cli_rejects_bad_input(capsys):
@@ -570,7 +673,6 @@ def test_compare_draws_each_seed_and_iteration_once(monkeypatch):
     assert calls == []  # nothing to draw without noise
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compare_says_when_a_median_takes_in_non_finite_finals(capsys):
     argv = ["compare", "--algs", "sg:1.0,sg:0.001", "--problem", "quadratic",
             "--dim", "5", "--conditioning", "1000", "--budget", "150", "--seeds", "2"]

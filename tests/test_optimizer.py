@@ -376,7 +376,6 @@ def test_mem_step_on_a_stack_matches_each_row():
     assert [row.zero_steps for row in rows] == [6, 0, 0]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_status_reports_how_runs_end():
     problem = prob.quadratic_problem(5, conditioning=1000.0)
     diverging = opt.sg(lambda k: 1.0)
