@@ -26,6 +26,7 @@ from .problems import (
     Sample,
     SmoothProblem,
     datafit_problem,
+    dataset_to_csv,
     generate_synthetic,
     load_csv_dataset,
     quadratic_problem,
@@ -36,9 +37,11 @@ from .problems import (
 from .schedule import (
     IllConditionedSystem,
     IterationParams,
+    ParamsBlock,
     ScheduleConfig,
     init_params,
     iteration_threshold,
+    params_block,
     params_for,
     params_general,
     params_p3,
@@ -64,6 +67,7 @@ __all__ = [
     "IterationParams",
     "NoiseModel",
     "OptimizerState",
+    "ParamsBlock",
     "ProblemConstants",
     "RunConfig",
     "RunResult",
@@ -73,12 +77,14 @@ __all__ = [
     "TrajectoryRecord",
     "compare",
     "datafit_problem",
+    "dataset_to_csv",
     "generate_synthetic",
     "init_params",
     "iteration_threshold",
     "load_csv_dataset",
     "mem",
     "nigt",
+    "params_block",
     "params_for",
     "params_general",
     "params_p3",

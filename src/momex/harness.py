@@ -37,11 +37,11 @@ from .problems import (
     NOISE_KINDS,
     NoiseModel,
     datafit_problem,
+    dataset_to_csv,
     generate_synthetic,
     load_csv_dataset,
     quadratic_problem,
     robust_problem,
-    save_dataset,
 )
 from .schedule import ScheduleConfig, iteration_threshold, theorem_constant
 
@@ -237,6 +237,7 @@ class RunConfig:
         if self.x0 not in ("ones", "zeros"):
             _x0_coords(self.x0)
         _require(self.format in _CHOICES["format"], "--format must be csv or json")
+        _require(self.out != "", "--out must name a file, got an empty path")
         if gamma is not None:
             set_("gamma", float(gamma))
         if eta is not None:
@@ -247,6 +248,14 @@ class RunConfig:
 _KINDS = {name: (get_args(t) or (t,))[0] for name, t in get_type_hints(RunConfig).items()}
 # what a kind's type check accepts and asks for; flags arrive typed, config files may not
 _WANT = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _out_path(text: str) -> str:
+    # an argparse type, so that argparse's error names the flag; an empty
+    # --out is refused rather than taken for no --out
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, got an empty path")
+    return text
 
 
 def _int_at_least(lo: int):
@@ -460,7 +469,7 @@ def _output(text: str, path: Optional[str] = None, receipt: Optional[dict] = Non
         print(text, end="" if text.endswith("\n") else "\n")
         return
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
@@ -765,7 +774,7 @@ def _cmd_compare(argv: Sequence[str]) -> int:
     p.add_argument("--budget", type=_int_at_least(1), required=True)
     p.add_argument("--seeds", type=_int_at_least(1), default=10)
     p.add_argument("--base-seed", type=_int_at_least(0), default=0, dest="base_seed")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_path)
     ns = p.parse_args(argv)
     problem_flags = {k: getattr(ns, k) for k in _PROBLEM_FIELDS if getattr(ns, k) is not None}
     tokens = [t.strip() for t in ns.algs.split(",") if t.strip()]
@@ -777,8 +786,7 @@ def _cmd_compare(argv: Sequence[str]) -> int:
     table = compare(configs, ns.budget, n_seeds=ns.seeds, base_seed=ns.base_seed, labels=tokens)
     for warning in table["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
-    # an empty --out prints, as no --out does
-    _output(json.dumps(table, indent=2), ns.out or None, {"median_final": table["median_final"]})
+    _output(json.dumps(table, indent=2), ns.out, {"median_final": table["median_final"]})
     return 0
 
 
@@ -790,11 +798,11 @@ def _cmd_verify(argv: Sequence[str]) -> int:
     p.add_argument("--bound-k-max", type=_int_at_least(0), dest="bound_k_max")
     # noise_moment_check needs 10^4 draws
     p.add_argument("--draws", type=_int_at_least(10_000), dest="n_draws")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, default=None)
     ns = vars(p.parse_args(argv))
     out = ns.pop("out")
     report = verify_all(**ns)
-    _output(json.dumps(report, indent=2), out or None, {"passed": report["passed"]})
+    _output(json.dumps(report, indent=2), out, {"passed": report["passed"]})
     return 0 if report["passed"] else 1
 
 
@@ -802,10 +810,9 @@ def _cmd_gen_data(argv: Sequence[str]) -> int:
     p = _Parser(prog="momex gen-data", add_help=False)
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     ns = p.parse_args(argv)
-    save_dataset(generate_synthetic(ns.n, ns.seed), ns.out)
-    print(json.dumps({"out": ns.out, "n": ns.n, "seed": ns.seed}))
+    _output(dataset_to_csv(generate_synthetic(ns.n, ns.seed)), ns.out, {"n": ns.n, "seed": ns.seed})
     return 0
 
 

@@ -3,8 +3,8 @@
 Every method runs the same recursion, mem_step: evaluate the stochastic
 gradient at q points extrapolated from the last two iterates, all on one
 shared noise draw, fold them into the momentum with signed weights, and
-step. A method is an AlgorithmKind: its q, a stream k -> IterationParams,
-and whether the step is normalized.
+step. A method is an AlgorithmKind: its q, a stream k -> IterationParams
+(read a block of iterations at a time), and whether the step is normalized.
 
 - mem: the order-p schedule, q = p - 1 extrapolations.
 - sg-pm (normalized Polyak momentum): gamma = 1, so the query point is x
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .schedule import (
     IterationParams,
     ScheduleConfig,
     init_params,
+    params_block,
     params_for,
     solve_weights_closed_form,
 )
@@ -180,12 +181,23 @@ def mem_step(
 @dataclass(frozen=True)
 class AlgorithmKind:
     """A method as mem_step sees it: q query points per iteration, the
-    bundle for each iteration k, and whether the step is normalized."""
+    bundle for each iteration k, and whether the step is normalized.
+
+    block, when given, returns the bundles of iterations k0 .. k1 - 1 in
+    one call, each the one params(k) returns."""
 
     name: str
     q: int
     params: Callable[[int], IterationParams]
     normalized: bool = True
+    block: Optional[Callable[[int, int], Sequence[IterationParams]]] = None
+
+    def bundles(self, k0: int, k1: int) -> Iterable[IterationParams]:
+        """Bundles of iterations k0 .. k1 - 1 in order: the block view, or
+        params(k) for one k after another."""
+        if self.block is not None:
+            return self.block(k0, k1)
+        return map(self.params, range(k0, k1))
 
 
 def _unextrapolated(k: int, theta: float, eta: float) -> IterationParams:
@@ -199,7 +211,10 @@ def _unextrapolated(k: int, theta: float, eta: float) -> IterationParams:
 def mem(schedule: ScheduleConfig) -> AlgorithmKind:
     """The multi-extrapolated method under the order-p schedule."""
     return AlgorithmKind(
-        name="mem", q=schedule.q, params=lambda k: params_for(schedule, k)
+        name="mem",
+        q=schedule.q,
+        params=lambda k: params_for(schedule, k),
+        block=lambda k0, k1: params_block(schedule.p, k0, k1).bundles(),
     )
 
 
@@ -330,7 +345,8 @@ def run_batch(
     iterates. Seeds feed the per-iteration noise draws only, never the data.
 
     All seeds of a kind step as one (S, n) state; the kinds advance block
-    by block, each block's (seed, k) draws made once for all of them. Every
+    by block, each block's (seed, k) draws made once for all of them and
+    each kind's bundles for the block read in one kind.bundles call. Every
     run is bit for bit what it is alone (elapsed_seconds aside).
     """
     x0, S, seeds = np.asarray(x0, dtype=float), len(seeds), tuple(seeds)
@@ -364,11 +380,12 @@ def run_batch(
             # x^k0 .. and m^k0 .. of the block, copied so that each step's arrays
             # are freed at once (holding them slows numpy's allocator)
             X, M = np.empty((k1 - k0 + 1, S, x0.size)), np.empty((k1 - k0, S, x0.size))
-            state, params, calls, times = states[i], kind.params, [], []
+            state, calls, times = states[i], [], []
             X[0] = state.x_cur
-            for k in range(k0, min(k1, budgets[i])):
+            stop = min(k1, budgets[i])
+            for k, params in zip(range(k0, stop), kind.bundles(k0, stop)):
                 sample = Sample(xis[k - k0], seeds, k)
-                state = mem_step(state, params(k), oracle, sample, kind.normalized)
+                state = mem_step(state, params, oracle, sample, kind.normalized)
                 X[k - k0 + 1], M[k - k0] = state.x_cur, state.m
                 calls.append(state.oracle_calls)
                 times.append(time.perf_counter() - t0)

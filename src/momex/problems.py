@@ -13,6 +13,7 @@ smoothness near the origin.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -36,6 +37,7 @@ __all__ = [
     "draw_sample",
     "generate_synthetic",
     "load_csv_dataset",
+    "dataset_to_csv",
     "save_dataset",
 ]
 
@@ -413,17 +415,25 @@ def load_csv_dataset(path, target_column: Union[str, int] = "target") -> Dataset
     )
 
 
-def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset in the ingestion format (header x1..xn, target).
+def dataset_to_csv(dataset: Dataset) -> str:
+    """A dataset in the ingestion format (header x1..xn, target), as text
+    with csv's \\r\\n line ends.
 
     Values are written with full round-trip precision and are NOT rescaled;
     rescaling happens on ingestion only.
     """
+    fh = io.StringIO()
+    w = csv.writer(fh)
+    w.writerow([f"x{j + 1}" for j in range(dataset.n)] + ["target"])
+    for i in range(dataset.m):
+        w.writerow(
+            [repr(float(v)) for v in dataset.features[i]]
+            + [repr(float(dataset.targets[i]))]
+        )
+    return fh.getvalue()
+
+
+def save_dataset(dataset: Dataset, path) -> None:
+    """Write dataset_to_csv(dataset) to path, byte for byte."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{j + 1}" for j in range(dataset.n)] + ["target"])
-        for i in range(dataset.m):
-            w.writerow(
-                [repr(float(v)) for v in dataset.features[i]]
-                + [repr(float(dataset.targets[i]))]
-            )
+        fh.write(dataset_to_csv(dataset))

@@ -8,8 +8,9 @@ reciprocal-power system
     sum_t theta_t / gamma_t**r = 1    for r = 1..q,                    (*)
 
 whose coefficient matrix is Vandermonde-like in the reciprocals 1/gamma_t.
-This module evaluates the built-in order-p schedule, solves (*) either in
-closed form (the production path) or by dense factorization (an
+This module evaluates the built-in order-p schedule a block of iterations
+at a time (params_block; params_general is its one-row case), solves (*)
+either in closed form (the production path) or by dense factorization (an
 independent oracle), and measures the identities, sign pattern, and bounds
 that the closed form is supposed to satisfy. The literal order-3 form
 (params_p3, p3_arrays) is kept only as an oracle for the order-p schedule
@@ -32,9 +33,11 @@ __all__ = [
     "COND_LIMIT",
     "ScheduleConfig",
     "IterationParams",
+    "ParamsBlock",
     "PotentialWeight",
     "WeightDiagnostics",
     "IllConditionedSystem",
+    "params_block",
     "params_general",
     "params_p3",
     "params_for",
@@ -143,6 +146,10 @@ class IterationParams:
     theta_sum: float
 
     def __post_init__(self):
+        g, t = self.gammas, self.thetas
+        # equal-length tuples of Python floats, as schedules build them, are kept as they are
+        if type(g) is type(t) is tuple and len(g) == len(t) and set(map(type, g + t)) <= {float}:
+            return
         g = np.asarray(self.gammas, dtype=float)
         t = np.asarray(self.thetas, dtype=float)
         if g.ndim != 1 or g.shape != t.shape:
@@ -177,8 +184,34 @@ class WeightDiagnostics:
     signs_alternate: bool
 
 
-def params_general(k: int, p: int) -> IterationParams:
-    """Parameter bundle of the order-p schedule at iteration k.
+@dataclass(frozen=True, eq=False)
+class ParamsBlock:
+    """Bundles of iterations k0 .. k0 + B - 1 as arrays: eta and theta_sum
+    (B,), gammas and thetas (B, q). Row j is the bundle of iteration k0 + j."""
+
+    k0: int
+    eta: np.ndarray
+    gammas: np.ndarray
+    thetas: np.ndarray
+    theta_sum: np.ndarray
+
+    def bundles(self) -> list[IterationParams]:
+        """The rows as IterationParams, in order of k."""
+        # k0 + j, not range(k0, ...): each k keeps the type k0 was given in
+        return list(
+            map(
+                IterationParams,
+                [self.k0 + j for j in range(len(self.eta))],
+                self.eta.tolist(),
+                map(tuple, self.gammas.tolist()),
+                map(tuple, self.thetas.tolist()),
+                self.theta_sum.tolist(),
+            )
+        )
+
+
+def params_block(p: int, k0: int, k1: int) -> ParamsBlock:
+    """Bundles of the order-p schedule at iterations k0 .. k1 - 1.
 
     With d = 3p + 1 and the shared power c = (k+p)^(2p/d):
 
@@ -186,30 +219,49 @@ def params_general(k: int, p: int) -> IterationParams:
 
     and the thetas solve (*) for those gammas via the closed form. Both
     exponentials share one log of (k+p) so a single bundle never mixes
-    inconsistent roundings of the base power.
+    inconsistent roundings of the base power. The logs, exponentials and
+    powers go through libm one value at a time (numpy's vector kernels can
+    be an ulp away) and theta_sum is the exactly rounded row sum; the rest
+    is exactly rounded arithmetic on whole columns. So a row has the same
+    bits whatever block computes it.
+
+    Raises:
+        ValueError: p < 2, k0 < 0 or k1 < k0.
+        OverflowError: an index beyond 64-bit float range.
+    """
+    _check_order(p)
+    _check_index(k0)
+    if k1 < k0:
+        raise ValueError(f"block end must be >= its start, got k0={k0}, k1={k1}")
+    try:
+        base = [float(k) + p for k in range(k0, k1)]
+    except OverflowError as exc:
+        raise OverflowError("iteration index exceeds 64-bit float range") from exc
+    lg = np.array(list(map(math.log, base)))
+    d = 3.0 * p + 1.0
+    c = np.array(list(map(math.exp, (2.0 * p / d * lg).tolist())))
+    eta = np.array(list(map(math.exp, (-(2.0 * p + 1.0) / d * lg).tolist())))
+    # c > 1, so these lie in (0,1) and decrease: valid by construction
+    gammas = 1.0 / (c[:, None] * np.arange(1.0, p))
+    thetas = _closed_form(gammas)
+    return ParamsBlock(
+        k0=k0,
+        eta=eta,
+        gammas=gammas,
+        thetas=thetas,
+        theta_sum=np.array(list(map(math.fsum, thetas.tolist()))),
+    )
+
+
+def params_general(k: int, p: int) -> IterationParams:
+    """Parameter bundle of the order-p schedule at iteration k: the one-row
+    block params_block(p, k, k + 1).
 
     Raises:
         ValueError: p < 2 or k < 0.
         OverflowError: k beyond 64-bit float range.
     """
-    _check_order(p)
-    _check_index(k)
-    try:
-        base = float(k) + p
-    except OverflowError as exc:
-        raise OverflowError("iteration index exceeds 64-bit float range") from exc
-    lg = math.log(base)
-    d = 3.0 * p + 1.0
-    c = math.exp(2.0 * p / d * lg)
-    if not math.isfinite(c):
-        raise OverflowError(f"(k+p)^(2p/(3p+1)) overflows at k={k}, p={p}")
-    eta = math.exp(-(2.0 * p + 1.0) / d * lg)
-    # c > 1 and finite, so these lie in (0,1) and decrease: valid by construction
-    gammas = [1.0 / (t * c) for t in range(1, p)]
-    thetas = _closed_form(gammas)
-    return IterationParams(
-        k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=math.fsum(thetas)
-    )
+    return params_block(p, k, k + 1).bundles()[0]
 
 
 def params_p3(k: int) -> IterationParams:
@@ -229,8 +281,8 @@ def params_p3(k: int) -> IterationParams:
     c = math.exp(3.0 / 5.0 * lg)
     eta = math.exp(-7.0 / 10.0 * lg)
     c2 = c * c
-    gammas = np.array([1.0 / c, 0.5 / c])
-    thetas = np.array([(2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2)])
+    gammas = (1.0 / c, 0.5 / c)
+    thetas = ((2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2))
     return IterationParams(
         k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=math.fsum(thetas)
     )
@@ -260,19 +312,24 @@ def init_params(q: int) -> IterationParams:
     )
 
 
-def _closed_form(vals: list) -> list:
-    """solve_weights_closed_form on a valid row of Python floats; the same
-    IEEE operations as numpy scalars, a fraction of the per-operation
-    overhead."""
-    q = len(vals)
-    th = []
-    for i, gi in enumerate(vals):
-        f = 1.0
-        for s, gs in enumerate(vals):
-            if s != i:
-                f *= (gs - 1.0) / (gs - gi)
-        th.append(gi**q * f)
-    return th
+# tiny or nearly equal gammas may overflow a factor, as the scalar product would, quietly
+@np.errstate(over="ignore", invalid="ignore")
+def _closed_form(g: np.ndarray) -> np.ndarray:
+    """solve_weights_closed_form on valid rows of gammas (B, q).
+
+    Each row has the bits of the scalar product: the factors are exactly
+    rounded operations, multiplied in order of s with 1.0 standing in at
+    s = t (an exact no-op), and gamma**q goes through libm's pow per value
+    (numpy's integer powers square instead).
+    """
+    q = g.shape[1]
+    num = g[:, None, :] - 1.0  # [b, t, s] = gamma_s - 1
+    eye = np.eye(q, dtype=bool)
+    ratio = num / np.where(eye, num, g[:, None, :] - g[:, :, None])
+    f = ratio[:, :, 0]
+    for s in range(1, q):
+        f = f * ratio[:, :, s]
+    return np.array([x**q for x in g.ravel().tolist()]).reshape(g.shape) * f
 
 
 def solve_weights_closed_form(gammas) -> np.ndarray:
@@ -284,7 +341,7 @@ def solve_weights_closed_form(gammas) -> np.ndarray:
     empty product collapses to theta = gamma exactly. Signs alternate:
     theta_t > 0 for odd t, theta_t < 0 for even t.
     """
-    return np.array(_closed_form(_as_gamma_array(gammas).tolist()))
+    return _closed_form(_as_gamma_array(gammas)[None, :])[0]
 
 
 def solve_weights_linear(gammas) -> np.ndarray:

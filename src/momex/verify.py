@@ -24,7 +24,8 @@ from .problems import (
 )
 from .schedule import (
     p3_arrays,
-    params_general,
+    params_block,
+    params_general,  # unused here; verify.params_general stays importable
     params_p3,
     schedule_arrays,
     solve_weights_linear,
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
+# rows per params_block call, as in the optimizer's loop: whole-chunk blocks
+# would put its (rows, q, q) temporaries of megabytes on the allocator's heap
+_BUNDLE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -382,6 +386,11 @@ def _sweep_chunks(k_max: int):
         start = stop
 
 
+def _bundle_blocks(p: int, k0: int, k1: int):
+    """params_block over k0 .. k1 - 1, _BUNDLE_ROWS indices at a time."""
+    return (params_block(p, a, min(a + _BUNDLE_ROWS, k1)) for a in range(k0, k1, _BUNDLE_ROWS))
+
+
 def weight_residual_sweep(p: int, k_max: int) -> float:
     """Worst scaled residual of the schedule weights in the defining
     system over k in 0..k_max.
@@ -409,20 +418,16 @@ def dense_agreement_sweep(p: int, k_max: int) -> float:
     """Worst relative gap between the production weights and the dense
     linear-solve oracle over k in 0..k_max.
 
-    The production bundles come one k at a time from params_general, the
-    scalar path the optimizer consumes; the oracle is batched over k, one
-    stacked solve_weights_linear call per sweep chunk, and shares no code
-    with the closed-form product.
+    The production bundles come from params_block, a block of indices at a
+    time: the bundles the optimizer consumes, bit for bit params_general.
+    The oracle is batched over k too, one stacked solve_weights_linear call
+    per sweep chunk, and shares no code with the closed-form product.
     """
     worst = 0.0
     for ks in _sweep_chunks(k_max):
-        gam = np.empty((ks.size, p - 1))
-        th = np.empty_like(gam)
-        for i, k in enumerate(ks.astype(int).tolist()):
-            params = params_general(k, p)
-            gam[i] = params.gammas
-            th[i] = params.thetas
-        ref = solve_weights_linear(gam)
+        blocks = list(_bundle_blocks(p, int(ks[0]), int(ks[-1]) + 1))
+        th = np.concatenate([b.thetas for b in blocks])
+        ref = solve_weights_linear(np.concatenate([b.gammas for b in blocks]))
         gap = np.abs(th - ref).max(axis=1) / np.abs(ref).max(axis=1)
         worst = max(worst, float(gap.max()))
     return worst
@@ -560,20 +565,19 @@ def bound_sweep(p: int, k_max: int = 10**6) -> CheckReport:
 
 def p3_consistency_check(k_max: int = 10**4) -> CheckReport:
     """The dedicated order-3 schedule against the general one at p = 3,
-    every field, relative tolerance 1e-14."""
+    every field, relative tolerance 1e-14.
+
+    The general side comes from params_block, a block of indices at a
+    time; the dedicated side stays the scalar literal form, params_p3 per k.
+    """
     worst = 0.0
-    for k in range(k_max + 1):
-        a = params_general(k, 3)
-        b = params_p3(k)
-        for u, v in (
-            (a.eta, b.eta),
-            (a.theta_sum, b.theta_sum),
-            (a.gammas[0], b.gammas[0]),
-            (a.gammas[1], b.gammas[1]),
-            (a.thetas[0], b.thetas[0]),
-            (a.thetas[1], b.thetas[1]),
-        ):
-            worst = max(worst, abs(u - v) / abs(v))
+    for a in _bundle_blocks(3, 0, k_max + 1):
+        general = np.column_stack([a.eta, a.theta_sum, a.gammas, a.thetas])
+        dedicated = np.array([
+            (b.eta, b.theta_sum, *b.gammas, *b.thetas)
+            for b in map(params_p3, range(a.k0, a.k0 + len(a.eta)))
+        ])
+        worst = max(worst, float((np.abs(general - dedicated) / np.abs(dedicated)).max()))
     return CheckReport(
         name="p3-consistency",
         passed=worst <= 1e-14,

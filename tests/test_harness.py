@@ -82,6 +82,8 @@ def test_validation_messages_name_the_flags():
                           "--dataset", "x.csv", "--iters", "1"])
     with pytest.raises(har.ConfigError, match="--dim"):
         har.parse_config(["--alg", "sg", "--problem", "quadratic", "--iters", "1"])
+    with pytest.raises(har.ConfigError, match="--out must name a file"):
+        har.RunConfig(algorithm="sg", problem="quadratic", dim=2, iters=1, out="")
 
 
 @pytest.mark.parametrize(
@@ -423,18 +425,31 @@ def test_cli_diverging_run_warns_once(tmp_path, capsys, to_file):
         assert json.loads(printed.out)["status"] == "non-finite at 51"
 
 
-@pytest.mark.parametrize("argv", [
+_OUT_COMMANDS = [
     ["run", "--alg", "sg", "--problem", "quadratic", "--dim", "2", "--iters", "3"],
     ["compare", "--algs", "sg", "--problem", "quadratic", "--dim", "2", "--budget", "3",
      "--seeds", "1"],
     ["verify", "--k-max", "3", "--bound-k-max", "0", "--draws", "10000"],
-], ids=lambda argv: argv[0])
+    ["gen-data", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS, ids=lambda argv: argv[0])
 def test_cli_unwritable_out_names_the_path(tmp_path, capsys, argv):
     path = tmp_path / "no" / "such.json"
     assert har.main([*argv, "--out", str(path)]) == 2
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("argv", _OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_empty_out_is_rejected(capsys, argv):
+    assert har.main([*argv, "--out", ""]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and "--out" in printed.err
+    assert "empty path" in printed.err
 
 
 def test_cli_rejects_bad_input(capsys):
@@ -454,6 +469,12 @@ def test_cli_gen_data_round_trips(tmp_path):
     assert rc == 0
     ds = prob.load_csv_dataset(out)
     assert ds.m == ds.n == 7
+    # the same bytes save_dataset writes, csv's \r\n line ends included
+    saved = tmp_path / "saved.csv"
+    prob.save_dataset(prob.generate_synthetic(7, seed=3), saved)
+    assert out.read_bytes() == saved.read_bytes()
+    assert saved.read_bytes().count(b"\r\n") == 8
+    assert out.read_bytes().decode() == prob.dataset_to_csv(prob.generate_synthetic(7, seed=3))
 
 
 def test_cli_compare_runs(tmp_path, capsys):

@@ -404,3 +404,31 @@ def test_run_batch_rejects_bad_arguments():
         opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [5], [], [1])
     with pytest.raises(ValueError, match="1 kinds, 2 budgets, 1 log strides"):
         opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [5, 6], [0], [1])
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_run_reads_bundle_blocks_bit_for_bit(p):
+    """run fetches mem's bundles a loop block at a time (at most 256
+    iterations); across three blocks every step is the one mem_step takes
+    on params_general(k, p)."""
+    problem, noise = _datafit(), prob.NoiseModel("scalar-gaussian-envelope", 1.0)
+    budget, x0 = 600, np.ones(10)
+    kind = opt.mem(sched.ScheduleConfig(p=p, q=p - 1))
+    got = opt.run(kind, problem, noise, x0, budget, seed=9, store_iterates=True)
+    state, iterates = opt.initial_state(x0, p - 1), [x0]
+    for k in range(budget):
+        sample = prob.draw_sample(noise, problem.dim, 9, k)
+        state = opt.mem_step(state, sched.params_general(k, p), _oracle(problem, noise), sample)
+        iterates.append(state.x_cur)
+    _same_state(got.state, state)
+    c, want = got.state.carry, state.carry
+    assert (c.k, c.eta, c.gammas, c.thetas, c.theta_sum) == (
+        want.k, want.eta, want.gammas, want.thetas, want.theta_sum)
+    assert all(np.array_equal(a, b) for a, b in zip(got.iterates, iterates, strict=True))
+
+
+def test_hand_built_streams_are_read_one_k_after_another():
+    seen = []
+    kind = opt.AlgorithmKind("probe", 1, lambda k: seen.append(k) or opt.sg().params(k))
+    opt.run(kind, _datafit(), prob.NoiseModel(), np.ones(10), 300, seed=0, log_stride=50)
+    assert seen == list(range(300))

@@ -332,3 +332,77 @@ def test_p3_arrays_match_scalar_path():
         assert math.isclose(eta[j], pm.eta, rel_tol=5e-15)
         np.testing.assert_allclose(gam[:, j], pm.gammas, rtol=5e-15, atol=0)
         np.testing.assert_allclose(th[:, j], pm.thetas, rtol=5e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the block stream of bundles is bit for bit the scalar formula
+# ---------------------------------------------------------------------------
+
+def _params_general_literal(k, p):
+    # the order-p bundle as the scalar path computed it, one k at a time on
+    # Python floats: the reference params_block must reproduce bit for bit
+    lg = math.log(float(k) + p)
+    d = 3.0 * p + 1.0
+    c = math.exp(2.0 * p / d * lg)
+    eta = math.exp(-(2.0 * p + 1.0) / d * lg)
+    gammas = [1.0 / (t * c) for t in range(1, p)]
+    q = len(gammas)
+    thetas = []
+    for i, gi in enumerate(gammas):
+        f = 1.0
+        for s, gs in enumerate(gammas):
+            if s != i:
+                f *= (gs - 1.0) / (gs - gi)
+        thetas.append(gi**q * f)
+    return eta, gammas, thetas, math.fsum(thetas)
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+@pytest.mark.parametrize("k0", [0, 250, 10**6 - 40, 2**40])
+def test_params_block_bitwise_equals_scalar_formula(p, k0):
+    k1 = k0 + 300  # from 250 the block crosses 255/256
+    block = sched.params_block(p, k0, k1)
+    assert block.k0 == k0
+    assert block.eta.shape == block.theta_sum.shape == (k1 - k0,)
+    assert block.gammas.shape == block.thetas.shape == (k1 - k0, p - 1)
+    bundles = block.bundles()
+    for j, k in enumerate(range(k0, k1)):
+        eta, gammas, thetas, theta_sum = _params_general_literal(k, p)
+        assert block.eta[j] == eta and block.theta_sum[j] == theta_sum
+        assert block.gammas[j].tolist() == gammas and block.thetas[j].tolist() == thetas
+        one = sched.params_general(k, p)
+        for b in (bundles[j], one):
+            assert (b.k, b.eta, b.gammas, b.thetas, b.theta_sum) == (
+                k, eta, tuple(gammas), tuple(thetas), theta_sum)
+            assert all(type(v) is float for v in (b.eta, b.theta_sum, *b.gammas, *b.thetas))
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+def test_params_block_rows_do_not_depend_on_the_split(p):
+    k0, k1 = 1000, 1400
+    whole = sched.params_block(p, k0, k1)
+    for cuts in ([1001], [1255, 1256, 1257], [1100, 1100, 1399], list(range(1007, 1400, 97))):
+        edges = [k0, *cuts, k1]
+        parts = [sched.params_block(p, a, b) for a, b in zip(edges, edges[1:])]
+        for field in ("eta", "gammas", "thetas", "theta_sum"):
+            joined = np.concatenate([getattr(part, field) for part in parts])
+            assert joined.tobytes() == getattr(whole, field).tobytes()
+
+
+def test_params_block_errors():
+    for p in (1, 0, 2.0, 3.5):
+        with pytest.raises(ValueError, match="smoothness order"):
+            sched.params_block(p, 0, 5)
+    with pytest.raises(ValueError, match="iteration index must be >= 0"):
+        sched.params_block(3, -1, 5)
+    with pytest.raises(ValueError, match="block end"):
+        sched.params_block(3, 5, 4)
+    with pytest.raises(OverflowError, match="64-bit float range"):
+        sched.params_block(3, 10**400, 10**400 + 2)
+    with pytest.raises(ValueError, match="iteration index must be >= 0"):
+        sched.params_general(-1, 3)
+    with pytest.raises(OverflowError, match="64-bit float range"):
+        sched.params_general(10**400, 3)
+    empty = sched.params_block(4, 7, 7)
+    assert empty.gammas.shape == empty.thetas.shape == (0, 3)
+    assert empty.bundles() == []
