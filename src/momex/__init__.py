@@ -2,7 +2,7 @@
 
 Submodules: schedule (per-iteration parameter rules and their closed
 forms), problems (benchmark objectives, noise model, datasets), optimizer
-(the step kernels and run loop), verify (independent oracles for every
+(the step kernel and run loop), verify (independent oracles for every
 identity and bound), harness (CLI and experiment plumbing).
 """
 

@@ -1,10 +1,10 @@
 """Normalized stochastic gradient methods as parameter streams into one kernel.
 
-Every method runs the same recursion, mem_step: evaluate the stochastic
-gradient at q points extrapolated from the last two iterates, all on one
-shared noise draw, fold them into the momentum with signed weights, and
-step. A method is an AlgorithmKind: its q, a stream k -> IterationParams
-(read a block of iterations at a time), and whether the step is normalized.
+Every method runs the same recursion: evaluate the stochastic gradient at
+q points extrapolated from the last two iterates, all on one shared noise
+draw, fold them into the momentum with signed weights, and step. A method
+is an AlgorithmKind: its q, a stream k -> IterationParams read a block at
+a time as a ParamsBlock, and whether the step is normalized.
 
 - mem: the order-p schedule, q = p - 1 extrapolations.
 - sg-pm (normalized Polyak momentum): gamma = 1, so the query point is x
@@ -14,8 +14,9 @@ step. A method is an AlgorithmKind: its q, a stream k -> IterationParams
 - sg: gamma = theta = 1, so m = g, and an unnormalized step x - eta_k g.
 
 A state holds one run, (n,), or a stack of runs, (S, n), whose rows each
-get the bits they would get alone; run_batch steps all seeds of several
-kinds together and run is its one-kind, one-seed case.
+get the bits they would get alone. One kernel steps a state through the
+rows of a ParamsBlock, and mem_step is its one-row case; run_batch steps
+all seeds of several kinds that way, and run is its one-kind, one-seed case.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .problems import NoiseModel, Sample, SmoothProblem, _norm, draw_sample, stochastic_grad
 from .schedule import (
     IterationParams,
+    ParamsBlock,
     ScheduleConfig,
     init_params,
     params_block,
@@ -138,6 +140,43 @@ def normalized_step(
 Oracle = Callable[[np.ndarray, Sample], np.ndarray]
 
 
+def _steps(
+    state: OptimizerState, block: ParamsBlock, oracle: Oracle, samples: Sequence[Sample],
+    normalized: bool, stop: Callable[[], bool] = lambda: False,
+) -> Tuple[OptimizerState, np.ndarray, np.ndarray]:
+    """The recursion every method runs, over the rows of block from state at
+    k = block.k0. Iteration k queries the oracle once, at the q points
+    extrapolated with the carried (previous-iteration) gammas stacked as
+    (q, ..., n), all on samples[k - k0], folds them into the momentum with
+    the carried thetas, then steps with row k's eta: a fixed length along
+    m/||m||, or eta m when not normalized; row k becomes the carry. stop()
+    after an iteration ends the block there. Returns the state after the
+    block and the block's x^k0 .. and m^k0 .., stacked."""
+    gammas = [state.carry.gammas, *block.gammas.tolist()]  # [j]: carried into row j
+    thetas = [state.carry.thetas, *block.thetas.tolist()]
+    x_prev, x, m, zero_steps = state.x_prev, state.x_cur, state.m, state.zero_steps
+    # each step's arrays are copied out and freed at once (holding them is slower)
+    X, M = np.empty((len(block.eta) + 1, *x.shape)), np.empty((len(block.eta), *x.shape))
+    X[0] = x
+    for j, eta in enumerate(block.eta.tolist()):
+        zs = tuple(extrapolate(x, x_prev, g) for g in gammas[j])
+        m = momentum_update(m, thetas[j], oracle(np.array(zs), samples[j]))
+        if normalized:
+            x_next, zero = normalized_step(x, m, eta)
+        elif not eta > 0.0:
+            raise ValueError(f"eta must be positive, got {eta}")
+        else:
+            x_next, zero = x - eta * m, False
+        x_prev, x, zero_steps = x, x_next, zero_steps + zero
+        X[j + 1], M[j] = x, m
+        if stop():
+            break
+    carry = IterationParams(block.k0 + j, eta, tuple(gammas[j + 1]), tuple(thetas[j + 1]),
+                            block.theta_sum[j].item())
+    return OptimizerState(x_prev, x, m, block.k0 + j + 1, carry,
+                          state.oracle_calls + (j + 1) * len(zs), zero_steps, zs), X, M
+
+
 def mem_step(
     state: OptimizerState,
     params: IterationParams,
@@ -145,67 +184,38 @@ def mem_step(
     sample: Sample,
     normalized: bool = True,
 ) -> OptimizerState:
-    """One iteration of the shared recursion every method runs.
-
-    Queries the oracle once, at the q points extrapolated with the carried
-    (previous-iteration) gammas stacked as (q, ..., n), all on the shared
-    sample, folds them into the momentum with the carried thetas, then
-    steps with this iteration's eta: a fixed length along m/||m||, or eta m
-    when not normalized. params becomes the next carry, for every run.
-    """
-    if params.k != state.k:
-        raise ValueError(f"params are for k={params.k}, state is at k={state.k}")
-    zs = tuple(
-        extrapolate(state.x_cur, state.x_prev, g) for g in state.carry.gammas
-    )
-    grads = oracle(np.array(zs), sample)
-    m = momentum_update(state.m, state.carry.thetas, grads)
-    if normalized:
-        x_next, zero = normalized_step(state.x_cur, m, params.eta)
-    elif not params.eta > 0.0:
-        raise ValueError(f"eta must be positive, got {params.eta}")
-    else:
-        x_next, zero = state.x_cur - params.eta * m, False
-    return OptimizerState(
-        x_prev=state.x_cur,
-        x_cur=x_next,
-        m=m,
-        k=state.k + 1,
-        carry=params,
-        oracle_calls=state.oracle_calls + len(zs),
-        zero_steps=state.zero_steps + zero,
-        zs=zs,
-    )
+    """One iteration: the kernel on params as a one-row block, at state.k."""
+    kind = AlgorithmKind("mem_step", state.carry.q, lambda k: params)
+    return _steps(state, kind.bundles(state.k, state.k + 1), oracle, [sample], normalized)[0]
 
 
 @dataclass(frozen=True)
 class AlgorithmKind:
-    """A method as mem_step sees it: q query points per iteration, the
+    """A method as the kernel sees it: q query points per iteration, the
     bundle for each iteration k, and whether the step is normalized.
 
-    block, when given, returns the bundles of iterations k0 .. k1 - 1 in
-    one call, each the one params(k) returns."""
+    block, when given, returns the ParamsBlock of iterations k0 .. k1 - 1
+    in one call, row k the bundle params(k) returns."""
 
     name: str
     q: int
     params: Callable[[int], IterationParams]
     normalized: bool = True
-    block: Optional[Callable[[int, int], Sequence[IterationParams]]] = None
+    block: Optional[Callable[[int, int], ParamsBlock]] = None
 
-    def bundles(self, k0: int, k1: int) -> Iterable[IterationParams]:
-        """Bundles of iterations k0 .. k1 - 1 in order: the block view, or
-        params(k) for one k after another."""
+    def bundles(self, k0: int, k1: int) -> ParamsBlock:
+        """Bundles of iterations k0 .. k1 - 1 as one block: the block view,
+        or params(k) read for one k after another, each checked to be for
+        its k with this kind's q, and stacked."""
         if self.block is not None:
             return self.block(k0, k1)
-        return map(self.params, range(k0, k1))
-
-
-def _unextrapolated(k: int, theta: float, eta: float) -> IterationParams:
-    """q = 1 bundle that queries x itself (gamma = 1) and mixes the next
-    gradient in with weight theta."""
-    return IterationParams(
-        k=k, eta=eta, gammas=[1.0], thetas=[theta], theta_sum=theta
-    )
+        rows = [self.params(k) for k in range(k0, k1)]
+        for k, p in enumerate(rows, k0):
+            if (p.k, p.q) != (k, self.q):
+                raise ValueError(f"params are for k={p.k} with q={p.q}, "
+                                 f"state is at k={k} with q={self.q}")
+        return ParamsBlock(k0, *(np.array([getattr(p, c) for p in rows])
+                                 for c in ("eta", "gammas", "thetas", "theta_sum")))
 
 
 def mem(schedule: ScheduleConfig) -> AlgorithmKind:
@@ -214,7 +224,7 @@ def mem(schedule: ScheduleConfig) -> AlgorithmKind:
         name="mem",
         q=schedule.q,
         params=lambda k: params_for(schedule, k),
-        block=lambda k0, k1: params_block(schedule.p, k0, k1).bundles(),
+        block=lambda k0, k1: params_block(schedule.p, k0, k1),
     )
 
 
@@ -225,7 +235,7 @@ def sg(eta_rule: Optional[Callable[[int], float]] = None) -> AlgorithmKind:
     return AlgorithmKind(
         name="sg",
         q=1,
-        params=lambda k: _unextrapolated(k, 1.0, eta_rule(k)),
+        params=lambda k: IterationParams(k, eta_rule(k), (1.0,), (1.0,), 1.0),
         normalized=False,
     )
 
@@ -244,7 +254,7 @@ def sg_pm(
         gamma = gamma_rule(k)
         if not 0.0 < gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        return _unextrapolated(k, gamma, eta_rule(k))
+        return IterationParams(k, eta_rule(k), (1.0,), (gamma,), gamma)
 
     return AlgorithmKind(name="sg-pm", q=1, params=params)
 
@@ -346,7 +356,7 @@ def run_batch(
 
     All seeds of a kind step as one (S, n) state; the kinds advance block
     by block, each block's (seed, k) draws made once for all of them and
-    each kind's bundles for the block read in one kind.bundles call. Every
+    each kind's bundles for the block stepped as one ParamsBlock. Every
     run is bit for bit what it is alone (elapsed_seconds aside).
     """
     x0, S, seeds = np.asarray(x0, dtype=float), len(seeds), tuple(seeds)
@@ -370,29 +380,24 @@ def run_batch(
             recs.extend(map(TrajectoryRecord, ks, *row, calls, times))
 
     block, stopped = max(1, min(_BLOCK_MAX, _BLOCK_VALUES // (S * x0.size))), False
+    wall, times = math.inf if wall_seconds is None else wall_seconds, []
+
+    def past_wall():  # the clock is read once after each iteration
+        times.append(time.perf_counter() - t0)
+        return times[-1] > wall
+
     for k0 in range(0, max(budgets), block):
         k1 = min(k0 + block, max(budgets))
         xis = np.zeros((k1 - k0, S)) if noise.kind == "none" else np.array(
             [[draw_sample(noise, problem.dim, s, k).xi for s in seeds] for k in range(k0, k1)])
+        samples = [Sample(xi, seeds, k) for k, xi in zip(range(k0, k1), xis)]
         for i, kind in enumerate(kinds):
             if stopped or budgets[i] <= k0:
                 continue
-            # x^k0 .. and m^k0 .. of the block, copied so that each step's arrays
-            # are freed at once (holding them slows numpy's allocator)
-            X, M = np.empty((k1 - k0 + 1, S, x0.size)), np.empty((k1 - k0, S, x0.size))
-            state, calls, times = states[i], [], []
-            X[0] = state.x_cur
-            stop = min(k1, budgets[i])
-            for k, params in zip(range(k0, stop), kind.bundles(k0, stop)):
-                sample = Sample(xis[k - k0], seeds, k)
-                state = mem_step(state, params, oracle, sample, kind.normalized)
-                X[k - k0 + 1], M[k - k0] = state.x_cur, state.m
-                calls.append(state.oracle_calls)
-                times.append(time.perf_counter() - t0)
-                if wall_seconds is not None and times[-1] > wall_seconds:
-                    stopped = True
-                    break
-            states[i], n = state, len(calls)
+            times.clear()
+            states[i], X, M = _steps(states[i], kind.bundles(k0, min(k1, budgets[i])), oracle,
+                                     samples, kind.normalized, past_wall)
+            n, stopped = len(times), times[-1] > wall
             if store_iterates:
                 iterates[i].extend(X[1 : n + 1])
             bad = ~(np.isfinite(X[1 : n + 1]).all(-1) & np.isfinite(np.vecdot(M[:n], M[:n])))
@@ -400,8 +405,8 @@ def run_batch(
             # row k pairs x^k (the point the momentum was computed at) with m^k
             rows = [j for j in range(n)
                     if (k0 + j) % log_strides[i] == 0 or k0 + j == budgets[i] - 1]
-            log(i, X[rows], M[rows], [k0 + j for j in rows], [calls[j] for j in rows],
-                [times[j] for j in rows])
+            log(i, X[rows], M[rows], [k0 + j for j in rows],
+                [(k0 + j + 1) * kind.q for j in rows], [times[j] for j in rows])
         if stopped:
             break
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -75,38 +75,23 @@ def _check_index(k) -> None:
         raise ValueError(f"iteration index must be >= 0, got {k}")
 
 
-def _gamma_fault(vals: list) -> Optional[str]:
-    """Why a row of gammas (Python floats) is not valid input, or None."""
-    if not all(0.0 < v < 1.0 for v in vals):
-        return "extrapolation coefficients must lie in (0,1)"
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        return "extrapolation coefficients must be strictly decreasing"
-    return None
-
-
-def _as_gamma_array(gammas) -> np.ndarray:
+def _as_gamma_stack(gammas, stack: bool = True) -> np.ndarray:
+    """Gammas as an (N, q) stack, every row in (0,1) and strictly
+    decreasing. A 1-d input is the stack of one and keeps the single-vector
+    messages; stack=False refuses every other shape."""
     g = np.asarray(gammas, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("gammas must be a nonempty 1-d array")
-    fault = _gamma_fault(g.tolist())
-    if fault is not None:
-        raise ValueError(f"{fault}, got {g}")
-    return g
-
-
-def _as_gamma_stack(gammas) -> np.ndarray:
-    """Gammas as an (N, q) stack with every row checked; a 1-d input is
-    the stack of one and keeps the single-vector messages."""
-    g = np.asarray(gammas, dtype=float)
-    if g.ndim == 1:
-        return _as_gamma_array(g)[None, :]
-    if g.ndim != 2 or g.size == 0:
-        raise ValueError("gammas must be a nonempty 1-d array or (N, q) stack")
-    ok = ((g > 0.0) & (g < 1.0)).all(axis=1) & (np.diff(g, axis=1) < 0.0).all(axis=1)
+    if g.size == 0 or g.ndim not in ((1, 2) if stack else (1,)):
+        suffix = " or (N, q) stack" if stack and g.ndim != 1 else ""
+        raise ValueError(f"gammas must be a nonempty 1-d array{suffix}")
+    rows = g.reshape(-1, g.shape[-1])
+    inside = ((rows > 0.0) & (rows < 1.0)).all(axis=1)
+    ok = inside & (np.diff(rows, axis=1) < 0.0).all(axis=1)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValueError(f"bundle {i}: {_gamma_fault(g[i].tolist())}, got {g[i]}")
-    return g
+        where = "" if g.ndim == 1 else f"bundle {i}: "
+        fault = "lie in (0,1)" if not inside[i] else "be strictly decreasing"
+        raise ValueError(f"{where}extrapolation coefficients must {fault}, got {rows[i]}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -341,7 +326,7 @@ def solve_weights_closed_form(gammas) -> np.ndarray:
     empty product collapses to theta = gamma exactly. Signs alternate:
     theta_t > 0 for odd t, theta_t < 0 for even t.
     """
-    return _closed_form(_as_gamma_array(gammas)[None, :])[0]
+    return _closed_form(_as_gamma_stack(gammas, stack=False))[0]
 
 
 def solve_weights_linear(gammas) -> np.ndarray:
@@ -389,7 +374,7 @@ def weight_sum_closed_form(gammas) -> float:
     Algebraically 1 - prod_t (1 - gamma_t); accumulated as s <- s + g - s*g
     so every partial term stays positive and no leading digits cancel.
     """
-    g = _as_gamma_array(gammas)
+    g = _as_gamma_stack(gammas, stack=False)[0]
     s = 0.0
     for gt in g:
         s += gt - s * gt

@@ -1,12 +1,15 @@
-"""Every method is mem_step fed by a parameter stream; these tests hold the
-baselines to their textbook recursions, written out literally here, and
-pin how far mem(p=3) drifts from the literal order-3 schedule."""
+"""Every method is one step kernel fed by a parameter stream; these tests
+hold mem and the baselines to their textbook recursions, written out
+literally here, and pin how far mem(p=3) drifts from the literal order-3
+schedule."""
 
 import importlib
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +27,9 @@ def _strip_timing(records):
     ]
 
 
-def _literal_run(problem, noise, x0, seed, update):
-    """Records of a literal recursion, logged the way run logs them.
+def _literal_run(problem, noise, x0, seed, update, budget=BUDGET, q=1):
+    """Records of a literal recursion with q oracle calls per iteration,
+    logged the way run logs them.
 
     update(k, x_prev, x, m, g) -> (x_next, m_next), where g(z) is the
     oracle on iteration k's noise draw.
@@ -37,17 +41,18 @@ def _literal_run(problem, noise, x0, seed, update):
     def row(k, x, m, calls):
         g = problem.gradient(x)
         f = problem.value(x)
-        return (k, float(f), float(f / f0), float(np.linalg.norm(g)),
+        rel = f / f0 if f0 != 0.0 else math.nan  # run's rel_obj at a zero start
+        return (k, float(f), float(rel), float(np.linalg.norm(g)),
                 float(np.linalg.norm(m - g)), calls)
 
     rows = []
-    for k in range(BUDGET):
+    for k in range(budget):
         sample = prob.draw_sample(noise, problem.dim, seed, k)
         g = lambda z: prob.stochastic_grad(problem, noise, z, sample)
         x_next, m = update(k, x_prev, x, m, g)
-        rows.append(row(k, x, m, k + 1))
+        rows.append(row(k, x, m, (k + 1) * q))
         x_prev, x = x, x_next
-    rows.append(row(BUDGET, x, m, BUDGET))
+    rows.append(row(budget, x, m, budget * q))
     return rows, x, m
 
 
@@ -72,7 +77,8 @@ def _setup(name, n, kind, sigma):
 
 def _assert_same(result, literal):
     rows, x, m = literal
-    assert _strip_timing(result.records) == rows
+    # NaN (rel_obj from a zero objective) equals NaN; every other value must match exactly
+    assert np.array_equal(_strip_timing(result.records), rows, equal_nan=True)
     assert np.array_equal(result.state.x_cur, x)
     assert np.array_equal(result.state.m, m)
 
@@ -126,6 +132,61 @@ def test_nigt_is_implicit_gradient_transport(name, noise_kind, n, sigma, gamma, 
 
     result = opt.run(opt.nigt(gamma, eta), problem, noise, x0, BUDGET, seed)
     _assert_same(result, _literal_run(problem, noise, x0, seed, update))
+
+
+def _mem_update(p):
+    """mem's recursion written out: iteration k extrapolates and weighs with
+    the previous iteration's bundle (the warm-up bundle gamma = 1,
+    theta = 1/q at k = 0) and steps with its own eta."""
+    q = p - 1
+    carried = [[1.0] * q, [1.0 / q] * q]
+
+    def update(k, x_prev, x, m, g):
+        gammas, thetas = carried
+        m = (1.0 - math.fsum(thetas)) * m
+        for gamma, theta in zip(gammas, thetas):
+            m = m + theta * g(x + ((1.0 - gamma) / gamma) * (x - x_prev))
+        bundle = sch.params_general(k, p)
+        carried[:] = bundle.gammas, bundle.thetas
+        return _normalized(x, m, bundle.eta), m
+
+    return update
+
+
+@pytest.mark.parametrize("p", [3, 4])
+@pytest.mark.parametrize("name", ["datafit", "quadratic"])
+def test_mem_is_the_extrapolated_momentum_recursion(name, p):
+    """Across three loop blocks, every seed of a run_batch stack is the
+    literal recursion; from the quadratic's minimizer every step of every
+    seed has a zero direction and stays put."""
+    problem, noise = _setup(name, 6, "elementwise-gaussian-envelope", 2.0)
+    x0 = np.zeros(problem.dim) if name == "quadratic" else np.ones(problem.dim)
+    seeds, budget = [0, 1, 2], 600
+    (results,) = opt.run_batch([opt.mem(sch.ScheduleConfig(p=p, q=p - 1))], problem, noise, x0,
+                               [budget], seeds, [1])
+    for seed, result in zip(seeds, results):
+        literal = _literal_run(problem, noise, x0, seed, _mem_update(p), budget, q=p - 1)
+        _assert_same(result, literal)
+        assert result.state.zero_steps == (budget if name == "quadratic" else 0)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_mem_step_on_a_stack_is_the_recursion_row_by_row(p):
+    """A stacked state whose first row sits at the minimizer (a zero
+    direction at every step) steps each row as the literal recursion does."""
+    problem, noise = _setup("quadratic", 5, "elementwise-gaussian-envelope", 1.5)
+    x0 = np.array([np.zeros(5), np.linspace(-1.0, 1.0, 5), np.full(5, 0.3)])
+    seeds, budget = (4, 5, 6), 600
+    kind = opt.mem(sch.ScheduleConfig(p=p, q=p - 1))
+    oracle = lambda z, sample: prob.stochastic_grad(problem, noise, z, sample)
+    state = opt.initial_state(x0, kind.q)
+    for k in range(budget):
+        xi = np.array([prob.draw_sample(noise, 5, s, k).xi for s in seeds])
+        state = opt.mem_step(state, kind.params(k), oracle, prob.Sample(xi, seeds, k))
+    for i, seed in enumerate(seeds):
+        _, x, m = _literal_run(problem, noise, x0[i], seed, _mem_update(p), budget, q=p - 1)
+        assert np.array_equal(state.x_cur[i], x) and np.array_equal(state.m[i], m)
+    assert list(state.zero_steps) == [budget, 0, 0]
 
 
 def test_mem_p3_tracks_the_literal_order3_schedule():

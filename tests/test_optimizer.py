@@ -432,3 +432,56 @@ def test_hand_built_streams_are_read_one_k_after_another():
     kind = opt.AlgorithmKind("probe", 1, lambda k: seen.append(k) or opt.sg().params(k))
     opt.run(kind, _datafit(), prob.NoiseModel(), np.ones(10), 300, seed=0, log_stride=50)
     assert seen == list(range(300))
+
+
+class _CountingClock:
+    """perf_counter that reads 0, 1, 2, .. on successive calls."""
+
+    def __init__(self):
+        self.calls = -1
+
+    def perf_counter(self):
+        self.calls += 1
+        return float(self.calls)
+
+
+@pytest.mark.parametrize("stop_kind", [0, 1])
+@pytest.mark.parametrize("stop_k", [100, 255])
+def test_wall_clock_stops_after_the_iteration_that_crosses_it(monkeypatch, stop_kind, stop_k):
+    """The loop reads the clock once at the start and once after each
+    iteration, kind after kind within a block of 256 iterations. Kind 0's
+    iteration k ends at time k + 1 and kind 1's at 256 + k + 1, so each
+    ceiling below is first crossed by iteration stop_k of kind stop_kind,
+    mid-block (k = 100) or on a block's last step (k = 255). The batch
+    stops right after it; a kind that has not reached the block stays at 0."""
+    monkeypatch.setattr(opt, "time", _CountingClock())
+    kinds = [opt.mem(sched.ScheduleConfig(p=3, q=2)), opt.sg(lambda k: 0.01)]
+    problem = prob.quadratic_problem(10, conditioning=4.0)
+    noise = prob.NoiseModel("scalar-gaussian-envelope", 1.0)
+    wall = 256 * stop_kind + stop_k + 0.5
+    batches = opt.run_batch(kinds, problem, noise, np.ones(10), [1000, 1000], [0, 1],
+                            [50, 50], wall_seconds=wall)
+    want = [256, 256][:stop_kind] + [stop_k + 1] + [0][: 1 - stop_kind]
+    for kind, results, k in zip(kinds, batches, want):
+        for res in results:
+            assert res.state.k == k
+            assert res.status == "wall-clock"
+            assert res.records[-1].k == k
+            assert res.records[-1].oracle_calls == res.state.oracle_calls == k * kind.q
+
+
+def test_bundles_with_another_q_are_refused():
+    """A stream whose bundles have a q other than the kind's would make
+    more oracle calls than compare budgets for (budget // kind.q
+    iterations); run and mem_step name the first such k and both q."""
+    problem, noise = _datafit(), prob.NoiseModel()
+    wrong = opt.AlgorithmKind("x", 1, params=lambda k: sched.params_general(k, 3))
+    with pytest.raises(ValueError, match=r"^params are for k=0 with q=2, state is at k=0 with q=1"):
+        opt.run(wrong, problem, noise, np.ones(10), 10, seed=0)
+    switching = opt.AlgorithmKind("y", 2, params=lambda k: sched.params_general(k, 3 + (k >= 300)))
+    with pytest.raises(ValueError, match=r"k=300 with q=3, state is at k=300 with q=2"):
+        opt.run(switching, problem, noise, np.ones(10), 400, seed=0)
+    state = opt.initial_state(np.ones(10), q=1)
+    with pytest.raises(ValueError, match=r"k=0 with q=2, state is at k=0 with q=1"):
+        opt.mem_step(state, sched.params_general(0, 3), _oracle(problem, noise),
+                     prob.draw_sample(noise, 10, 0, 0))

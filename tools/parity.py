@@ -1,0 +1,335 @@
+"""Bit-for-bit parity of momex's outputs between this tree and a git revision.
+
+    python tools/parity.py --against REV
+
+unpacks REV with `git archive` into a temporary directory (the repository
+is only read), runs one fixed matrix of momex calls in a child process
+against each tree's src/, and compares the two result lists. The matrix:
+
+- run_batch on 3 problems x 3 noise kinds x every kind (mem p = 2, 3, 4,
+  sg, sg-pm and nigt), with mixed budgets and log strides across loop
+  blocks, and stored iterates; every kind again from the quadratic's
+  minimizer (zero directions); a diverging run (non-finite status);
+  wall-clock stops under a counting clock, mid-block and on a block's last
+  step; mem_step on a stack of runs with a zero-direction row;
+- compare (with a diverging config), grid_search, run_experiment and
+  verify_all at small sizes;
+- the CLI's run (csv, json and --out), compare and verify.
+
+Each result is recorded as its repr (arrays at full precision) and the
+json.dumps of its plain form, with elapsed_seconds masked: the only field
+that may differ between two runs of the same code. The first difference is
+printed and the exit status is 1; no difference exits 0, and a matrix
+that fails to run in either tree exits 2. Both trees run on the same host
+and numpy, so no tolerance and no golden file is needed.
+
+`python tools/parity.py --collect OUT` runs the matrix once against the
+momex that Python imports and writes the result list to OUT as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import importlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+KIND_NAMES = ("mem:2", "mem:3", "mem:4", "sg", "sg-pm", "nigt")
+NOISE_KINDS = ("none", "scalar-gaussian-envelope", "elementwise-gaussian-envelope")
+
+_MASKS = (
+    (re.compile(r"elapsed_seconds=[^,)]*"), "elapsed_seconds=*"),  # repr
+    (re.compile(r'"elapsed_seconds": [^,}\n]*'), '"elapsed_seconds": "*"'),  # json
+)
+
+
+def _mask(text: str) -> str:
+    for pattern, repl in _MASKS:
+        text = pattern.sub(repl, text)
+    return text
+
+
+def _mask_text(text: str) -> str:
+    """A CLI output with elapsed_seconds masked: the last column of a
+    records CSV, or the field of a JSON document."""
+    if not text.startswith("k,f_val,"):
+        return _mask(text)
+    return "".join(re.sub(r",[^,\r\n]*(\r?\n)?$", r",*\1", line)
+                   for line in text.splitlines(keepends=True))
+
+
+def _plain(obj):
+    """obj as JSON-native values: dataclasses as dicts, arrays with dtype
+    and shape, numpy scalars tagged with their type."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {"@": type(obj).__name__,
+                **{f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}}
+    if isinstance(obj, np.ndarray):
+        return {"dtype": str(obj.dtype), "shape": list(obj.shape), "values": obj.tolist()}
+    if isinstance(obj, np.generic):
+        return {"@": type(obj).__name__, "value": obj.item()}
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def entry(label: str, obj) -> list:
+    """[label, masked repr, masked json] of one result."""
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        text = repr(obj)
+    return [label, _mask(text), _mask(json.dumps(_plain(obj), sort_keys=True))]
+
+
+class CountingClock:
+    """A stand-in for the time module whose perf_counter reads 0, 1, 2, ..
+    on successive calls."""
+
+    def __init__(self):
+        self.calls = -1
+
+    def perf_counter(self) -> float:
+        self.calls += 1
+        return float(self.calls)
+
+
+def _kinds(m):
+    opt, sch = m.optimizer, m.schedule
+    return [opt.mem(sch.ScheduleConfig(p=p, q=p - 1)) for p in (2, 3, 4)] + [
+        opt.sg(lambda k: 0.01), opt.sg_pm(), opt.nigt(0.3, 0.05)]
+
+
+def _problem(m, name: str):
+    prob = m.problems
+    if name == "quadratic":
+        return prob.quadratic_problem(7, conditioning=20.0)
+    make = prob.datafit_problem if name == "datafit" else prob.robust_problem
+    return make(prob.generate_synthetic(9, seed=2))
+
+
+def run_batch_section(m):
+    """run_batch over problems x noises x kinds, across loop blocks."""
+    out = []
+    for name in ("datafit", "robust", "quadratic"):
+        problem = _problem(m, name)
+        for noise_kind in NOISE_KINDS:
+            noise = m.problems.NoiseModel(noise_kind, 0.0 if noise_kind == "none" else 2.0)
+            x0 = np.full(problem.dim, 0.6)
+            res = m.optimizer.run_batch(
+                _kinds(m), problem, noise, x0, [300, 530, 257, 513, 256, 1], [3, 4],
+                [5, 7, 3, 50, 256, 1], store_iterates=(name, noise_kind) == ("datafit", "none"))
+            out += [entry(f"run_batch {name} {noise_kind} {kind}", r)
+                    for kind, r in zip(KIND_NAMES, res)]
+    problem = m.problems.quadratic_problem(7, conditioning=20.0)
+    for noise_kind in NOISE_KINDS:
+        noise = m.problems.NoiseModel(noise_kind, 0.0 if noise_kind == "none" else 2.0)
+        res = m.optimizer.run_batch(_kinds(m), problem, noise, np.zeros(7), [257] * 6, [0, 1],
+                                    [13] * 6)
+        out += [entry(f"run_batch zero-direction {noise_kind} {kind}", r)
+                for kind, r in zip(KIND_NAMES, res)]
+    diverging = m.optimizer.run(m.optimizer.sg(lambda k: 1.0),
+                                m.problems.quadratic_problem(5, conditioning=1000.0),
+                                m.problems.NoiseModel(), np.ones(5), 150, seed=0)
+    out.append(entry("run non-finite", diverging))
+    return out
+
+
+def wall_clock_section(m):
+    """Wall-clock stops under a counting clock: the loop reads the clock
+    once at its start and once per iteration, so each ceiling stops it at
+    a fixed iteration of a fixed kind."""
+    out, real = [], m.optimizer.time
+    noise = m.problems.NoiseModel("scalar-gaussian-envelope", 1.0)
+    kinds = _kinds(m)[1:4:2]  # mem p = 3 and sg
+    try:
+        for wall in (100.5, 255.5, 256 + 100.5, 256 + 255.5, 2 * 256 + 300.5):
+            m.optimizer.time = CountingClock()
+            res = m.optimizer.run_batch(kinds, m.problems.quadratic_problem(10, conditioning=4.0),
+                                        noise, np.ones(10), [1000, 700], [0, 1], [50, 3],
+                                        wall_seconds=wall)
+            out.append(entry(f"wall-clock stop at {wall}", res))
+    finally:
+        m.optimizer.time = real
+    return out
+
+
+def mem_step_section(m):
+    """mem_step on a stack of three runs, one at the minimizer."""
+    opt, prob = m.optimizer, m.problems
+    problem = prob.quadratic_problem(5, conditioning=3.0)
+    noise = prob.NoiseModel("elementwise-gaussian-envelope", 1.5)
+    kind = opt.mem(m.schedule.ScheduleConfig(p=3, q=2))
+    state = opt.initial_state(np.array([np.zeros(5), np.linspace(-1.0, 1.0, 5),
+                                        np.full(5, 0.3)]), kind.q)
+    oracle = lambda z, sample: prob.stochastic_grad(problem, noise, z, sample)
+    out = []
+    for k in range(6):
+        xi = np.array([prob.draw_sample(noise, 5, s, k).xi for s in range(3)])
+        state = opt.mem_step(state, kind.params(k), oracle, prob.Sample(xi, (0, 1, 2), k))
+        out.append(entry(f"mem_step stack k={k}", state))
+    return out
+
+
+def harness_section(m):
+    """compare, grid_search, run_experiment and verify_all at small sizes."""
+    har = m.harness
+    base = dict(problem="datafit", synthetic=20, data_seed=1, sigma=2.0, iters=1)
+    configs = [har.RunConfig(algorithm="mem", p=3, **base),
+               har.RunConfig(algorithm="mem", p=2, **base),
+               har.RunConfig(algorithm="sg-pm", gamma=0.1, eta=0.03, **base),
+               har.RunConfig(algorithm="nigt", gamma=0.3, eta=0.05, **base),
+               har.RunConfig(algorithm="sg", eta=0.01, **base)]
+    out = [entry("compare datafit", har.compare(configs, 600, n_seeds=3))]
+    quad = dict(problem="quadratic", dim=5, conditioning=1000.0, iters=1)
+    out.append(entry("compare diverging", har.compare(
+        [har.RunConfig(algorithm="sg", eta=1.0, **quad),
+         har.RunConfig(algorithm="mem", p=3, **quad)], 150, n_seeds=2)))
+    out.append(entry("grid_search sg-pm", har.grid_search(
+        har.RunConfig(algorithm="sg-pm", **base), 120, etas=[0.01, 0.1, 1.0],
+        gammas=[0.1, 0.5], n_seeds=2)))
+    runs = [
+        har.RunConfig(algorithm="mem", p=3, problem="quadratic", dim=10, conditioning=10.0,
+                      iters=2000, log_stride=1),
+        har.RunConfig(algorithm="mem", p=4, problem="datafit", synthetic=20, sigma=2.0,
+                      iters=700, log_stride=9, seed=3),
+        har.RunConfig(algorithm="sg-pm", problem="robust", synthetic=20, sigma=1.0,
+                      noise="elementwise-gaussian-envelope", iters=500, log_stride=5),
+        har.RunConfig(algorithm="nigt", gamma=0.3, eta=0.05, problem="datafit", synthetic=20,
+                      sigma=1.0, iters=300, x0="zeros"),
+        har.RunConfig(algorithm="sg", eta=0.05, problem="quadratic", dim=6, iters=300),
+    ]
+    out += [entry(f"run_experiment {i}", har.run_experiment(c)) for i, c in enumerate(runs)]
+    out.append(entry("verify_all", har.verify_all(k_max=300, bound_k_max=3000, n_draws=10_000,
+                                                  ps=(2, 3, 4))))
+    return out
+
+
+def cli_section(m, workdir: str):
+    """The CLI's run, compare and verify, in process; each entry holds the
+    exit code, stdout, stderr and any file written."""
+    data = ["--problem", "datafit", "--synthetic", "20", "--sigma", "2"]
+    commands = {
+        "run csv": ["run", "--alg", "mem", "--p", "3", *data, "--iters", "400", "--seed", "7"],
+        "run json": ["run", "--alg", "sg-pm", *data, "--iters", "300", "--format", "json"],
+        "run out": ["run", "--alg", "nigt", "--gamma", "0.3", "--eta", "0.05", *data,
+                    "--iters", "300", "--out", "run.csv"],
+        "run non-finite": ["run", "--alg", "sg", "--eta", "1.0", "--problem", "quadratic",
+                           "--dim", "5", "--conditioning", "1000", "--iters", "150"],
+        "compare": ["compare", "--algs", "mem:2,mem:1,sg-pm:0.1:0.03,nigt:0.3:0.05", *data,
+                    "--budget", "400", "--seeds", "3"],
+        "verify": ["verify", "--k-max", "300", "--bound-k-max", "3000", "--draws", "10000",
+                   "--out", "verify.json"],
+    }
+    out, cwd = [], os.getcwd()
+    for label, argv in commands.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        os.chdir(workdir)  # --out paths, and so the receipts, are relative
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = m.harness.main(argv)
+            files = {}
+            for name in ("run.csv", "verify.json"):
+                if os.path.exists(name):
+                    with open(name, newline="") as fh:
+                        files[name] = _mask_text(fh.read())
+                    os.remove(name)
+        finally:
+            os.chdir(cwd)
+        out.append(entry(f"cli {label}", {
+            "code": code, "stdout": _mask_text(stdout.getvalue()),
+            "stderr": stderr.getvalue(), "files": files}))
+    return out
+
+
+def collect(workdir: str) -> list:
+    """Every entry of the matrix, run against the momex Python imports."""
+    m = modules()
+    return (run_batch_section(m) + wall_clock_section(m) + mem_step_section(m)
+            + harness_section(m) + cli_section(m, workdir))
+
+
+def modules() -> argparse.Namespace:
+    """The momex modules the matrix calls, by short name."""
+    return argparse.Namespace(**{name: importlib.import_module(f"momex.{name}") for name in
+                                 ("optimizer", "problems", "schedule", "harness")})
+
+
+def first_difference(a: list, b: list):
+    """None when the two entry lists agree, else a description of the
+    first entry where they do not."""
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        if x[0] != y[0]:
+            return f"entry labels differ: {x[0]!r} vs {y[0]!r}"
+        for what, s, t in (("repr", x[1], y[1]), ("json", x[2], y[2])):
+            if s != t:
+                i = next((i for i, (c, d) in enumerate(zip(s, t)) if c != d), min(len(s), len(t)))
+                lo = max(0, i - 60)
+                return (f"{x[0]}: {what} differs at character {i}\n"
+                        f"  a: ...{s[lo:i + 60]}...\n  b: ...{t[lo:i + 60]}...")
+    if len(a) != len(b):
+        return f"{len(a)} entries vs {len(b)}"
+    return None
+
+
+def _collect_in(tree: Path, workdir: str) -> list:
+    """The matrix run in a child process against tree/src; exits with
+    status 2 when the child fails (its traceback is on standard error)."""
+    out = os.path.join(workdir, f"{tree.name}.json")
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--collect", out],
+                           env=env, cwd=workdir)
+    if child.returncode != 0:
+        print(f"parity: the matrix failed against {tree / 'src'}", file=sys.stderr)
+        sys.exit(2)
+    with open(out) as fh:
+        return json.load(fh)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--against", metavar="REV", help="git revision to compare with")
+    group.add_argument("--collect", metavar="OUT", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        import momex
+
+        print(f"collecting with {Path(momex.__file__).parent}", file=sys.stderr)
+        with tempfile.TemporaryDirectory() as workdir:
+            entries = collect(workdir)
+        with open(args.collect, "w") as fh:
+            json.dump(entries, fh)
+        return 0
+    with tempfile.TemporaryDirectory() as workdir:
+        tree = Path(workdir) / "against"
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", args.against],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        theirs, ours = _collect_in(tree, workdir), _collect_in(REPO, workdir)
+    diff = first_difference(theirs, ours)
+    if diff is not None:
+        print(f"parity: {args.against} (a) and the working tree (b) differ\n{diff}")
+        return 1
+    print(f"parity: {len(ours)} entries identical to {args.against} "
+          f"(repr and json, elapsed_seconds masked)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
