@@ -1,17 +1,19 @@
 """Tour of the extrapolation/momentum schedule for a few smoothness orders.
 
-Prints the per-iteration parameters, checks them against the defining
-linear system, and shows the certified-constant plumbing.
+Prints the per-iteration parameters from momex.schedule, checks them
+against the defining linear system with momex.verify's measurements and
+its literal order-3 oracle, and shows the certified-constant plumbing.
 """
 
 import momex.schedule as sch
+import momex.verify as ver
 
 
 def show_order(p: int) -> None:
     print(f"\norder p={p} (q={p - 1} extrapolations)")
     for k in (0, 10, 1000):
         params = sch.params_general(k, p)
-        diag = sch.validate(params)
+        diag = ver.validate(params)
         print(
             f"  k={k:<5d} eta={params.eta:.6f}"
             f" gammas={[f'{g:.6f}' for g in params.gammas]}"
@@ -22,7 +24,7 @@ def show_order(p: int) -> None:
 
 def main() -> None:
     print("literal order-3 form vs the general closed form at k=100:")
-    a = sch.params_p3(100)
+    a = ver.params_p3(100)
     b = sch.params_general(100, 3)
     print(f"  literal order-3 form (verify oracle) thetas {a.thetas}")
     print(f"  general closed form                  thetas {b.thetas}")
@@ -33,7 +35,7 @@ def main() -> None:
     print("\nweight-sum identity at p=4, k=7:")
     params = sch.params_general(7, 4)
     print(f"  sum(thetas)          = {sum(params.thetas):.12f}")
-    print(f"  product closed form  = {sch.weight_sum_closed_form(params.gammas):.12f}")
+    print(f"  product closed form  = {ver.weight_sum_closed_form(params.gammas):.12f}")
 
     print("\npotential weights grow but never more than double:")
     for k in (0, 1, 2, 3):

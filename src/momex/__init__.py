@@ -35,7 +35,6 @@ from .problems import (
     stochastic_grad,
 )
 from .schedule import (
-    IllConditionedSystem,
     IterationParams,
     ParamsBlock,
     ScheduleConfig,
@@ -44,15 +43,18 @@ from .schedule import (
     params_block,
     params_for,
     params_general,
-    params_p3,
     potential_weight,
     solve_weights_closed_form,
-    solve_weights_linear,
     theorem_constant,
+)
+from .verify import (
+    CheckReport,
+    IllConditionedSystem,
+    params_p3,
+    solve_weights_linear,
     validate,
     weight_sum_closed_form,
 )
-from .verify import CheckReport
 from .harness import ConfigError, RunConfig, compare, parse_config, run_experiment
 
 __version__ = "0.1.0"

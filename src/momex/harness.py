@@ -837,7 +837,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return commands[cmd](rest)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -205,15 +205,22 @@ class AlgorithmKind:
 
     def bundles(self, k0: int, k1: int) -> ParamsBlock:
         """Bundles of iterations k0 .. k1 - 1 as one block: the block view,
-        or params(k) read for one k after another, each checked to be for
-        its k with this kind's q, and stacked."""
+        or params(k) read for one k after another and stacked. Either way
+        there must be one row for each k, for that k with this kind's q."""
         if self.block is not None:
-            return self.block(k0, k1)
-        rows = [self.params(k) for k in range(k0, k1)]
-        for k, p in enumerate(rows, k0):
-            if (p.k, p.q) != (k, self.q):
-                raise ValueError(f"params are for k={p.k} with q={p.q}, "
+            block = self.block(k0, k1)
+            found = [(block.k0 + j, block.gammas.shape[-1]) for j in range(len(block.eta))]
+        else:
+            rows = [self.params(k) for k in range(k0, k1)]
+            found = [(p.k, p.q) for p in rows]
+        if len(found) != k1 - k0:
+            raise ValueError(f"{len(found)} bundles for the {k1 - k0} iterations {k0}..{k1 - 1}")
+        for k, (pk, pq) in enumerate(found, k0):
+            if (pk, pq) != (k, self.q):
+                raise ValueError(f"params are for k={pk} with q={pq}, "
                                  f"state is at k={k} with q={self.q}")
+        if self.block is not None:
+            return block
         return ParamsBlock(k0, *(np.array([getattr(p, c) for p in rows])
                                  for c in ("eta", "gammas", "thetas", "theta_sum")))
 

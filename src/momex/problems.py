@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -367,7 +368,8 @@ def load_csv_dataset(path, target_column: Union[str, int] = "target") -> Dataset
 
     Raises:
         DatasetFormatError: empty file, ragged row, unknown target column,
-            or a non-numeric cell (the message names the row and column).
+            or a non-numeric or non-finite cell (the message names the row
+            and column).
         OSError: unreadable path.
     """
     with open(path, newline="") as fh:
@@ -398,12 +400,14 @@ def load_csv_dataset(path, target_column: Union[str, int] = "target") -> Dataset
             )
         for j, cell in enumerate(row):
             try:
-                data[i - 2, j] = float(cell)
+                data[i - 2, j] = value = float(cell)
+                fault = None if math.isfinite(value) else "non-finite"
             except ValueError:
+                fault = "non-numeric"
+            if fault:
                 raise DatasetFormatError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {i}, "
-                    f"column {header[j]!r}"
-                ) from None
+                    f"{path}: {fault} value {cell.strip()!r} at row {i}, column {header[j]!r}"
+                )
     for j in range(data.shape[1]):
         data[:, j] = _rescale_unit(data[:, j])
     mask = np.ones(len(header), dtype=bool)

@@ -8,13 +8,12 @@ reciprocal-power system
     sum_t theta_t / gamma_t**r = 1    for r = 1..q,                    (*)
 
 whose coefficient matrix is Vandermonde-like in the reciprocals 1/gamma_t.
-This module evaluates the built-in order-p schedule a block of iterations
-at a time (params_block; params_general is its one-row case), solves (*)
-either in closed form (the production path) or by dense factorization (an
-independent oracle), and measures the identities, sign pattern, and bounds
-that the closed form is supposed to satisfy. The literal order-3 form
-(params_p3, p3_arrays) is kept only as an oracle for the order-p schedule
-at p = 3.
+This module holds what the optimizer and the run summary use: the built-in
+order-p schedule, evaluated a block of iterations at a time (params_block;
+params_general is its one-row case), the closed-form solution of (*), the
+error-discount weights and the reporting constants. Everything that checks
+the schedule (the dense solve of (*), the literal order-3 form, the
+measurements of the identities, signs and bounds) lives in verify.
 
 All values are plain 64-bit floats; every function here is pure and every
 returned object is immutable.
@@ -29,40 +28,19 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "DENSE_Q_CAP",
-    "COND_LIMIT",
     "ScheduleConfig",
     "IterationParams",
     "ParamsBlock",
     "PotentialWeight",
-    "WeightDiagnostics",
-    "IllConditionedSystem",
     "params_block",
     "params_general",
-    "params_p3",
     "params_for",
     "init_params",
     "solve_weights_closed_form",
-    "solve_weights_linear",
-    "weight_sum_closed_form",
-    "validate",
     "potential_weight",
-    "check_potential_inequality",
     "theorem_constant",
     "iteration_threshold",
-    "schedule_arrays",
-    "p3_arrays",
 ]
-
-# The reciprocal-power matrix of (*) is Vandermonde-like and its condition
-# number explodes with q; the dense oracle refuses beyond this cap. The
-# closed form has no such limit and is the path production code uses.
-DENSE_Q_CAP = 8
-COND_LIMIT = 1e12
-
-
-class IllConditionedSystem(ValueError):
-    """Raised when the dense weight solve cannot be trusted."""
 
 
 def _check_order(p) -> None:
@@ -117,7 +95,7 @@ class IterationParams:
 
     Schedule outputs keep the gammas strictly decreasing in (0,1), the
     thetas alternating in sign starting positive, and theta_sum inside
-    (0,1); validate() measures those properties for hand-built bundles.
+    (0,1); verify.validate() measures those properties for hand-built bundles.
     theta_sum is stored as the exactly rounded sum of the thetas. The
     warm-up row from init_params() intentionally sits outside these
     conventions (gamma = 1, equal positive weights). gammas and thetas
@@ -153,20 +131,6 @@ class PotentialWeight:
 
     k: int
     value: float
-
-
-@dataclass(frozen=True)
-class WeightDiagnostics:
-    """How well a bundle satisfies (*) and its side conditions.
-
-    residual is ||R theta - 1||_inf / (||R||_inf ||theta||_inf) with R the
-    reciprocal-power matrix: the backward-stable normalization, comparable
-    across iterations even though the reciprocal powers grow without bound.
-    """
-
-    residual: float
-    theta_sum_in_unit: bool
-    signs_alternate: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,30 +213,6 @@ def params_general(k: int, p: int) -> IterationParams:
     return params_block(p, k, k + 1).bundles()[0]
 
 
-def params_p3(k: int) -> IterationParams:
-    """Bundle of the third-order schedule in its literal form (an oracle).
-
-        eta_k    = (k+3)^(-7/10)
-        gamma_1  = (k+3)^(-3/5),          gamma_2 = gamma_1 / 2
-        theta_1  = (2(k+3)^(3/5) - 1) / (k+3)^(6/5)
-        theta_2  = (1 - (k+3)^(3/5)) / (2 (k+3)^(6/5))
-
-    Agrees with params_general(k, 3) to a few ulp; the general path reaches
-    the same thetas through the closed-form product instead of these reduced
-    fractions.
-    """
-    _check_index(k)
-    lg = math.log(float(k) + 3.0)
-    c = math.exp(3.0 / 5.0 * lg)
-    eta = math.exp(-7.0 / 10.0 * lg)
-    c2 = c * c
-    gammas = (1.0 / c, 0.5 / c)
-    thetas = ((2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2))
-    return IterationParams(
-        k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=math.fsum(thetas)
-    )
-
-
 def params_for(config: ScheduleConfig, k: int) -> IterationParams:
     """Bundle for iteration k of the configured schedule."""
     return params_general(k, config.p)
@@ -329,82 +269,6 @@ def solve_weights_closed_form(gammas) -> np.ndarray:
     return _closed_form(_as_gamma_stack(gammas, stack=False))[0]
 
 
-def solve_weights_linear(gammas) -> np.ndarray:
-    """Dense-factorization oracle for (*), for one bundle or a stack.
-
-    Takes one gamma vector (q,) or a stack (N, q) and returns thetas of the
-    same shape. Builds the reciprocal-power matrices R[r,t] = (1/gamma_t)**r,
-    equilibrates each row by its largest entry, and solves the scaled
-    systems with one stacked factorization. The raw rows span many orders
-    of magnitude, hence the q cap and the condition check on every
-    equilibrated matrix. Production code wants solve_weights_closed_form;
-    this path exists so the closed form can be checked against an
-    independent solver.
-
-    Raises:
-        ValueError: q above DENSE_Q_CAP or invalid gammas; for a stack the
-            message names the first bad bundle.
-        IllConditionedSystem: some equilibrated condition number above
-            COND_LIMIT; for a stack the message names the first such bundle.
-    """
-    single = np.ndim(gammas) == 1
-    g = _as_gamma_stack(gammas)
-    q = g.shape[1]
-    if q > DENSE_Q_CAP:
-        raise ValueError(f"dense solve supports q <= {DENSE_Q_CAP}, got {q}")
-    u = 1.0 / g
-    rows = u[:, None, :] ** np.arange(1, q + 1, dtype=float)[None, :, None]
-    scale = rows.max(axis=2)
-    eq = rows / scale[:, :, None]
-    cond = np.linalg.cond(eq)
-    bad = cond > COND_LIMIT
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = "" if single else f"bundle {i}: "
-        raise IllConditionedSystem(
-            f"{where}equilibrated system condition {cond[i]:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    th = np.linalg.solve(eq, (1.0 / scale)[:, :, None])[:, :, 0]
-    return th[0] if single else th
-
-
-def weight_sum_closed_form(gammas) -> float:
-    """Sum of the (*) weights without solving for them.
-
-    Algebraically 1 - prod_t (1 - gamma_t); accumulated as s <- s + g - s*g
-    so every partial term stays positive and no leading digits cancel.
-    """
-    g = _as_gamma_stack(gammas, stack=False)[0]
-    s = 0.0
-    for gt in g:
-        s += gt - s * gt
-    return float(s)
-
-
-def validate(params: IterationParams) -> WeightDiagnostics:
-    """Measure a bundle against (*), the unit-interval sum, and the signs.
-
-    Never raises; failures are carried in the flags so sweeps can aggregate.
-    """
-    g = np.asarray(params.gammas)
-    th = np.asarray(params.thetas)
-    u = 1.0 / g
-    worst = 0.0
-    row_norm = 0.0
-    for r in range(1, g.size + 1):
-        row = u ** float(r)
-        worst = max(worst, abs(float(row @ th) - 1.0))
-        row_norm = max(row_norm, float(row.sum()))
-    denom = row_norm * float(np.max(np.abs(th)))
-    residual = worst / denom if denom > 0.0 else math.inf
-    signs = bool(np.all(th[0::2] > 0.0)) and bool(np.all(th[1::2] < 0.0))
-    return WeightDiagnostics(
-        residual=residual,
-        theta_sum_in_unit=bool(0.0 < params.theta_sum < 1.0),
-        signs_alternate=signs,
-    )
-
-
 def _order_of(config) -> int:
     if isinstance(config, ScheduleConfig):
         return config.p
@@ -425,21 +289,6 @@ def potential_weight(k: int, config) -> PotentialWeight:
     p = _order_of(config)
     value = math.exp((p - 1.0) / (3.0 * p + 1.0) * math.log(float(k) + p))
     return PotentialWeight(k=k, value=value)
-
-
-def check_potential_inequality(k: int, config) -> bool:
-    """True when (1 - S_k) p_{k+1} <= (1 - S_k / d) p_k.
-
-    S_k is the iteration's weight sum and d = 2 at order 3, d = p + 1
-    otherwise. This is the contraction the error-discount weights were
-    chosen for; the built-in schedules satisfy it at every k.
-    """
-    p = _order_of(config)
-    s = params_general(k, p).theta_sum
-    pk = potential_weight(k, p).value
-    pk1 = potential_weight(k + 1, p).value
-    d = 2.0 if p == 3 else p + 1.0
-    return bool((1.0 - s) * pk1 <= (1.0 - s / d) * pk)
 
 
 def theorem_constant(
@@ -492,45 +341,3 @@ def iteration_threshold(p: int, m_const: float, epsilon: float) -> float:
     lt = (3.0 * p + 1.0) / p * math.log(y)
     thresh = math.inf if lt > 709.0 else math.exp(lt)
     return max(thresh, 2.0 * p)
-
-
-def schedule_arrays(p: int, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized order-p schedule over an array of iteration indices.
-
-    Returns (eta, gammas, thetas) shaped (n,), (q,n), (q,n) with q = p - 1.
-    Same formulas as params_general; the vector exp/log kernels may differ
-    from the scalar libm by an ulp, which the sweep tolerances absorb.
-    """
-    _check_order(p)
-    ks = np.asarray(ks, dtype=float)
-    if ks.size and ks.min() < 0:
-        raise ValueError("iteration indices must be >= 0")
-    d = 3.0 * p + 1.0
-    lg = np.log(ks + p)
-    c = np.exp(2.0 * p / d * lg)
-    eta = np.exp(-(2.0 * p + 1.0) / d * lg)
-    q = p - 1
-    t = np.arange(1, p, dtype=float)
-    gam = 1.0 / (t[:, None] * c[None, :])
-    th = np.empty_like(gam)
-    for i in range(q):
-        f = np.ones_like(c)
-        for s in range(q):
-            if s != i:
-                f *= (gam[s] - 1.0) / (gam[s] - gam[i])
-        th[i] = gam[i] ** q * f
-    return eta, gam, th
-
-
-def p3_arrays(ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized literal third-order schedule; see params_p3."""
-    ks = np.asarray(ks, dtype=float)
-    if ks.size and ks.min() < 0:
-        raise ValueError("iteration indices must be >= 0")
-    lg = np.log(ks + 3.0)
-    c = np.exp(3.0 / 5.0 * lg)
-    eta = np.exp(-7.0 / 10.0 * lg)
-    c2 = c * c
-    gam = np.stack([1.0 / c, 0.5 / c])
-    th = np.stack([(2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2)])
-    return eta, gam, th

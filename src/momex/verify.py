@@ -3,9 +3,9 @@
 Everything here re-derives its expected values from first principles
 (defining equations, finite differences, Monte-Carlo estimates, analytic
 second moments) rather than trusting the code under test. The dense linear
-solve, not the closed-form product, is the reference for the weight
-system. Checks are deterministic for a fixed seed, own their RNG streams,
-and are independent of one another.
+solve of the schedule's weight system (*), not the closed-form product, is
+the reference for the weights. Checks are deterministic for a fixed seed,
+own their RNG streams, and are independent of one another.
 """
 
 from __future__ import annotations
@@ -23,16 +23,29 @@ from .problems import (
     stochastic_grad,
 )
 from .schedule import (
-    p3_arrays,
+    IterationParams,
+    _as_gamma_stack,
+    _check_index,
+    _check_order,
+    _order_of,
     params_block,
-    params_general,  # unused here; verify.params_general stays importable
-    params_p3,
-    schedule_arrays,
-    solve_weights_linear,
+    params_general,
+    potential_weight,
 )
 
 __all__ = [
+    "DENSE_Q_CAP",
+    "COND_LIMIT",
     "CheckReport",
+    "IllConditionedSystem",
+    "WeightDiagnostics",
+    "params_p3",
+    "schedule_arrays",
+    "p3_arrays",
+    "solve_weights_linear",
+    "weight_sum_closed_form",
+    "validate",
+    "check_potential_inequality",
     "finite_diff_grad",
     "gradient_check",
     "taylor_remainder_check",
@@ -53,6 +66,15 @@ _CHUNK = 1 << 17
 # rows per params_block call, as in the optimizer's loop: whole-chunk blocks
 # would put its (rows, q, q) temporaries of megabytes on the allocator's heap
 _BUNDLE_ROWS = 256
+# The reciprocal-power matrix of (*) is Vandermonde-like and its condition
+# number explodes with q; the dense oracle refuses beyond this cap. The
+# closed form has no such limit and is the path production code uses.
+DENSE_Q_CAP = 8
+COND_LIMIT = 1e12
+
+
+class IllConditionedSystem(ValueError):
+    """Raised when the dense weight solve cannot be trusted."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +90,20 @@ class CheckReport:
     worst_case: float
     samples: int
     detail: str
+
+
+@dataclass(frozen=True)
+class WeightDiagnostics:
+    """How well a bundle satisfies (*) and its side conditions.
+
+    residual is ||R theta - 1||_inf / (||R||_inf ||theta||_inf) with R the
+    reciprocal-power matrix: the backward-stable normalization, comparable
+    across iterations even though the reciprocal powers grow without bound.
+    """
+
+    residual: float
+    theta_sum_in_unit: bool
+    signs_alternate: bool
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x, h=1e-5) -> np.ndarray:
@@ -376,6 +412,177 @@ def smoothness_ratio_check(
     )
 
 
+def params_p3(k: int) -> IterationParams:
+    """Bundle of the third-order schedule in its literal form (an oracle).
+
+        eta_k    = (k+3)^(-7/10)
+        gamma_1  = (k+3)^(-3/5),          gamma_2 = gamma_1 / 2
+        theta_1  = (2(k+3)^(3/5) - 1) / (k+3)^(6/5)
+        theta_2  = (1 - (k+3)^(3/5)) / (2 (k+3)^(6/5))
+
+    Agrees with params_general(k, 3) to a few ulp; the general path reaches
+    the same thetas through the closed-form product instead of these reduced
+    fractions.
+    """
+    _check_index(k)
+    lg = math.log(float(k) + 3.0)
+    c = math.exp(3.0 / 5.0 * lg)
+    eta = math.exp(-7.0 / 10.0 * lg)
+    c2 = c * c
+    gammas = (1.0 / c, 0.5 / c)
+    thetas = ((2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2))
+    return IterationParams(
+        k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=math.fsum(thetas)
+    )
+
+
+def schedule_arrays(p: int, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized order-p schedule over an array of iteration indices.
+
+    Returns (eta, gammas, thetas) shaped (n,), (q,n), (q,n) with q = p - 1.
+    Same formulas as params_general; the vector exp/log kernels may differ
+    from the scalar libm by an ulp, which the sweep tolerances absorb.
+    """
+    _check_order(p)
+    ks = np.asarray(ks, dtype=float)
+    if ks.size and ks.min() < 0:
+        raise ValueError("iteration indices must be >= 0")
+    d = 3.0 * p + 1.0
+    lg = np.log(ks + p)
+    c = np.exp(2.0 * p / d * lg)
+    eta = np.exp(-(2.0 * p + 1.0) / d * lg)
+    q = p - 1
+    t = np.arange(1, p, dtype=float)
+    gam = 1.0 / (t[:, None] * c[None, :])
+    th = np.empty_like(gam)
+    for i in range(q):
+        f = np.ones_like(c)
+        for s in range(q):
+            if s != i:
+                f *= (gam[s] - 1.0) / (gam[s] - gam[i])
+        th[i] = gam[i] ** q * f
+    return eta, gam, th
+
+
+def p3_arrays(ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized literal third-order schedule; see params_p3."""
+    ks = np.asarray(ks, dtype=float)
+    if ks.size and ks.min() < 0:
+        raise ValueError("iteration indices must be >= 0")
+    lg = np.log(ks + 3.0)
+    c = np.exp(3.0 / 5.0 * lg)
+    eta = np.exp(-7.0 / 10.0 * lg)
+    c2 = c * c
+    gam = np.stack([1.0 / c, 0.5 / c])
+    th = np.stack([(2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2)])
+    return eta, gam, th
+
+
+def solve_weights_linear(gammas) -> np.ndarray:
+    """Dense-factorization oracle for (*), for one bundle or a stack.
+
+    Takes one gamma vector (q,) or a stack (N, q) and returns thetas of the
+    same shape. Builds the reciprocal-power matrices R[r,t] = (1/gamma_t)**r,
+    equilibrates each row by its largest entry, and solves the scaled
+    systems with one stacked factorization. The raw rows span many orders
+    of magnitude, hence the q cap and the condition check on every
+    equilibrated matrix. Production code wants solve_weights_closed_form;
+    this path exists so the closed form can be checked against an
+    independent solver.
+
+    Raises:
+        ValueError: q above DENSE_Q_CAP or invalid gammas; for a stack the
+            message names the first bad bundle.
+        IllConditionedSystem: some equilibrated condition number above
+            COND_LIMIT; for a stack the message names the first such bundle.
+    """
+    single = np.ndim(gammas) == 1
+    g = _as_gamma_stack(gammas)
+    q = g.shape[1]
+    if q > DENSE_Q_CAP:
+        raise ValueError(f"dense solve supports q <= {DENSE_Q_CAP}, got {q}")
+    u = 1.0 / g
+    rows = u[:, None, :] ** np.arange(1, q + 1, dtype=float)[None, :, None]
+    scale = rows.max(axis=2)
+    eq = rows / scale[:, :, None]
+    cond = np.linalg.cond(eq)
+    bad = cond > COND_LIMIT
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = "" if single else f"bundle {i}: "
+        raise IllConditionedSystem(
+            f"{where}equilibrated system condition {cond[i]:.3e} exceeds {COND_LIMIT:.0e}"
+        )
+    th = np.linalg.solve(eq, (1.0 / scale)[:, :, None])[:, :, 0]
+    return th[0] if single else th
+
+
+# Each rule of the schedule, written once for the one-bundle measurements and
+# the sweeps: t runs along the first axis, of one bundle (q,) or a chunk (q, n).
+
+def _weight_sum(gam: np.ndarray) -> np.ndarray:
+    """1 - prod_t (1 - gamma_t) as s <- s + g - s*g: no leading digits cancel."""
+    s = np.zeros(gam.shape[1:])
+    for g in gam:
+        s += g - s * g
+    return s
+
+
+def _scaled_residual(gam: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """WeightDiagnostics.residual, or inf where its divisor is not positive."""
+    u = 1.0 / gam
+    num, row_norm = np.zeros(gam.shape[1:]), np.zeros(gam.shape[1:])
+    for r in range(1, len(gam) + 1):
+        rows = u ** float(r)
+        num = np.maximum(num, np.abs((rows * th).sum(axis=0) - 1.0))
+        row_norm = np.maximum(row_norm, rows.sum(axis=0))
+    denom = row_norm * np.abs(th).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, num / denom, np.inf)
+
+
+def _sign_faults(th: np.ndarray) -> int:
+    """Thetas breaking theta_t > 0 for odd t, < 0 for even t; a NaN is one."""
+    return int(np.count_nonzero(~(th[0::2] > 0.0)) + np.count_nonzero(~(th[1::2] < 0.0)))
+
+
+def _contraction(s, pk, pk1, p: int):
+    """(1 - S) p_{k+1} - (1 - S/d) p_k; see check_potential_inequality."""
+    d = 2.0 if p == 3 else p + 1.0
+    return (1.0 - s) * pk1 - (1.0 - s / d) * pk
+
+
+def weight_sum_closed_form(gammas) -> float:
+    """Sum of the (*) weights without solving for them: 1 - prod_t (1 - gamma_t)."""
+    return float(_weight_sum(_as_gamma_stack(gammas, stack=False)[0]))
+
+
+def validate(params: IterationParams) -> WeightDiagnostics:
+    """Measure a bundle against (*), the unit-interval sum, and the signs.
+
+    Never raises; failures are carried in the flags so sweeps can aggregate.
+    """
+    th = np.asarray(params.thetas)
+    return WeightDiagnostics(
+        residual=float(_scaled_residual(np.asarray(params.gammas), th)),
+        theta_sum_in_unit=bool(0.0 < params.theta_sum < 1.0),
+        signs_alternate=_sign_faults(th) == 0,
+    )
+
+
+def check_potential_inequality(k: int, config) -> bool:
+    """True when (1 - S_k) p_{k+1} <= (1 - S_k / d) p_k.
+
+    S_k is the iteration's weight sum and d = 2 at order 3, d = p + 1
+    otherwise. This is the contraction the error-discount weights were
+    chosen for; the built-in schedules satisfy it at every k.
+    """
+    p = _order_of(config)
+    s = params_general(k, p).theta_sum
+    pk, pk1 = (potential_weight(j, p).value for j in (k, k + 1))
+    return bool(_contraction(s, pk, pk1, p) <= 0.0)
+
+
 def _sweep_chunks(k_max: int):
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -393,24 +600,13 @@ def _bundle_blocks(p: int, k0: int, k1: int):
 
 def weight_residual_sweep(p: int, k_max: int) -> float:
     """Worst scaled residual of the schedule weights in the defining
-    system over k in 0..k_max.
-
-    The residual for one bundle is max_r |sum_t theta_t / gamma_t^r - 1|
-    divided by (max_r sum_t gamma_t^-r) * max_t |theta_t|, measured
-    straight from the defining equations.
+    system over k in 0..k_max: validate's residual, measured straight from
+    the defining equations.
     """
     worst = 0.0
     for ks in _sweep_chunks(k_max):
         _, gam, th = schedule_arrays(p, ks)
-        u = 1.0 / gam
-        num = np.zeros(ks.shape)
-        row_norm = np.zeros(ks.shape)
-        for r in range(1, gam.shape[0] + 1):
-            rows = u ** float(r)
-            num = np.maximum(num, np.abs((rows * th).sum(axis=0) - 1.0))
-            row_norm = np.maximum(row_norm, rows.sum(axis=0))
-        denom = row_norm * np.abs(th).max(axis=0)
-        worst = max(worst, float((num / denom).max()))
+        worst = max(worst, float(_scaled_residual(gam, th).max()))
     return worst
 
 
@@ -444,14 +640,9 @@ def sum_identity_sweep(p: int, k_max: int) -> Tuple[float, int]:
     violations = 0
     for ks in _sweep_chunks(k_max):
         _, gam, th = schedule_arrays(p, ks)
-        direct = th.sum(axis=0)
-        s = np.zeros(ks.shape)
-        for t in range(gam.shape[0]):
-            s += gam[t] - s * gam[t]
-        worst = max(worst, float(np.max(np.abs(direct - s) / np.abs(s))))
-        for t in range(th.shape[0]):
-            good = th[t] > 0.0 if t % 2 == 0 else th[t] < 0.0
-            violations += int(np.count_nonzero(~good))
+        s = _weight_sum(gam)
+        worst = max(worst, float(np.max(np.abs(th.sum(axis=0) - s) / np.abs(s))))
+        violations += _sign_faults(th)
     return worst, violations
 
 
@@ -511,38 +702,32 @@ def bound_sweep(p: int, k_max: int = 10**6) -> CheckReport:
     d = 3.0 * p + 1.0
     fac = 16.0 * float(math.factorial(p - 1)) ** 2
     log_cap = math.log(2.0 * p - 1.0)
-    divisor = 2.0 if p == 3 else p + 1.0
     worst_closed = -math.inf
     worst_strict = -math.inf
     for ks in _sweep_chunks(k_max):
         lg = np.log(ks + p)
         c = np.exp(2.0 * p / d * lg)
         _, gam, th = schedule_arrays(p, ks)
-        s = np.zeros(ks.shape)
-        for t in range(gam.shape[0]):
-            s += gam[t] - s * gam[t]
+        s = _weight_sum(gam)
         vs = [1.0 / (2.0 * c) - s, s - log_cap / c]
         for t in range(1, p):
             vs.append(th[t - 1] ** 2 - fac / (t * c) ** 2)
         pk = np.exp((p - 1.0) / d * lg)
         pk1 = np.exp((p - 1.0) / d * np.log(ks + p + 1.0))
-        vs.append((1.0 - s) * pk1 - (1.0 - s / divisor) * pk)
-        vs.append(pk - pk1)
-        vs.append(pk1 - 2.0 * pk)
+        vs += [_contraction(s, pk, pk1, p), pk - pk1, pk1 - 2.0 * pk]
         worst_closed = max(worst_closed, max(float(v.max()) for v in vs))
         if p == 3:
+            # here c = (k+3)^(3/5) and pk = (k+3)^(1/5), bit for bit: 2p/d
+            # and (p-1)/d are the doubles 0.6 and 0.2
             _, _, th3 = p3_arrays(ks)
-            c3 = np.exp(0.6 * np.log(ks + 3.0))
             s3 = th3[0] + th3[1]
-            strict = [1.0 / c3 - s3, s3 - 1.5 / c3]
+            strict = [1.0 / c - s3, s3 - 1.5 / c]
             worst_strict = max(worst_strict, max(float(v.max()) for v in strict))
             closed3 = [
-                th3[0] ** 2 - 4.0 / c3**2,
-                th3[1] ** 2 - 1.0 / (4.0 * c3**2),
+                th3[0] ** 2 - 4.0 / c**2,
+                th3[1] ** 2 - 1.0 / (4.0 * c**2),
+                _contraction(s3, pk, pk1, 3),
             ]
-            pk3 = np.exp(0.2 * np.log(ks + 3.0))
-            pk31 = np.exp(0.2 * np.log(ks + 4.0))
-            closed3.append((1.0 - s3) * pk31 - (1.0 - s3 / 2.0) * pk3)
             worst_closed = max(worst_closed, max(float(v.max()) for v in closed3))
     passed = worst_closed <= 0.0 and (p != 3 or worst_strict < 0.0)
     worst = worst_closed if p != 3 else max(worst_closed, worst_strict)

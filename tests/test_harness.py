@@ -459,6 +459,27 @@ def test_cli_rejects_bad_input(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_reports_a_non_finite_dataset_cell(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,target\n1,2,3\n4,inf,6\nnan,1,2\n")
+    rc = har.main(["run", "--alg", "mem", "--p", "3", "--problem", "datafit",
+                   "--dataset", str(path), "--iters", "3"])
+    assert rc == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {path}: non-finite value 'inf' at row 3, column 'b'\n"
+
+
+def test_cli_reports_an_impossible_size(capsys):
+    # 10^7 x 10^7 doubles are 8e14 bytes, beyond the address space: numpy
+    # refuses the allocation before touching any memory
+    rc = har.main(["run", "--alg", "mem", "--p", "3", "--problem", "datafit",
+                   "--synthetic", "10000000", "--iters", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
 def test_cli_unknown_subcommand(capsys):
     assert har.main(["frobnicate"]) == 2
 

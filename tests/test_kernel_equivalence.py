@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import momex.optimizer as opt
 import momex.problems as prob
 import momex.schedule as sch
+import momex.verify as ver
 
 BUDGET = 25
 
@@ -195,7 +196,7 @@ def test_mem_p3_tracks_the_literal_order3_schedule():
     objective may move by at most 1e-12, relative."""
     problem = prob.datafit_problem(prob.generate_synthetic(50, seed=0))
     noise = prob.NoiseModel("scalar-gaussian-envelope", 10.0)
-    literal = opt.AlgorithmKind(name="mem", q=2, params=sch.params_p3)
+    literal = opt.AlgorithmKind(name="mem", q=2, params=ver.params_p3)
     general = opt.mem(sch.ScheduleConfig(p=3, q=2))
     for seed in (0, 1):
         a = opt.run(general, problem, noise, np.ones(50), 3000, seed, log_stride=1000)

@@ -6,6 +6,7 @@ import pytest
 import momex.optimizer as opt
 import momex.problems as prob
 import momex.schedule as sched
+import momex.verify as ver
 
 
 def _datafit(n=10, seed=3):
@@ -90,7 +91,7 @@ def test_mem_step_matches_literal_recursion():
     carry_th = np.full(2, 0.5)
 
     for k in range(50):
-        pars = sched.params_p3(k)
+        pars = ver.params_p3(k)
         sample = prob.draw_sample(noise, 10, run_seed=11, k=k)
 
         state = opt.mem_step(state, pars, oracle, sample)
@@ -142,7 +143,7 @@ def test_mem_step_rejects_desynchronized_params():
     state = opt.initial_state(np.ones(6), q=2)
     sample = prob.draw_sample(noise, 6, 0, 5)
     with pytest.raises(ValueError):
-        opt.mem_step(state, sched.params_p3(5), _oracle(problem, noise), sample)
+        opt.mem_step(state, ver.params_p3(5), _oracle(problem, noise), sample)
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +486,29 @@ def test_bundles_with_another_q_are_refused():
     with pytest.raises(ValueError, match=r"k=0 with q=2, state is at k=0 with q=1"):
         opt.mem_step(state, sched.params_general(0, 3), _oracle(problem, noise),
                      prob.draw_sample(noise, 10, 0, 0))
+
+
+def test_custom_blocks_are_checked():
+    """A kind's block= view is checked like its per-k stream: it must start
+    at the requested k with one row per iteration and the kind's q."""
+    problem, noise = prob.quadratic_problem(5), prob.NoiseModel()
+
+    def kind(q, block):
+        return opt.AlgorithmKind("custom", q, params=lambda k: sched.params_general(k, q + 1),
+                                 block=block)
+
+    cases = [
+        (1, lambda a, b: sched.params_block(3, a, b),
+         r"^params are for k=0 with q=2, state is at k=0 with q=1$"),
+        (2, lambda a, b: sched.params_block(3, a + 5, b + 5),
+         r"^params are for k=5 with q=2, state is at k=0 with q=2$"),
+        (2, lambda a, b: sched.params_block(3, a, b + 3), r"^13 bundles for the 10 iterations 0..9$"),
+        (2, lambda a, b: sched.params_block(3, a, max(a + 1, b - 3)),
+         r"^7 bundles for the 10 iterations 0..9$"),
+    ]
+    for q, block, message in cases:
+        with pytest.raises(ValueError, match=message):
+            opt.run(kind(q, block), problem, noise, np.ones(5), 10, 0)
+    good = opt.run(kind(2, lambda a, b: sched.params_block(3, a, b)), problem, noise,
+                   np.ones(5), 10, 0)
+    assert good.status == "completed" and good.state.k == 10

@@ -307,3 +307,13 @@ def test_load_csv_errors_name_the_offender(tmp_path):
     no_target.write_text("a,b\n1,2\n3,4\n")
     with pytest.raises(prob.DatasetFormatError, match="target"):
         prob.load_csv_dataset(no_target)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", " NaN"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b,target\n1,2,3\n4,{cell},6\n")
+    with np.errstate(all="raise"):  # refused before any rescaling
+        with pytest.raises(prob.DatasetFormatError) as err:
+            prob.load_csv_dataset(path)
+    assert str(err.value) == f"{path}: non-finite value {cell.strip()!r} at row 3, column 'b'"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momex.schedule as sched
+import momex.verify as ver
 
 
 # ---------------------------------------------------------------------------
@@ -17,7 +18,7 @@ import momex.schedule as sched
 # ---------------------------------------------------------------------------
 
 def test_p3_first_iteration_pinned():
-    pm = sched.params_p3(0)
+    pm = ver.params_p3(0)
     assert pm.eta == 0.4634630567719698
     assert pm.gammas[0] == 0.5172818579717866
     assert pm.gammas[1] == 0.2586409289858933
@@ -44,7 +45,7 @@ def test_general_specializes_to_p3():
     # expected, but 1e-14 relative is
     for k in (0, 1, 2, 3, 17, 100, 5000, 9999):
         a = sched.params_general(k, 3)
-        b = sched.params_p3(k)
+        b = ver.params_p3(k)
         assert math.isclose(a.eta, b.eta, rel_tol=1e-14)
         np.testing.assert_allclose(a.gammas, b.gammas, rtol=1e-14, atol=0)
         np.testing.assert_allclose(a.thetas, b.thetas, rtol=1e-14, atol=0)
@@ -110,7 +111,7 @@ def test_sum_identity_against_elementwise(gammas):
         return
     thetas = sched.solve_weights_closed_form(gammas)
     direct = math.fsum(thetas)
-    closed = sched.weight_sum_closed_form(gammas)
+    closed = ver.weight_sum_closed_form(gammas)
     product = 1.0 - math.prod(1.0 - g for g in gammas)
     assert math.isclose(closed, direct, rel_tol=1e-12, abs_tol=1e-15)
     assert math.isclose(closed, product, rel_tol=1e-12, abs_tol=1e-15)
@@ -123,12 +124,12 @@ def test_weight_inputs_restricted_to_open_unit_interval():
         with pytest.raises(ValueError):
             sched.solve_weights_closed_form(np.array(bad))
         with pytest.raises(ValueError):
-            sched.weight_sum_closed_form(np.array(bad))
+            ver.weight_sum_closed_form(np.array(bad))
 
 
 def test_weight_sum_rounded_inputs():
     # by hand: 1 - (1 - 0.517281)(1 - 0.258640) = 1 - 0.482719 * 0.741360
-    got = sched.weight_sum_closed_form(np.array([0.517281, 0.258640]))
+    got = ver.weight_sum_closed_form(np.array([0.517281, 0.258640]))
     assert math.isclose(got, 0.6421314, abs_tol=1e-6)
 
 
@@ -142,43 +143,43 @@ def test_q1_collapses_to_gamma():
 def test_closed_form_matches_dense_solve():
     gammas = np.array([0.9, 0.6, 0.3])
     closed = sched.solve_weights_closed_form(gammas)
-    dense = sched.solve_weights_linear(gammas)
+    dense = ver.solve_weights_linear(gammas)
     np.testing.assert_allclose(closed, dense, rtol=1e-8)
 
 
 def test_dense_solve_guards():
     with pytest.raises(ValueError, match="q <= 8"):
-        sched.solve_weights_linear(1.0 / (np.arange(1, 10) * 2.0))
-    with pytest.raises(sched.IllConditionedSystem):
-        sched.solve_weights_linear(np.array([0.5, 0.5 - 1e-14]))
+        ver.solve_weights_linear(1.0 / (np.arange(1, 10) * 2.0))
+    with pytest.raises(ver.IllConditionedSystem):
+        ver.solve_weights_linear(np.array([0.5, 0.5 - 1e-14]))
 
 
 def test_stacked_dense_solve_matches_per_bundle():
     for p in range(2, 7):
         gammas = np.array([sched.params_general(k, p).gammas for k in range(0, 5000, 37)])
-        stacked = sched.solve_weights_linear(gammas)
+        stacked = ver.solve_weights_linear(gammas)
         assert stacked.shape == gammas.shape
         for row, g in zip(stacked, gammas):
-            assert row.tobytes() == sched.solve_weights_linear(g).tobytes()
+            assert row.tobytes() == ver.solve_weights_linear(g).tobytes()
 
 
 def test_stacked_dense_solve_names_the_bad_bundle():
     ill = np.array([[0.9, 0.6], [0.8, 0.4], [0.7, 0.3], [0.5, 0.5 - 1e-14], [0.6, 0.2]])
-    with pytest.raises(sched.IllConditionedSystem, match="bundle 3:"):
-        sched.solve_weights_linear(ill)
+    with pytest.raises(ver.IllConditionedSystem, match="bundle 3:"):
+        ver.solve_weights_linear(ill)
     flat = ill.copy()
     flat[3] = [0.5, 0.5]
     flat[4] = [0.2, 0.6]
     with pytest.raises(ValueError, match="bundle 3: .*strictly decreasing"):
-        sched.solve_weights_linear(flat)
+        ver.solve_weights_linear(flat)
     outside = ill.copy()
     outside[1] = [1.0, 0.4]
     with pytest.raises(ValueError, match="bundle 1: .*\\(0,1\\)"):
-        sched.solve_weights_linear(outside)
+        ver.solve_weights_linear(outside)
     with pytest.raises(ValueError, match="q <= 8"):
-        sched.solve_weights_linear(np.tile(1.0 / (np.arange(1, 10) * 2.0), (3, 1)))
+        ver.solve_weights_linear(np.tile(1.0 / (np.arange(1, 10) * 2.0), (3, 1)))
     with pytest.raises(ValueError, match="nonempty"):
-        sched.solve_weights_linear(np.empty((0, 2)))
+        ver.solve_weights_linear(np.empty((0, 2)))
 
 
 def _closed_form_numpy_scalars(gammas):
@@ -214,11 +215,11 @@ def test_closed_form_bitwise_equals_numpy_scalar_loop(vals):
 
 
 def test_validate_schedule_weights():
-    diag0 = sched.validate(sched.params_p3(0))
+    diag0 = ver.validate(ver.params_p3(0))
     assert diag0.residual <= 1e-12
     for p in (2, 3, 4, 5, 6):
         for k in (0, 5, 1000):
-            diag = sched.validate(sched.params_general(k, p))
+            diag = ver.validate(sched.params_general(k, p))
             assert diag.residual <= 1e-9
             assert diag.theta_sum_in_unit
             assert diag.signs_alternate
@@ -233,7 +234,7 @@ def test_validate_flags_broken_sign_pattern():
         thetas=np.abs(pm.thetas),
         theta_sum=pm.theta_sum,
     )
-    assert not sched.validate(doctored).signs_alternate
+    assert not ver.validate(doctored).signs_alternate
 
 
 def test_bundle_fields_are_float_tuples():
@@ -278,7 +279,7 @@ def test_potential_weight_growth_window():
 
 def test_potential_inequality_holds_on_prefix():
     for p in (2, 3, 4, 5):
-        assert all(sched.check_potential_inequality(k, p) for k in range(2000))
+        assert all(ver.check_potential_inequality(k, p) for k in range(2000))
 
 
 def test_theorem_constant_zero_pins():
@@ -313,7 +314,7 @@ def test_iteration_threshold():
 def test_schedule_arrays_match_scalar_path():
     ks = np.array([0, 1, 7, 100, 12345])
     for p in (2, 3, 5):
-        eta, gam, th = sched.schedule_arrays(p, ks)
+        eta, gam, th = ver.schedule_arrays(p, ks)
         assert gam.shape == (p - 1, ks.size)
         for j, k in enumerate(ks):
             pm = sched.params_general(int(k), p)
@@ -326,9 +327,9 @@ def test_p3_arrays_match_scalar_path():
     # the sweep shares one log per k while the scalar path calls pow
     # directly, so agreement is to a couple of ulps, not bitwise
     ks = np.array([0, 3, 999])
-    eta, gam, th = sched.p3_arrays(ks)
+    eta, gam, th = ver.p3_arrays(ks)
     for j, k in enumerate(ks):
-        pm = sched.params_p3(int(k))
+        pm = ver.params_p3(int(k))
         assert math.isclose(eta[j], pm.eta, rel_tol=5e-15)
         np.testing.assert_allclose(gam[:, j], pm.gammas, rtol=5e-15, atol=0)
         np.testing.assert_allclose(th[:, j], pm.thetas, rtol=5e-14, atol=0)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import momex.problems as prob
+import momex.schedule as sched
 import momex.verify as ver
 
 
@@ -122,6 +125,33 @@ def test_smoothness_ratio_diverges_near_origin():
 
 def test_weight_residual_sweep_small():
     assert ver.weight_residual_sweep(4, 500) <= 1e-9
+
+
+def _residual_dot_form(params):
+    # validate's residual as it read with one dot product per power r
+    g = np.asarray(params.gammas)
+    th = np.asarray(params.thetas)
+    u = 1.0 / g
+    worst = 0.0
+    row_norm = 0.0
+    for r in range(1, g.size + 1):
+        row = u ** float(r)
+        worst = max(worst, abs(float(row @ th) - 1.0))
+        row_norm = max(row_norm, float(row.sum()))
+    denom = row_norm * float(np.max(np.abs(th)))
+    return worst / denom if denom > 0.0 else math.inf
+
+
+def test_validate_residual_matches_the_dot_product_form():
+    # validate now shares the sweep's elementwise sums, which may round the
+    # last bit differently from a dot product; 1e-16 absolute is the pin
+    bundles = [sched.params_general(k, p) for p in range(2, 7) for k in range(0, 3000, 7)]
+    bundles += [ver.params_p3(k) for k in (0, 1, 100)]
+    for b in bundles:
+        assert abs(ver.validate(b).residual - _residual_dot_form(b)) <= 1e-16, (b.k, b.q)
+    zero = sched.IterationParams(k=0, eta=1.0, gammas=(0.5, 0.25), thetas=(0.0, 0.0),
+                                 theta_sum=0.0)
+    assert ver.validate(zero).residual == _residual_dot_form(zero) == math.inf
 
 
 def test_dense_agreement_sweep_small():

@@ -14,6 +14,10 @@ against each tree's src/, and compares the two result lists. The matrix:
   step; mem_step on a stack of runs with a zero-direction row;
 - compare (with a diverging config), grid_search, run_experiment and
   verify_all at small sizes;
+- the schedule's oracles and measurements on a fixed grid: params_p3,
+  p3_arrays, schedule_arrays, stacked solve_weights_linear,
+  weight_sum_closed_form, check_potential_inequality and validate's two
+  flags (each looked up in momex.verify, else in momex.schedule);
 - the CLI's run (csv, json and --out), compare and verify.
 
 Each result is recorded as its repr (arrays at full precision) and the
@@ -217,6 +221,54 @@ def harness_section(m):
     return out
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is the result under comparison
+        return f"{type(exc).__name__}: {exc}"
+
+
+def schedule_section(m):
+    """The schedule's oracles and measurements on a fixed grid. Each name is
+    looked up in momex.verify first and in momex.schedule after, so the
+    same matrix runs on trees from before and after they moved."""
+    def find(name):
+        return getattr(m.verify if hasattr(m.verify, name) else m.schedule, name)
+
+    sch, ks = m.schedule, [0, 1, 2, 7, 255, 256, 1000, 12345, 10**6, 2**40]
+    out = [entry("params_p3", [find("params_p3")(k) for k in ks]),
+           entry("p3_arrays", find("p3_arrays")(np.array(ks)))]
+    odd = [sch.init_params(3), sch.IterationParams(3, 0.1, (0.6, 0.3), (0.9, float("nan")), 0.5),
+           sch.IterationParams(4, 0.1, (0.5, 0.25), (1.5, -0.2), 1.3)]
+    for p in range(2, 7):
+        bundles = [sch.params_general(k, p) for k in ks]
+        gammas = np.array([b.gammas for b in bundles])
+        odd.append(sch.IterationParams(9, 0.1, bundles[3].gammas,
+                                       tuple(map(abs, bundles[3].thetas)), 0.5))
+        out += [
+            entry(f"schedule_arrays p={p}", find("schedule_arrays")(p, np.array(ks))),
+            entry(f"solve_weights_linear stack p={p}",
+                  [_outcome(find("solve_weights_linear"), gammas[: n]) for n in (4, 7, 10)]),
+            entry(f"weight_sum_closed_form p={p}",
+                  [find("weight_sum_closed_form")(g) for g in gammas]),
+            entry(f"check_potential_inequality p={p}",
+                  [find("check_potential_inequality")(k, p) for k in range(0, 3000, 7)]),
+            entry(f"validate flags p={p}", [(d.theta_sum_in_unit, d.signs_alternate)
+                                            for d in map(find("validate"), bundles)]),
+        ]
+    return out + [
+        entry("check_potential_inequality config",
+              [find("check_potential_inequality")(k, sch.ScheduleConfig(4, 3)) for k in ks]),
+        entry("validate flags, hand-built", [(d.theta_sum_in_unit, d.signs_alternate)
+                                             for d in map(find("validate"), odd)]),
+        entry("weight sum and dense solve errors",
+              [_outcome(find(name), g) for name in ("weight_sum_closed_form", "solve_weights_linear")
+               for g in ([1.0, 0.4], [0.4, 0.6], [[0.9, 0.6], [0.5, 0.5 - 1e-14]],
+                         list(0.5 / np.arange(1, 10)))]),
+    ]
+
+
 def cli_section(m, workdir: str):
     """The CLI's run, compare and verify, in process; each entry holds the
     exit code, stdout, stderr and any file written."""
@@ -258,13 +310,13 @@ def collect(workdir: str) -> list:
     """Every entry of the matrix, run against the momex Python imports."""
     m = modules()
     return (run_batch_section(m) + wall_clock_section(m) + mem_step_section(m)
-            + harness_section(m) + cli_section(m, workdir))
+            + harness_section(m) + schedule_section(m) + cli_section(m, workdir))
 
 
 def modules() -> argparse.Namespace:
     """The momex modules the matrix calls, by short name."""
     return argparse.Namespace(**{name: importlib.import_module(f"momex.{name}") for name in
-                                 ("optimizer", "problems", "schedule", "harness")})
+                                 ("optimizer", "problems", "schedule", "verify", "harness")})
 
 
 def first_difference(a: list, b: list):
