@@ -62,7 +62,12 @@ __all__ = [
     "p3_consistency_check",
 ]
 
-_CHUNK = 1 << 17
+# indices per sweep chunk: a (n,) temporary is 128 KiB and a (q, n) one at
+# most 640 KiB, so a chunk's working set stays in a per-core L2 of 2-4 MiB;
+# 2^14 and 2^15 were the fastest in a sweep of 2^11..2^17 (CHANGES.md). Every
+# sweep result is elementwise work reduced by max or sum of integers, so
+# none depends on this size.
+_CHUNK = 1 << 14
 # rows per params_block call, as in the optimizer's loop: whole-chunk blocks
 # would put its (rows, q, q) temporaries of megabytes on the allocator's heap
 _BUNDLE_ROWS = 256
@@ -106,21 +111,29 @@ class WeightDiagnostics:
     signs_alternate: bool
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x, h=1e-5) -> np.ndarray:
-    """Central-difference gradient (f(x+h e_i) - f(x-h e_i)) / (2h).
+def _central_difference(values, x, h) -> np.ndarray:
+    """Central-difference gradient (f(x+h_i e_i) - f(x-h_i e_i)) / (2h_i).
 
-    h may be a scalar or a per-coordinate array of positive steps.
+    values maps the (2n, n) stack of points, x + h_i e_i in rows 0..n-1 and
+    x - h_i e_i in rows n..2n-1, to the 2n values of f at them; h is a
+    scalar or a per-coordinate array of positive steps.
     """
     x = np.asarray(x, dtype=float)
     h = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
     if not np.all(h > 0.0):
         raise ValueError("finite-difference steps must be positive")
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
-    return g
+    e = np.diag(h)
+    fx = np.asarray(values(np.concatenate([x + e, x - e])), dtype=float)
+    return (fx[: x.size] - fx[x.size:]) / (2.0 * h)
+
+
+def finite_diff_grad(f: Callable[[np.ndarray], float], x, h=1e-5) -> np.ndarray:
+    """Central-difference gradient (f(x+h e_i) - f(x-h e_i)) / (2h) of a
+    one-point callable f.
+
+    h may be a scalar or a per-coordinate array of positive steps.
+    """
+    return _central_difference(lambda points: [f(z) for z in points], x, h)
 
 
 def gradient_check(
@@ -130,13 +143,15 @@ def gradient_check(
 
     Steps scale with the coordinate, h_i = h * max(1, |x_i|); the measure
     is ||fd - grad|| / ||grad||, worst over the points. Tolerance 1e-6.
+    The 2n perturbed points of each x go to problem.value as one stack,
+    which gives every row the bits it gets alone.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_points):
         x = rng.standard_normal(problem.dim)
         steps = h * np.maximum(1.0, np.abs(x))
-        fd = finite_diff_grad(problem.value, x, steps)
+        fd = _central_difference(problem.value, x, steps)
         g = problem.gradient(x)
         ng = float(np.linalg.norm(g))
         rel = float(np.linalg.norm(fd - g)) / ng if ng > 0.0 else math.inf
@@ -412,6 +427,23 @@ def smoothness_ratio_check(
     )
 
 
+def _p3_weights(c):
+    """The literal order-3 (gammas, thetas) at c = (k+3)^(3/5), for a float
+    or an array of them."""
+    c2 = c * c
+    return (1.0 / c, 0.5 / c), ((2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2))
+
+
+def _p3_literal(k: int) -> tuple:
+    """(eta, theta_sum, gamma_1, gamma_2, theta_1, theta_2) of params_p3 as
+    plain floats, through the scalar libm."""
+    lg = math.log(float(k) + 3.0)
+    c = math.exp(3.0 / 5.0 * lg)
+    (g1, g2), (t1, t2) = _p3_weights(c)
+    # one rounded addition: math.fsum of the two thetas, bit for bit
+    return math.exp(-7.0 / 10.0 * lg), t1 + t2, g1, g2, t1, t2
+
+
 def params_p3(k: int) -> IterationParams:
     """Bundle of the third-order schedule in its literal form (an oracle).
 
@@ -425,15 +457,38 @@ def params_p3(k: int) -> IterationParams:
     fractions.
     """
     _check_index(k)
-    lg = math.log(float(k) + 3.0)
-    c = math.exp(3.0 / 5.0 * lg)
-    eta = math.exp(-7.0 / 10.0 * lg)
-    c2 = c * c
-    gammas = (1.0 / c, 0.5 / c)
-    thetas = ((2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2))
-    return IterationParams(
-        k=k, eta=eta, gammas=gammas, thetas=thetas, theta_sum=math.fsum(thetas)
-    )
+    eta, theta_sum, g1, g2, t1, t2 = _p3_literal(k)
+    return IterationParams(k=k, eta=eta, gammas=(g1, g2), thetas=(t1, t2), theta_sum=theta_sum)
+
+
+def _as_indices(ks) -> np.ndarray:
+    ks = np.asarray(ks, dtype=float)
+    if ks.size and ks.min() < 0:
+        raise ValueError("iteration indices must be >= 0")
+    return ks
+
+
+def _schedule_chunk(p: int, ks: np.ndarray):
+    """lg = log(ks + p), c = (ks + p)^(2p/(3p+1)), and the gammas and thetas
+    of the order-p schedule at ks, shaped (n,), (n,), (q, n), (q, n) with
+    q = p - 1; each is computed once per chunk of indices.
+    """
+    _check_order(p)
+    d = 3.0 * p + 1.0
+    lg = np.log(ks + p)
+    c = np.exp(2.0 * p / d * lg)
+    q = p - 1
+    t = np.arange(1, p, dtype=float)
+    gam = 1.0 / (t[:, None] * c[None, :])
+    gam_m1 = gam - 1.0
+    th = np.empty_like(gam)
+    for i in range(q):
+        f = np.ones_like(c)
+        for s in range(q):
+            if s != i:
+                f *= gam_m1[s] / (gam[s] - gam[i])
+        th[i] = gam[i] ** q * f
+    return lg, c, gam, th
 
 
 def schedule_arrays(p: int, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -443,39 +498,16 @@ def schedule_arrays(p: int, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Same formulas as params_general; the vector exp/log kernels may differ
     from the scalar libm by an ulp, which the sweep tolerances absorb.
     """
-    _check_order(p)
-    ks = np.asarray(ks, dtype=float)
-    if ks.size and ks.min() < 0:
-        raise ValueError("iteration indices must be >= 0")
-    d = 3.0 * p + 1.0
-    lg = np.log(ks + p)
-    c = np.exp(2.0 * p / d * lg)
-    eta = np.exp(-(2.0 * p + 1.0) / d * lg)
-    q = p - 1
-    t = np.arange(1, p, dtype=float)
-    gam = 1.0 / (t[:, None] * c[None, :])
-    th = np.empty_like(gam)
-    for i in range(q):
-        f = np.ones_like(c)
-        for s in range(q):
-            if s != i:
-                f *= (gam[s] - 1.0) / (gam[s] - gam[i])
-        th[i] = gam[i] ** q * f
+    lg, _, gam, th = _schedule_chunk(p, _as_indices(ks))
+    eta = np.exp(-(2.0 * p + 1.0) / (3.0 * p + 1.0) * lg)
     return eta, gam, th
 
 
 def p3_arrays(ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized literal third-order schedule; see params_p3."""
-    ks = np.asarray(ks, dtype=float)
-    if ks.size and ks.min() < 0:
-        raise ValueError("iteration indices must be >= 0")
-    lg = np.log(ks + 3.0)
-    c = np.exp(3.0 / 5.0 * lg)
-    eta = np.exp(-7.0 / 10.0 * lg)
-    c2 = c * c
-    gam = np.stack([1.0 / c, 0.5 / c])
-    th = np.stack([(2.0 * c - 1.0) / c2, (1.0 - c) / (2.0 * c2)])
-    return eta, gam, th
+    lg = np.log(_as_indices(ks) + 3.0)
+    gam, th = _p3_weights(np.exp(3.0 / 5.0 * lg))
+    return np.exp(-7.0 / 10.0 * lg), np.stack(gam), np.stack(th)
 
 
 def solve_weights_linear(gammas) -> np.ndarray:
@@ -583,13 +615,15 @@ def check_potential_inequality(k: int, config) -> bool:
     return bool(_contraction(s, pk, pk1, p) <= 0.0)
 
 
-def _sweep_chunks(k_max: int):
+def _sweep_chunks(k_max: int, overlap: int = 0):
+    """0..k_max as float chunks of _CHUNK indices, each extended by the first
+    `overlap` indices of the next (past k_max on the last chunk)."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     start = 0
     while start <= k_max:
         stop = min(start + _CHUNK, k_max + 1)
-        yield np.arange(start, stop, dtype=float)
+        yield np.arange(start, stop + overlap, dtype=float)
         start = stop
 
 
@@ -605,7 +639,7 @@ def weight_residual_sweep(p: int, k_max: int) -> float:
     """
     worst = 0.0
     for ks in _sweep_chunks(k_max):
-        _, gam, th = schedule_arrays(p, ks)
+        _, _, gam, th = _schedule_chunk(p, ks)
         worst = max(worst, float(_scaled_residual(gam, th).max()))
     return worst
 
@@ -639,7 +673,7 @@ def sum_identity_sweep(p: int, k_max: int) -> Tuple[float, int]:
     worst = 0.0
     violations = 0
     for ks in _sweep_chunks(k_max):
-        _, gam, th = schedule_arrays(p, ks)
+        _, _, gam, th = _schedule_chunk(p, ks)
         s = _weight_sum(gam)
         worst = max(worst, float(np.max(np.abs(th.sum(axis=0) - s) / np.abs(s))))
         violations += _sign_faults(th)
@@ -704,22 +738,23 @@ def bound_sweep(p: int, k_max: int = 10**6) -> CheckReport:
     log_cap = math.log(2.0 * p - 1.0)
     worst_closed = -math.inf
     worst_strict = -math.inf
-    for ks in _sweep_chunks(k_max):
-        lg = np.log(ks + p)
-        c = np.exp(2.0 * p / d * lg)
-        _, gam, th = schedule_arrays(p, ks)
+    # each chunk runs one index into the next, so p_{k+1} is the row after
+    # p_k: (k+1) + p and (k+p) + 1 are the same exact integer in a double
+    for ks in _sweep_chunks(k_max, overlap=1):
+        lg, c, gam, th = _schedule_chunk(p, ks)
+        pk_all = np.exp((p - 1.0) / d * lg)
+        pk, pk1 = pk_all[:-1], pk_all[1:]
+        c, gam, th = c[:-1], gam[:, :-1], th[:, :-1]
         s = _weight_sum(gam)
         vs = [1.0 / (2.0 * c) - s, s - log_cap / c]
         for t in range(1, p):
             vs.append(th[t - 1] ** 2 - fac / (t * c) ** 2)
-        pk = np.exp((p - 1.0) / d * lg)
-        pk1 = np.exp((p - 1.0) / d * np.log(ks + p + 1.0))
         vs += [_contraction(s, pk, pk1, p), pk - pk1, pk1 - 2.0 * pk]
         worst_closed = max(worst_closed, max(float(v.max()) for v in vs))
         if p == 3:
             # here c = (k+3)^(3/5) and pk = (k+3)^(1/5), bit for bit: 2p/d
-            # and (p-1)/d are the doubles 0.6 and 0.2
-            _, _, th3 = p3_arrays(ks)
+            # and (p-1)/d are the doubles 0.6 and 0.2, so c is p3_arrays's c
+            _, th3 = _p3_weights(c)
             s3 = th3[0] + th3[1]
             strict = [1.0 / c - s3, s3 - 1.5 / c]
             worst_strict = max(worst_strict, max(float(v.max()) for v in strict))
@@ -753,15 +788,13 @@ def p3_consistency_check(k_max: int = 10**4) -> CheckReport:
     every field, relative tolerance 1e-14.
 
     The general side comes from params_block, a block of indices at a
-    time; the dedicated side stays the scalar literal form, params_p3 per k.
+    time; the dedicated side stays the scalar literal form of params_p3,
+    one k at a time.
     """
     worst = 0.0
     for a in _bundle_blocks(3, 0, k_max + 1):
         general = np.column_stack([a.eta, a.theta_sum, a.gammas, a.thetas])
-        dedicated = np.array([
-            (b.eta, b.theta_sum, *b.gammas, *b.thetas)
-            for b in map(params_p3, range(a.k0, a.k0 + len(a.eta)))
-        ])
+        dedicated = np.array([_p3_literal(k) for k in range(a.k0, a.k0 + len(a.eta))])
         worst = max(worst, float((np.abs(general - dedicated) / np.abs(dedicated)).max()))
     return CheckReport(
         name="p3-consistency",

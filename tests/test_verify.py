@@ -23,6 +23,44 @@ def test_finite_diff_grad_on_known_polynomial():
     np.testing.assert_allclose(fd, 3.0 * x**2, rtol=1e-8)
 
 
+def test_finite_diff_grad_equals_the_one_point_loop():
+    f = lambda x: float(np.sin(x).sum() + x[0] * x[-1] ** 2)
+    x = np.array([0.7, -1.3, 2.1, 0.0])
+    h = 1e-5 * np.maximum(1.0, np.abs(x))
+    ref = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h[i]
+        ref[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
+    assert np.array_equal(ver.finite_diff_grad(f, x, h), ref)
+    with pytest.raises(ValueError, match="positive"):
+        ver.finite_diff_grad(f, x, 0.0)
+
+
+def _gradient_check_one_point(problem, n_points, seed, h=1e-5):
+    # gradient_check as it read with one problem.value call per perturbed point
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_points):
+        x = rng.standard_normal(problem.dim)
+        fd = ver.finite_diff_grad(problem.value, x, h * np.maximum(1.0, np.abs(x)))
+        g = problem.gradient(x)
+        ng = float(np.linalg.norm(g))
+        worst = max(worst, float(np.linalg.norm(fd - g)) / ng if ng > 0.0 else math.inf)
+    return ver.CheckReport(
+        name=f"gradient:{problem.name}", passed=worst <= 1e-6, worst_case=worst,
+        samples=n_points,
+        detail=f"worst ||fd-grad||/||grad|| over {n_points} points; tol 1e-6")
+
+
+def test_gradient_check_equals_the_one_point_loop():
+    data = prob.generate_synthetic(30, seed=0)
+    for seed, problem in enumerate((prob.datafit_problem(data), prob.robust_problem(data),
+                                    prob.quadratic_problem(20, 100.0))):
+        assert ver.gradient_check(problem, 20, seed) == _gradient_check_one_point(
+            problem, 20, seed)
+
+
 def test_gradient_check_passes_for_all_problems():
     for p in (
         _datafit(),
@@ -169,6 +207,50 @@ def test_dense_agreement_sweep_matches_per_bundle_loop(monkeypatch):
             gap = np.max(np.abs(params.thetas - ref)) / np.max(np.abs(ref))
             worst = max(worst, float(gap))
         assert ver.dense_agreement_sweep(p, 200) == worst
+
+
+def _sweeps(k_max):
+    return [(ver.bound_sweep(p, k_max), ver.weight_residual_sweep(p, k_max),
+             ver.sum_identity_sweep(p, k_max)) for p in range(2, 7)]
+
+
+def test_sweeps_do_not_depend_on_the_chunk_size(monkeypatch):
+    # bound_sweep reads p_{k+1} from the one-index overlap row of each chunk;
+    # chunk 1 makes every row an overlap row, chunk 37 ends the k_max = 37
+    # sweep on a chunk of one index
+    default = ver._CHUNK
+    for k_max in (0, 37, 200):
+        ref = _sweeps(k_max)
+        for size in (1, 37):
+            monkeypatch.setattr(ver, "_CHUNK", size)
+            assert _sweeps(k_max) == ref, (k_max, size)
+        monkeypatch.setattr(ver, "_CHUNK", default)
+    # past three default chunk boundaries, against one chunk that holds all
+    k_max = 3 * default + 5
+    ref = _sweeps(k_max)
+    monkeypatch.setattr(ver, "_CHUNK", 4 * default)
+    assert _sweeps(k_max) == ref
+
+
+def _p3_consistency_from_params_p3(k_max):
+    # p3_consistency_check as it read with one params_p3 bundle per k
+    worst = 0.0
+    for a in ver._bundle_blocks(3, 0, k_max + 1):
+        general = np.column_stack([a.eta, a.theta_sum, a.gammas, a.thetas])
+        dedicated = np.array([(b.eta, b.theta_sum, *b.gammas, *b.thetas)
+                              for b in map(ver.params_p3, range(a.k0, a.k0 + len(a.eta)))])
+        worst = max(worst, float((np.abs(general - dedicated) / np.abs(dedicated)).max()))
+    return ver.CheckReport(
+        name="p3-consistency", passed=worst <= 1e-14, worst_case=worst, samples=k_max + 1,
+        detail="relative gap between general p=3 and dedicated bundles; tol 1e-14")
+
+
+def test_p3_consistency_check_equals_its_params_p3_form():
+    for k_max in (0, 255, 256, 1000):
+        assert ver.p3_consistency_check(k_max) == _p3_consistency_from_params_p3(k_max)
+    for k in (0, 1, 7, 12345, 10**6, 2**40):
+        b = ver.params_p3(k)
+        assert b.theta_sum == math.fsum(b.thetas)
 
 
 def test_verify_all_reports_the_direct_checks():

@@ -16,8 +16,11 @@ against each tree's src/, and compares the two result lists. The matrix:
   verify_all at small sizes;
 - the schedule's oracles and measurements on a fixed grid: params_p3,
   p3_arrays, schedule_arrays, stacked solve_weights_linear,
-  weight_sum_closed_form, check_potential_inequality and validate's two
-  flags (each looked up in momex.verify, else in momex.schedule);
+  weight_sum_closed_form, check_potential_inequality with the signed
+  contraction it compares with 0, and validate's two flags (each looked
+  up in momex.verify, else in momex.schedule);
+- bound_sweep, weight_residual_sweep and sum_identity_sweep for p = 2..6
+  at a k_max past several boundaries of the sweeps' chunks;
 - the CLI's run (csv, json and --out), compare and verify.
 
 Each result is recorded as its repr (arrays at full precision) and the
@@ -252,8 +255,7 @@ def schedule_section(m):
                   [_outcome(find("solve_weights_linear"), gammas[: n]) for n in (4, 7, 10)]),
             entry(f"weight_sum_closed_form p={p}",
                   [find("weight_sum_closed_form")(g) for g in gammas]),
-            entry(f"check_potential_inequality p={p}",
-                  [find("check_potential_inequality")(k, p) for k in range(0, 3000, 7)]),
+            entry(f"check_potential_inequality p={p}", _contractions(m, find, p)),
             entry(f"validate flags p={p}", [(d.theta_sum_in_unit, d.signs_alternate)
                                             for d in map(find("validate"), bundles)]),
         ]
@@ -267,6 +269,26 @@ def schedule_section(m):
                for g in ([1.0, 0.4], [0.4, 0.6], [[0.9, 0.6], [0.5, 0.5 - 1e-14]],
                          list(0.5 / np.arange(1, 10)))]),
     ]
+
+
+def _contractions(m, find, p: int) -> list:
+    """(signed contraction, check_potential_inequality) at k = 0, 7, .. 2996:
+    a change that moves the contraction but not its sign still shows."""
+    sch, ks = m.schedule, range(0, 3000, 7)
+    sums = sch.params_block(p, 0, 3000).theta_sum[::7]
+    return [(float(m.verify._contraction(s, sch.potential_weight(k, p).value,
+                                         sch.potential_weight(k + 1, p).value, p)),
+             find("check_potential_inequality")(k, p)) for k, s in zip(ks, sums)]
+
+
+def sweep_section(m):
+    """The three schedule sweeps past several boundaries of their 2^14-index
+    chunks: a result that depends on where the chunks split differs from a
+    tree that splits them elsewhere."""
+    ver, k_max = m.verify, 50_000
+    return [entry(f"sweeps p={p} k_max={k_max}",
+                  [ver.bound_sweep(p, k_max), ver.weight_residual_sweep(p, k_max),
+                   ver.sum_identity_sweep(p, k_max)]) for p in range(2, 7)]
 
 
 def cli_section(m, workdir: str):
@@ -310,7 +332,8 @@ def collect(workdir: str) -> list:
     """Every entry of the matrix, run against the momex Python imports."""
     m = modules()
     return (run_batch_section(m) + wall_clock_section(m) + mem_step_section(m)
-            + harness_section(m) + schedule_section(m) + cli_section(m, workdir))
+            + harness_section(m) + schedule_section(m) + sweep_section(m)
+            + cli_section(m, workdir))
 
 
 def modules() -> argparse.Namespace:
