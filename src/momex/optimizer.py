@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,9 +45,6 @@ __all__ = [
     "TrajectoryRecord",
     "RunResult",
     "initial_state",
-    "extrapolate",
-    "momentum_update",
-    "normalized_step",
     "mem_step",
     "sg_step",
     "sgpm_step",
@@ -96,46 +93,6 @@ def initial_state(x0, q: int) -> OptimizerState:
     )
 
 
-def extrapolate(x_cur: np.ndarray, x_prev: np.ndarray, gamma: float) -> np.ndarray:
-    """z = x_cur + ((1 - gamma)/gamma) (x_cur - x_prev)."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    if gamma == 1.0:
-        return x_cur
-    return x_cur + ((1.0 - gamma) / gamma) * (x_cur - x_prev)
-
-
-def momentum_update(
-    m_prev: np.ndarray, thetas: Sequence[float], grads: Sequence[np.ndarray]
-) -> np.ndarray:
-    """m = (1 - sum(theta)) m_prev + sum_t theta_t g_t."""
-    if len(thetas) != len(grads):
-        raise ValueError(f"{len(thetas)} weights for {len(grads)} gradients")
-    w = 1.0 - math.fsum(thetas)
-    # weights summing to one drop m_prev outright, so m = g holds exactly
-    # even when m_prev is not finite (0 * inf would give NaN)
-    m = w * m_prev if w != 0.0 else 0.0
-    for th, g in zip(thetas, grads):
-        m = m + th * g
-    return m
-
-
-def normalized_step(
-    x_cur: np.ndarray, m: np.ndarray, eta: float
-) -> Tuple[np.ndarray, Union[bool, np.ndarray]]:
-    """x - eta m/||m|| per row; a zero direction leaves its row unchanged
-    and is flagged (a bool per row, or False when no row has one)."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    nm = np.sqrt(np.vecdot(m, m, keepdims=True))  # bitwise np.linalg.norm per row
-    if np.count_nonzero(nm) == nm.size:
-        return x_cur - (eta / nm) * m, False
-    # rows with a zero direction keep x; dividing them by 1.0 keeps the division quiet
-    zero = nm == 0.0
-    step = (eta / np.where(zero, 1.0, nm)) * m
-    return np.where(zero, x_cur, x_cur - step), zero[..., 0]
-
-
 # (stacked query points (q, ..., n), shared sample) -> stacked gradients
 Oracle = Callable[[np.ndarray, Sample], np.ndarray]
 
@@ -146,27 +103,55 @@ def _steps(
 ) -> Tuple[OptimizerState, np.ndarray, np.ndarray]:
     """The recursion every method runs, over the rows of block from state at
     k = block.k0. Iteration k queries the oracle once, at the q points
-    extrapolated with the carried (previous-iteration) gammas stacked as
-    (q, ..., n), all on samples[k - k0], folds them into the momentum with
-    the carried thetas, then steps with row k's eta: a fixed length along
-    m/||m||, or eta m when not normalized; row k becomes the carry. stop()
-    after an iteration ends the block there. Returns the state after the
-    block and the block's x^k0 .. and m^k0 .., stacked."""
+    z = x + ((1 - gamma)/gamma)(x - x_prev) for the carried
+    (previous-iteration) gammas, stacked as (q, ..., n), all on
+    samples[k - k0]; folds them into m = (1 - sum(theta)) m + sum theta_t g_t
+    with the carried thetas; then steps with row k's eta: a fixed length
+    along m/||m||, or eta m when not normalized; row k becomes the carry.
+    stop() after an iteration ends the block there. Returns the state after
+    the block and the block's x^k0 .. and m^k0 .., stacked.
+
+    Before the first step, every gamma and eta the block reads is checked:
+    the carried gammas and those of rows 0 .. B-2 must lie in (0, 1] and
+    every eta must be > 0. Row B-1's gammas are the next call's carry. The
+    ValueError names the k of the first bad bundle in reading order."""
     gammas = [state.carry.gammas, *block.gammas.tolist()]  # [j]: carried into row j
     thetas = [state.carry.thetas, *block.thetas.tolist()]
+    etas = block.eta.tolist()
+    ks = [state.carry.k, *range(block.k0, block.k0 + len(etas))]  # [j]: k of gammas[j]
+    for j, eta in enumerate(etas):  # step j reads gammas[j], then eta
+        for g in gammas[j]:
+            if not 0.0 < g <= 1.0:
+                raise ValueError(f"bundle for k={ks[j]}: gamma must be in (0, 1], got {g}")
+        if not eta > 0.0:
+            raise ValueError(f"bundle for k={ks[j + 1]}: eta must be positive, got {eta}")
     x_prev, x, m, zero_steps = state.x_prev, state.x_cur, state.m, state.zero_steps
     # each step's arrays are copied out and freed at once (holding them is slower)
-    X, M = np.empty((len(block.eta) + 1, *x.shape)), np.empty((len(block.eta), *x.shape))
+    X, M = np.empty((len(etas) + 1, *x.shape)), np.empty((len(etas), *x.shape))
     X[0] = x
-    for j, eta in enumerate(block.eta.tolist()):
-        zs = tuple(extrapolate(x, x_prev, g) for g in gammas[j])
-        m = momentum_update(m, thetas[j], oracle(np.array(zs), samples[j]))
-        if normalized:
-            x_next, zero = normalized_step(x, m, eta)
-        elif not eta > 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        else:
+    for j, eta in enumerate(etas):
+        # at gamma = 1 the query point is x itself, whatever x_prev holds
+        d = x - x_prev if min(gammas[j]) < 1.0 else None
+        zs = tuple(x if g == 1.0 else x + ((1.0 - g) / g) * d for g in gammas[j])
+        grads = oracle(np.array(zs), samples[j])
+        if len(thetas[j]) != len(grads):
+            raise ValueError(f"{len(thetas[j])} weights for {len(grads)} gradients")
+        # weights summing to one drop m outright, so m = g holds exactly
+        # even when m is not finite (0 * inf would give NaN)
+        w = 1.0 - math.fsum(thetas[j])
+        m = w * m if w != 0.0 else 0.0
+        for th, g in zip(thetas[j], grads):
+            m = m + th * g
+        if not normalized:
             x_next, zero = x - eta * m, False
+        else:
+            nm = np.sqrt(np.vecdot(m, m, keepdims=True))  # bitwise np.linalg.norm per row
+            if np.count_nonzero(nm) == nm.size:
+                x_next, zero = x - (eta / nm) * m, False
+            else:  # rows with a zero direction keep x; dividing them by 1.0 keeps it quiet
+                zero = nm == 0.0
+                x_next = np.where(zero, x, x - (eta / np.where(zero, 1.0, nm)) * m)
+                zero = zero[..., 0]
         x_prev, x, zero_steps = x, x_next, zero_steps + zero
         X[j + 1], M[j] = x, m
         if stop():
@@ -207,22 +192,25 @@ class AlgorithmKind:
         """Bundles of iterations k0 .. k1 - 1 as one block: the block view,
         or params(k) read for one k after another and stacked. Either way
         there must be one row for each k, for that k with this kind's q."""
+
+        def check(found):  # (k, q) of each row
+            if len(found) != k1 - k0:
+                raise ValueError(f"{len(found)} bundles for the {k1 - k0} iterations "
+                                 f"{k0}..{k1 - 1}")
+            for k, (pk, pq) in enumerate(found, k0):
+                if (pk, pq) != (k, self.q):
+                    raise ValueError(f"params are for k={pk} with q={pq}, "
+                                     f"state is at k={k} with q={self.q}")
+
         if self.block is not None:
             block = self.block(k0, k1)
-            found = [(block.k0 + j, block.gammas.shape[-1]) for j in range(len(block.eta))]
+            check([(block.k0 + j, block.gammas.shape[-1]) for j in range(len(block.eta))])
         else:
             rows = [self.params(k) for k in range(k0, k1)]
-            found = [(p.k, p.q) for p in rows]
-        if len(found) != k1 - k0:
-            raise ValueError(f"{len(found)} bundles for the {k1 - k0} iterations {k0}..{k1 - 1}")
-        for k, (pk, pq) in enumerate(found, k0):
-            if (pk, pq) != (k, self.q):
-                raise ValueError(f"params are for k={pk} with q={pq}, "
-                                 f"state is at k={k} with q={self.q}")
-        if self.block is not None:
-            return block
-        return ParamsBlock(k0, *(np.array([getattr(p, c) for p in rows])
-                                 for c in ("eta", "gammas", "thetas", "theta_sum")))
+            check([(p.k, p.q) for p in rows])
+            block = ParamsBlock(k0, *(np.array([getattr(p, c) for p in rows])
+                                      for c in ("eta", "gammas", "thetas", "theta_sum")))
+        return block
 
 
 def mem(schedule: ScheduleConfig) -> AlgorithmKind:
@@ -260,7 +248,7 @@ def sg_pm(
     def params(k: int) -> IterationParams:
         gamma = gamma_rule(k)
         if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+            raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {gamma}")
         return IterationParams(k, eta_rule(k), (1.0,), (gamma,), gamma)
 
     return AlgorithmKind(name="sg-pm", q=1, params=params)
@@ -367,11 +355,13 @@ def run_batch(
     run is bit for bit what it is alone (elapsed_seconds aside).
     """
     x0, S, seeds = np.asarray(x0, dtype=float), len(seeds), tuple(seeds)
-    if len({len(kinds), len(budgets), len(log_strides)}) > 1 or not S or x0.ndim != 1:
+    if len({len(kinds), len(budgets), len(log_strides)}) > 1 or not kinds or not S or x0.ndim != 1:
         raise ValueError(f"{len(kinds)} kinds, {len(budgets)} budgets, {len(log_strides)} "
                          f"log strides, {S} seeds and x0 of shape {x0.shape}")
     if min(budgets) < 0 or min(log_strides) < 1:
         raise ValueError(f"budget must be >= 0 and log_stride >= 1: {budgets}, {log_strides}")
+    if wall_seconds is not None and not wall_seconds > 0.0:
+        raise ValueError(f"wall_seconds must be positive, got {wall_seconds}")
     f0, t0 = problem.value(x0), time.perf_counter()
     states = [initial_state(np.tile(x0, (S, 1)), kind.q) for kind in kinds]
     records = [[[] for _ in seeds] for _ in kinds]

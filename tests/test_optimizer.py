@@ -18,43 +18,65 @@ def _oracle(problem, noise):
 
 
 # ---------------------------------------------------------------------------
-# single-update algebra
+# single-update algebra, one mem_step from a hand-built state
 # ---------------------------------------------------------------------------
 
+def _one_step(x_prev, x, m, gammas, thetas, grads=None, eta=0.3):
+    """mem_step at k = 0 from a state whose carry holds gammas and thetas,
+    with an oracle that records its stacked query points and returns grads
+    (zeros when None). Returns the new state and the query points."""
+    seen = []
+
+    def oracle(z, sample):
+        seen.append(z.copy())
+        return np.zeros_like(z) if grads is None else np.array(grads, dtype=float)
+
+    carry = sched.IterationParams(-1, math.nan, tuple(gammas), tuple(thetas), math.fsum(thetas))
+    state = opt.OptimizerState(np.array(x_prev, dtype=float), np.array(x, dtype=float),
+                               np.array(m, dtype=float), 0, carry)
+    q = len(gammas)
+    params = sched.IterationParams(0, eta, (1.0,) * q, (1.0 / q,) * q, 1.0)
+    return opt.mem_step(state, params, oracle, prob.Sample(0.0, 0, 0)), seen[0]
+
+
 def test_extrapolate():
-    x = np.array([1.0, 2.0])
-    xp = np.array([0.0, 0.0])
-    np.testing.assert_array_equal(opt.extrapolate(x, xp, 1.0), x)
-    np.testing.assert_array_equal(opt.extrapolate(x, xp, 0.5), 2.0 * x)
-    with pytest.raises(ValueError):
-        opt.extrapolate(x, xp, 0.0)
-    with pytest.raises(ValueError):
-        opt.extrapolate(x, xp, 1.0000001)
+    x, xp = [1.0, 2.0], [0.0, 0.0]
+    _, z = _one_step(xp, x, [0.0, 0.0], [1.0], [1.0])
+    np.testing.assert_array_equal(z[0], x)
+    _, z = _one_step([-np.inf, np.nan], x, [0.0, 0.0], [1.0], [1.0])  # x_prev is not read
+    np.testing.assert_array_equal(z[0], x)
+    _, z = _one_step(xp, x, [0.0, 0.0], [0.5], [1.0])
+    np.testing.assert_array_equal(z[0], 2.0 * np.array(x))
+    for bad in (0.0, 1.0000001):
+        message = rf"^bundle for k=-1: gamma must be in \(0, 1\], got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            _one_step(xp, x, [0.0, 0.0], [bad], [1.0])
 
 
 def test_momentum_update_forgets_history_when_weights_sum_to_one():
-    g1 = np.array([1.0, 0.0])
-    g2 = np.array([0.0, 1.0])
-    a = opt.momentum_update(np.array([100.0, -100.0]), [0.5, 0.5], [g1, g2])
-    b = opt.momentum_update(np.array([-7.0, 3.0]), [0.5, 0.5], [g1, g2])
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a, np.array([0.5, 0.5]))
+    grads = [[1.0, 0.0], [0.0, 1.0]]
+    a, _ = _one_step([0.0, 0.0], [0.0, 0.0], [100.0, -100.0], [1.0, 1.0], [0.5, 0.5], grads)
+    b, _ = _one_step([0.0, 0.0], [0.0, 0.0], [-7.0, 3.0], [1.0, 1.0], [0.5, 0.5], grads)
+    np.testing.assert_array_equal(a.m, b.m)
+    np.testing.assert_array_equal(a.m, np.array([0.5, 0.5]))
+    # a momentum that is not finite is dropped too (0 * inf would give NaN)
+    c, _ = _one_step([0.0, 0.0], [0.0, 0.0], [np.inf, np.nan], [1.0, 1.0], [0.5, 0.5], grads)
+    np.testing.assert_array_equal(c.m, a.m)
 
 
 def test_momentum_update_mixes_previous_estimate():
-    m = opt.momentum_update(np.array([1.0]), [0.25], [np.array([3.0])])
-    assert m[0] == 0.75 * 1.0 + 0.25 * 3.0
+    st, _ = _one_step([0.0], [0.0], [1.0], [1.0], [0.25], [[3.0]])
+    assert st.m[0] == 0.75 * 1.0 + 0.25 * 3.0
 
 
 def test_normalized_step_length_and_zero_guard():
     x = np.array([1.0, 1.0, 1.0])
-    m = np.array([0.0, 2.0, 0.0])
-    x1, zero = opt.normalized_step(x, m, eta=0.3)
-    assert not zero
-    assert math.isclose(np.linalg.norm(x1 - x), 0.3, rel_tol=1e-15)
-    x2, zero = opt.normalized_step(x, np.zeros(3), eta=0.3)
-    assert zero
-    np.testing.assert_array_equal(x2, x)
+    st, _ = _one_step(x, x, np.zeros(3), [1.0], [1.0], [[0.0, 2.0, 0.0]], eta=0.3)
+    assert st.zero_steps == 0
+    assert math.isclose(np.linalg.norm(st.x_cur - x), 0.3, rel_tol=1e-15)
+    st, _ = _one_step(x, x, np.zeros(3), [1.0], [1.0], eta=0.3)
+    assert st.zero_steps == 1
+    np.testing.assert_array_equal(st.x_cur, x)
 
 
 def test_initial_state():
@@ -65,8 +87,12 @@ def test_initial_state():
     assert st.k == 0
     assert st.carry.k == -1
     # warm-start carry makes every first extrapolation collapse onto x0
-    for g in st.carry.gammas:
-        np.testing.assert_array_equal(opt.extrapolate(st.x_cur, st.x_prev, g), x0)
+    seen = []
+    oracle = lambda z, sample: seen.append(z.copy()) or np.ones_like(z)
+    opt.mem_step(st, sched.params_general(0, 3), oracle, prob.Sample(0.0, 0, 0))
+    assert len(seen[0]) == st.carry.q
+    for z in seen[0]:
+        np.testing.assert_array_equal(z, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +431,11 @@ def test_run_batch_rejects_bad_arguments():
         opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [5], [], [1])
     with pytest.raises(ValueError, match="1 kinds, 2 budgets, 1 log strides"):
         opt.run_batch([kind], problem, prob.NoiseModel(), np.ones(3), [5, 6], [0], [1])
+    with pytest.raises(ValueError, match="^0 kinds, 0 budgets, 0 log strides, 1 seeds"):
+        opt.run_batch([], problem, prob.NoiseModel(), np.ones(3), [], [0], [])
+    for wall in (math.nan, -1.0, 0.0):  # nan once ran with no ceiling, -1 stopped after a step
+        with pytest.raises(ValueError, match=rf"^wall_seconds must be positive, got {wall}$"):
+            opt.run(kind, problem, prob.NoiseModel(), np.ones(3), 5, 0, wall_seconds=wall)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
@@ -512,3 +543,46 @@ def test_custom_blocks_are_checked():
     good = opt.run(kind(2, lambda a, b: sched.params_block(3, a, b)), problem, noise,
                    np.ones(5), 10, 0)
     assert good.status == "completed" and good.state.k == 10
+
+
+def test_one_gate_per_block_names_the_bad_k():
+    """Every gamma and eta a kernel block reads is checked before its first
+    step, and the error names the k of the bundle at fault: here k = 300,
+    in the second loop block."""
+    problem, noise, x0 = prob.quadratic_problem(5), prob.NoiseModel(), np.ones(5)
+
+    def eta_at(bad):
+        return lambda k: bad if k == 300 else 0.01
+
+    def gamma_at(k):
+        return 0.0 if k == 300 else 0.5
+
+    def view(a, b):  # mem's block with gamma 0 at k = 300
+        block = sched.params_block(3, a, b)
+        gammas = block.gammas.copy()
+        if a <= 300 < b:
+            gammas[300 - a, 0] = 0.0
+        return sched.ParamsBlock(block.k0, block.eta, gammas, block.thetas, block.theta_sum)
+
+    per_k = opt.AlgorithmKind(
+        "custom", 1, lambda k: sched.IterationParams(k, 0.01, (gamma_at(k),), (0.5,), 0.5))
+    blocked = opt.AlgorithmKind("custom", 2, lambda k: sched.params_general(k, 3), block=view)
+    cases = [(make(eta_at(bad)), rf"^bundle for k=300: eta must be positive, got {bad}$")
+             for make in (opt.sg, lambda rule: opt.sg_pm(eta_rule=rule))
+             for bad in (0.0, -1.0, math.nan)]
+    cases += [(kind, r"^bundle for k=300: gamma must be in \(0, 1\], got 0.0$")
+              for kind in (per_k, blocked, opt.sg_pm(gamma_at))]
+    for kind, message in cases:
+        with pytest.raises(ValueError, match=message):
+            opt.run(kind, problem, noise, x0, 400, 0)
+
+    # a hand-built state whose carry has gamma 0 is refused at the carry's k
+    carry = sched.IterationParams(6, 0.1, (0.0,), (0.5,), 0.5)
+    state = opt.OptimizerState(x0, x0, np.zeros(5), 7, carry)
+    with pytest.raises(ValueError, match=r"^bundle for k=6: gamma must be in \(0, 1\], got 0.0$"):
+        opt.mem_step(state, per_k.params(7), _oracle(problem, noise), prob.Sample(0.0, 0, 7))
+
+    # the gammas of a run's last bundle are never read, so they are not refused
+    last = opt.run(per_k, problem, noise, x0, 301, 0)
+    assert last.status == "completed" and last.state.k == 301
+    assert last.state.carry.gammas == (0.0,)

@@ -27,15 +27,14 @@ def test_one_ulp_change_is_reported(monkeypatch):
     parity = _parity()
     m = parity.modules()
     before = parity.mem_step_section(m)
-    real = m.optimizer.normalized_step
+    real = m.problems.stochastic_grad
 
-    def nudged(x_cur, m_k, eta):  # every step lands one ulp further along x[..., 0]
-        x, zero = real(x_cur, m_k, eta)
-        x = x.copy()
-        x[..., 0] = np.nextafter(x[..., 0], np.inf)
-        return x, zero
+    def nudged(problem, noise, x, sample):  # every gradient one ulp larger in x[..., 0]
+        g = real(problem, noise, x, sample).copy()
+        g[..., 0] = np.nextafter(g[..., 0], np.inf)
+        return g
 
-    monkeypatch.setattr(m.optimizer, "normalized_step", nudged)
+    monkeypatch.setattr(m.problems, "stochastic_grad", nudged)
     diff = parity.first_difference(before, parity.mem_step_section(m))
     assert diff is not None and diff.startswith("mem_step stack k=0: repr differs"), diff
     n = len(before)

@@ -12,6 +12,9 @@ against each tree's src/, and compares the two result lists. The matrix:
   minimizer (zero directions); a diverging run (non-finite status);
   wall-clock stops under a counting clock, mid-block and on a block's last
   step; mem_step on a stack of runs with a zero-direction row;
+- a custom q = 2 stream whose gammas mix 1.0 with 0.5, through run_batch
+  and through mem_step from a stack with a -0.0 coordinate and a
+  non-finite x_prev; an oracle returning too many gradients;
 - compare (with a diverging config), grid_search, run_experiment and
   verify_all at small sizes;
 - the schedule's oracles and measurements on a fixed grid: params_p3,
@@ -190,6 +193,48 @@ def mem_step_section(m):
     return out
 
 
+def _mixed_stream(m):
+    """A custom q = 2 per-k stream whose gammas mix 1.0 with 0.5; its
+    weights sum to one at k = 0 and 3 (mod 4)."""
+    sch = m.schedule
+    rows = [((1.0, 1.0), (0.5, 0.5)), ((1.0, 0.5), (0.6, -0.2)),
+            ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
+    return m.optimizer.AlgorithmKind("mixed", 2, lambda k: sch.IterationParams(
+        k, 0.05, *rows[k % 4], sum(rows[k % 4][1])))
+
+
+def custom_stream_section(m):
+    """The mixed stream through run_batch across a loop block, and through
+    mem_step from a stack whose rows hold a -0.0 coordinate and a
+    non-finite x_prev: a query point at gamma = 1 is x itself, bit for bit,
+    whatever x_prev holds. Last, the error for an oracle that returns
+    another number of gradients than there are weights."""
+    opt, prob, sch = m.optimizer, m.problems, m.schedule
+    kind, out = _mixed_stream(m), []
+    for name, noise in (("datafit", prob.NoiseModel("scalar-gaussian-envelope", 2.0)),
+                        ("quadratic", prob.NoiseModel())):
+        problem = _problem(m, name)
+        res = opt.run_batch([kind], problem, noise, np.full(problem.dim, 0.6), [300], [0, 1],
+                            [7], store_iterates=True)
+        out.append(entry(f"mixed stream {name}", res))
+    problem = prob.quadratic_problem(5, conditioning=3.0)
+    oracle = lambda z, sample: prob.stochastic_grad(problem, prob.NoiseModel(), z, sample)
+    x = np.array([[-0.0, 0.5, -1.0, 0.25, 2.0], np.linspace(-1.0, 1.0, 5), np.full(5, -0.0)])
+    x_prev = x.copy()
+    x_prev[1, 2:4] = (np.inf, np.nan)
+    for gammas in ((1.0, 1.0), (1.0, 0.5)):
+        carry = sch.IterationParams(-1, float("nan"), gammas, (0.5, 0.5), 1.0)
+        state = opt.OptimizerState(x_prev, x, np.zeros_like(x), 0, carry)
+        for k in range(4):
+            sample = prob.Sample(np.zeros(3), (0, 1, 2), k)
+            state = opt.mem_step(state, kind.params(k), oracle, sample)
+            out.append(entry(f"mixed stream mem_step carry={gammas} k={k}", state))
+    three = lambda z, sample: np.zeros((3, *z.shape[1:]))
+    out.append(entry("mem_step 2 weights for 3 gradients", _outcome(
+        opt.mem_step, opt.initial_state(x, 2), kind.params(0), three, prob.Sample(0.0, 0, 0))))
+    return out
+
+
 def harness_section(m):
     """compare, grid_search, run_experiment and verify_all at small sizes."""
     har = m.harness
@@ -332,8 +377,8 @@ def collect(workdir: str) -> list:
     """Every entry of the matrix, run against the momex Python imports."""
     m = modules()
     return (run_batch_section(m) + wall_clock_section(m) + mem_step_section(m)
-            + harness_section(m) + schedule_section(m) + sweep_section(m)
-            + cli_section(m, workdir))
+            + custom_stream_section(m) + harness_section(m) + schedule_section(m)
+            + sweep_section(m) + cli_section(m, workdir))
 
 
 def modules() -> argparse.Namespace:
