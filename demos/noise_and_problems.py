@@ -32,11 +32,11 @@ def main() -> None:
 
     print("\nsame sample index, same draw; the oracle is reproducible:")
     x = 0.5 * np.ones(12)
-    s1 = prob.draw_sample(noise, 12, run_seed=3, k=17)
-    s2 = prob.draw_sample(noise, 12, run_seed=3, k=17)
-    g1 = prob.stochastic_grad(datafit, noise, x, s1)
-    g2 = prob.stochastic_grad(datafit, noise, x, s2)
-    print(f"  draws equal: {s1.xi == s2.xi}, gradients equal:"
+    xi1 = prob.draw_sample(noise, 12, run_seed=3, k=17)
+    xi2 = prob.draw_sample(noise, 12, run_seed=3, k=17)
+    g1 = prob.stochastic_grad(datafit, noise, x, xi1)
+    g2 = prob.stochastic_grad(datafit, noise, x, xi2)
+    print(f"  draws equal: {xi1 == xi2}, gradients equal:"
           f" {bool(np.array_equal(g1, g2))}")
 
     mean_err = np.linalg.norm(

@@ -39,8 +39,7 @@ def main() -> None:
 
     print("\npotential weights grow but never more than double:")
     for k in (0, 1, 2, 3):
-        w = sch.potential_weight(k, 3)
-        print(f"  k={k} p_k={w.value:.6f}")
+        print(f"  k={k} p_k={sch.potential_weight(k, 3):.6f}")
 
     m = sch.theorem_constant(p=3, f0_minus_flow=1.0, sigma=1.0, L1=4.0, Lp=2.0)
     k_eps = sch.iteration_threshold(3, m, epsilon=0.1)

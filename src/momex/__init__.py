@@ -23,7 +23,6 @@ from .problems import (
     DatasetFormatError,
     NoiseModel,
     ProblemConstants,
-    Sample,
     SmoothProblem,
     datafit_problem,
     dataset_to_csv,
@@ -73,7 +72,6 @@ __all__ = [
     "ProblemConstants",
     "RunConfig",
     "RunResult",
-    "Sample",
     "ScheduleConfig",
     "SmoothProblem",
     "TrajectoryRecord",

@@ -3,8 +3,8 @@
 Every method runs the same recursion: evaluate the stochastic gradient at
 q points extrapolated from the last two iterates, all on one shared noise
 draw, fold them into the momentum with signed weights, and step. A method
-is an AlgorithmKind: its q, a stream k -> IterationParams read a block at
-a time as a ParamsBlock, and whether the step is normalized.
+is an AlgorithmKind: its q, a stream (k0, k1) -> the ParamsBlock of
+iterations k0 .. k1 - 1, and whether the step is normalized.
 
 - mem: the order-p schedule, q = p - 1 extrapolations.
 - sg-pm (normalized Polyak momentum): gamma = 1, so the query point is x
@@ -15,8 +15,9 @@ a time as a ParamsBlock, and whether the step is normalized.
 
 A state holds one run, (n,), or a stack of runs, (S, n), whose rows each
 get the bits they would get alone. One kernel steps a state through the
-rows of a ParamsBlock, and mem_step is its one-row case; run_batch steps
-all seeds of several kinds that way, and run is its one-kind, one-seed case.
+rows of a ParamsBlock, each on its noise draw, and mem_step is its one-row
+case; run_batch steps all seeds of several kinds that way, and run is its
+one-kind, one-seed case.
 """
 
 from __future__ import annotations
@@ -24,18 +25,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problems import NoiseModel, Sample, SmoothProblem, _norm, draw_sample, stochastic_grad
+from .problems import NoiseModel, SmoothProblem, _norm, draw_sample, stochastic_grad
 from .schedule import (
     IterationParams,
     ParamsBlock,
     ScheduleConfig,
     init_params,
     params_block,
-    params_for,
+    params_for,  # not called here; perfbench traces optimizer.params_for (ROADMAP item 1)
     solve_weights_closed_form,
 )
 
@@ -93,32 +94,46 @@ def initial_state(x0, q: int) -> OptimizerState:
     )
 
 
-# (stacked query points (q, ..., n), shared sample) -> stacked gradients
-Oracle = Callable[[np.ndarray, Sample], np.ndarray]
+# (stacked query points (q, ..., n), the iteration's draw xi: a float, or
+# one draw per run, (S,) or (S, n)) -> stacked gradients
+Oracle = Callable[[np.ndarray, Union[float, np.ndarray]], np.ndarray]
 
 
 def _steps(
-    state: OptimizerState, block: ParamsBlock, oracle: Oracle, samples: Sequence[Sample],
+    state: OptimizerState, block: ParamsBlock, oracle: Oracle, xis: Sequence,
     normalized: bool, stop: Callable[[], bool] = lambda: False,
 ) -> Tuple[OptimizerState, np.ndarray, np.ndarray]:
-    """The recursion every method runs, over the rows of block from state at
-    k = block.k0. Iteration k queries the oracle once, at the q points
-    z = x + ((1 - gamma)/gamma)(x - x_prev) for the carried
-    (previous-iteration) gammas, stacked as (q, ..., n), all on
-    samples[k - k0]; folds them into m = (1 - sum(theta)) m + sum theta_t g_t
+    """The recursion every method runs, from state at k0 = state.k over the
+    rows of block, one for each draw in xis. Iteration k queries the oracle
+    once, at the q points z = x + ((1 - gamma)/gamma)(x - x_prev) for the
+    carried (previous-iteration) gammas, stacked as (q, ..., n), all on the
+    draw xis[k - k0]; folds them into m = (1 - sum(theta)) m + sum theta_t g_t
     with the carried thetas; then steps with row k's eta: a fixed length
     along m/||m||, or eta m when not normalized; row k becomes the carry.
     stop() after an iteration ends the block there. Returns the state after
     the block and the block's x^k0 .. and m^k0 .., stacked.
 
-    Before the first step, every gamma and eta the block reads is checked:
-    the carried gammas and those of rows 0 .. B-2 must lie in (0, 1] and
-    every eta must be > 0. Row B-1's gammas are the next call's carry. The
-    ValueError names the k of the first bad bundle in reading order."""
+    Before the first step, one gate checks everything the call reads, and
+    its ValueError says what is wrong: every column of block has one row
+    per draw, the block starts at state.k, and its gammas and thetas have
+    the carry's q; the carried gammas and those of rows 0 .. B-2 lie in
+    (0, 1] and every eta is > 0, naming the k of the first bad bundle in
+    reading order. Row B-1's gammas are the next call's carry."""
+    n, k0, q = len(xis), state.k, state.carry.q
+    for name in ("eta", "gammas", "thetas", "theta_sum"):
+        rows = len(getattr(block, name))
+        if rows != n:
+            what = f"{rows} bundles" if name == "eta" else f"{name} has {rows} rows"
+            raise ValueError(f"{what} for the {n} iterations {k0}..{k0 + n - 1}")
+    if (block.k0, block.gammas.shape[-1]) != (k0, q):
+        raise ValueError(f"params are for k={block.k0} with q={block.gammas.shape[-1]}, "
+                         f"state is at k={k0} with q={q}")
+    if block.thetas.shape[-1] != q:
+        raise ValueError(f"thetas have q={block.thetas.shape[-1]}, state is at k={k0} with q={q}")
     gammas = [state.carry.gammas, *block.gammas.tolist()]  # [j]: carried into row j
     thetas = [state.carry.thetas, *block.thetas.tolist()]
     etas = block.eta.tolist()
-    ks = [state.carry.k, *range(block.k0, block.k0 + len(etas))]  # [j]: k of gammas[j]
+    ks = [state.carry.k, *range(k0, k0 + n)]  # [j]: k of gammas[j]
     for j, eta in enumerate(etas):  # step j reads gammas[j], then eta
         for g in gammas[j]:
             if not 0.0 < g <= 1.0:
@@ -133,7 +148,7 @@ def _steps(
         # at gamma = 1 the query point is x itself, whatever x_prev holds
         d = x - x_prev if min(gammas[j]) < 1.0 else None
         zs = tuple(x if g == 1.0 else x + ((1.0 - g) / g) * d for g in gammas[j])
-        grads = oracle(np.array(zs), samples[j])
+        grads = oracle(np.array(zs), xis[j])
         if len(thetas[j]) != len(grads):
             raise ValueError(f"{len(thetas[j])} weights for {len(grads)} gradients")
         # weights summing to one drop m outright, so m = g holds exactly
@@ -156,9 +171,9 @@ def _steps(
         X[j + 1], M[j] = x, m
         if stop():
             break
-    carry = IterationParams(block.k0 + j, eta, tuple(gammas[j + 1]), tuple(thetas[j + 1]),
+    carry = IterationParams(k0 + j, eta, tuple(gammas[j + 1]), tuple(thetas[j + 1]),
                             block.theta_sum[j].item())
-    return OptimizerState(x_prev, x, m, block.k0 + j + 1, carry,
+    return OptimizerState(x_prev, x, m, k0 + j + 1, carry,
                           state.oracle_calls + (j + 1) * len(zs), zero_steps, zs), X, M
 
 
@@ -166,61 +181,35 @@ def mem_step(
     state: OptimizerState,
     params: IterationParams,
     oracle: Oracle,
-    sample: Sample,
+    xi,
     normalized: bool = True,
 ) -> OptimizerState:
-    """One iteration: the kernel on params as a one-row block, at state.k."""
-    kind = AlgorithmKind("mem_step", state.carry.q, lambda k: params)
-    return _steps(state, kind.bundles(state.k, state.k + 1), oracle, [sample], normalized)[0]
+    """One iteration on the draw xi: the kernel on params as a one-row
+    block, at state.k."""
+    return _steps(state, ParamsBlock.of([params]), oracle, [xi], normalized)[0]
 
 
 @dataclass(frozen=True)
 class AlgorithmKind:
-    """A method as the kernel sees it: q query points per iteration, the
-    bundle for each iteration k, and whether the step is normalized.
-
-    block, when given, returns the ParamsBlock of iterations k0 .. k1 - 1
-    in one call, row k the bundle params(k) returns."""
+    """A method as the kernel sees it: q query points per iteration,
+    bundles(k0, k1) -> the ParamsBlock of iterations k0 .. k1 - 1, and
+    whether the step is normalized. A per-k rule params(k) is the stream
+    lambda k0, k1: ParamsBlock.of(map(params, range(k0, k1)))."""
 
     name: str
     q: int
-    params: Callable[[int], IterationParams]
+    bundles: Callable[[int, int], ParamsBlock]
     normalized: bool = True
-    block: Optional[Callable[[int, int], ParamsBlock]] = None
 
-    def bundles(self, k0: int, k1: int) -> ParamsBlock:
-        """Bundles of iterations k0 .. k1 - 1 as one block: the block view,
-        or params(k) read for one k after another and stacked. Either way
-        there must be one row for each k, for that k with this kind's q."""
 
-        def check(found):  # (k, q) of each row
-            if len(found) != k1 - k0:
-                raise ValueError(f"{len(found)} bundles for the {k1 - k0} iterations "
-                                 f"{k0}..{k1 - 1}")
-            for k, (pk, pq) in enumerate(found, k0):
-                if (pk, pq) != (k, self.q):
-                    raise ValueError(f"params are for k={pk} with q={pq}, "
-                                     f"state is at k={k} with q={self.q}")
-
-        if self.block is not None:
-            block = self.block(k0, k1)
-            check([(block.k0 + j, block.gammas.shape[-1]) for j in range(len(block.eta))])
-        else:
-            rows = [self.params(k) for k in range(k0, k1)]
-            check([(p.k, p.q) for p in rows])
-            block = ParamsBlock(k0, *(np.array([getattr(p, c) for p in rows])
-                                      for c in ("eta", "gammas", "thetas", "theta_sum")))
-        return block
+def _per_k(params: Callable[[int], IterationParams]) -> Callable[[int, int], ParamsBlock]:
+    """The stream of a per-k rule, read one k after another."""
+    return lambda k0, k1: ParamsBlock.of(map(params, range(k0, k1)))
 
 
 def mem(schedule: ScheduleConfig) -> AlgorithmKind:
     """The multi-extrapolated method under the order-p schedule."""
-    return AlgorithmKind(
-        name="mem",
-        q=schedule.q,
-        params=lambda k: params_for(schedule, k),
-        block=lambda k0, k1: params_block(schedule.p, k0, k1),
-    )
+    return AlgorithmKind("mem", schedule.q, lambda k0, k1: params_block(schedule.p, k0, k1))
 
 
 def sg(eta_rule: Optional[Callable[[int], float]] = None) -> AlgorithmKind:
@@ -228,9 +217,7 @@ def sg(eta_rule: Optional[Callable[[int], float]] = None) -> AlgorithmKind:
     eta_k = (k+1)^(-1/2)."""
     eta_rule = eta_rule or (lambda k: (k + 1.0) ** -0.5)
     return AlgorithmKind(
-        name="sg",
-        q=1,
-        params=lambda k: IterationParams(k, eta_rule(k), (1.0,), (1.0,), 1.0),
+        "sg", 1, _per_k(lambda k: IterationParams(k, eta_rule(k), (1.0,), (1.0,), 1.0)),
         normalized=False,
     )
 
@@ -251,7 +238,7 @@ def sg_pm(
             raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {gamma}")
         return IterationParams(k, eta_rule(k), (1.0,), (gamma,), gamma)
 
-    return AlgorithmKind(name="sg-pm", q=1, params=params)
+    return AlgorithmKind("sg-pm", 1, _per_k(params))
 
 
 def nigt(gamma: float, eta: float) -> AlgorithmKind:
@@ -265,30 +252,31 @@ def nigt(gamma: float, eta: float) -> AlgorithmKind:
     bundle = IterationParams(
         k=0, eta=eta, gammas=[gamma], thetas=thetas, theta_sum=float(thetas[0])
     )
-    return AlgorithmKind(name="nigt", q=1, params=lambda k: replace(bundle, k=k))
+    return AlgorithmKind("nigt", 1, _per_k(lambda k: replace(bundle, k=k)))
 
 
-def sg_step(
-    state: OptimizerState, eta: float, oracle: Oracle, sample: Sample
-) -> OptimizerState:
+def _step(kind: AlgorithmKind, state: OptimizerState, oracle: Oracle, xi) -> OptimizerState:
+    """One iteration of kind at state.k on the draw xi."""
+    return _steps(state, kind.bundles(state.k, state.k + 1), oracle, [xi], kind.normalized)[0]
+
+
+def sg_step(state: OptimizerState, eta: float, oracle: Oracle, xi) -> OptimizerState:
     """One step of sg() at a constant eta."""
-    kind = sg(lambda k: eta)
-    return mem_step(state, kind.params(state.k), oracle, sample, kind.normalized)
+    return _step(sg(lambda k: eta), state, oracle, xi)
 
 
 def sgpm_step(
-    state: OptimizerState, gamma: float, eta: float, oracle: Oracle, sample: Sample
+    state: OptimizerState, gamma: float, eta: float, oracle: Oracle, xi
 ) -> OptimizerState:
     """One step of sg_pm() at a constant (gamma, eta)."""
-    kind = sg_pm(lambda k: gamma, lambda k: eta)
-    return mem_step(state, kind.params(state.k), oracle, sample)
+    return _step(sg_pm(lambda k: gamma, lambda k: eta), state, oracle, xi)
 
 
 def nigt_step(
-    state: OptimizerState, gamma: float, eta: float, oracle: Oracle, sample: Sample
+    state: OptimizerState, gamma: float, eta: float, oracle: Oracle, xi
 ) -> OptimizerState:
     """One step of nigt(gamma, eta)."""
-    return mem_step(state, nigt(gamma, eta).params(state.k), oracle, sample)
+    return _step(nigt(gamma, eta), state, oracle, xi)
 
 
 @dataclass(frozen=True)
@@ -367,7 +355,7 @@ def run_batch(
     records = [[[] for _ in seeds] for _ in kinds]
     iterates = [[st.x_cur] for st in states]
     bad_at = [np.full(S, -1) for _ in kinds]  # first non-finite iteration per seed
-    oracle = lambda z, sample: stochastic_grad(problem, noise, z, sample)
+    oracle = lambda z, xi: stochastic_grad(problem, noise, z, xi)
 
     def log(i, X, M, ks, calls, times):
         G, F = problem.gradient(X), problem.value(X)  # one call each for all rows
@@ -386,14 +374,14 @@ def run_batch(
     for k0 in range(0, max(budgets), block):
         k1 = min(k0 + block, max(budgets))
         xis = np.zeros((k1 - k0, S)) if noise.kind == "none" else np.array(
-            [[draw_sample(noise, problem.dim, s, k).xi for s in seeds] for k in range(k0, k1)])
-        samples = [Sample(xi, seeds, k) for k, xi in zip(range(k0, k1), xis)]
+            [[draw_sample(noise, problem.dim, s, k) for s in seeds] for k in range(k0, k1)])
         for i, kind in enumerate(kinds):
             if stopped or budgets[i] <= k0:
                 continue
             times.clear()
-            states[i], X, M = _steps(states[i], kind.bundles(k0, min(k1, budgets[i])), oracle,
-                                     samples, kind.normalized, past_wall)
+            end = min(k1, budgets[i])
+            states[i], X, M = _steps(states[i], kind.bundles(k0, end), oracle, xis[: end - k0],
+                                     kind.normalized, past_wall)
             n, stopped = len(times), times[-1] > wall
             if store_iterates:
                 iterates[i].extend(X[1 : n + 1])

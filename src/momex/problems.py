@@ -25,7 +25,6 @@ __all__ = [
     "ProblemConstants",
     "SmoothProblem",
     "NoiseModel",
-    "Sample",
     "Dataset",
     "DatasetFormatError",
     "sigmoid",
@@ -147,34 +146,22 @@ class NoiseModel:
         return _per_point(self.sigma_tilde * np.minimum(np.sqrt(_norm(x)), 1.0))
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One iteration's noise realization plus the lineage that produced it.
+def draw_sample(noise: NoiseModel, dim: int, run_seed: int, k: int) -> Union[float, np.ndarray]:
+    """The noise draw xi of iteration k, derived from (run_seed, k): a float
+    for the scalar kind, a (dim,) array for the elementwise kind, and 0.0
+    for "none", which skips the generator entirely.
 
-    A single Sample must be shared by every gradient query inside its
-    iteration; that coupling is what the momentum combination relies on.
-    For a stack of S runs, xi is (S,) for the scalar kind or (S, n), and
-    run_seed holds the S seeds.
-    """
-
-    xi: Union[float, np.ndarray]
-    run_seed: int
-    k: int
-
-
-def draw_sample(noise: NoiseModel, dim: int, run_seed: int, k: int) -> Sample:
-    """Noise draw for iteration k, derived from (run_seed, k).
-
-    Seeding per iteration index makes trajectories replay identically
-    whatever the logging stride or restart point. The "none" kind skips the
-    generator entirely.
+    Every gradient query inside an iteration shares its one draw; that
+    coupling is what the momentum combination relies on. Seeding per
+    iteration index makes trajectories replay identically whatever the
+    logging stride or restart point.
     """
     if noise.kind == "none":
-        return Sample(xi=0.0, run_seed=run_seed, k=k)
+        return 0.0
     rng = np.random.default_rng((run_seed, k))
     if noise.kind == "scalar-gaussian-envelope":
-        return Sample(xi=float(rng.standard_normal()), run_seed=run_seed, k=k)
-    return Sample(xi=rng.standard_normal(dim), run_seed=run_seed, k=k)
+        return float(rng.standard_normal())
+    return rng.standard_normal(dim)
 
 
 def apply_noise(grad: np.ndarray, noise: NoiseModel, x, xi) -> np.ndarray:
@@ -193,16 +180,16 @@ def apply_noise(grad: np.ndarray, noise: NoiseModel, x, xi) -> np.ndarray:
     return grad + np.asarray(scale)[..., None] * xi
 
 
-def stochastic_grad(
-    problem: SmoothProblem, noise: NoiseModel, x, sample: Sample
-) -> np.ndarray:
-    """G(x; xi): the exact gradient plus the envelope-scaled draw.
+def stochastic_grad(problem: SmoothProblem, noise: NoiseModel, x, xi) -> np.ndarray:
+    """G(x; xi): the exact gradient plus the envelope-scaled draw xi, as
+    draw_sample returns it; for stacked points, one draw per run (S,) or
+    (S, n) broadcast against their leading axes.
 
-    Deterministic given (x, sample); at x = 0 the envelope vanishes and the
+    Deterministic given (x, xi); at x = 0 the envelope vanishes and the
     output is the exact gradient for any draw.
     """
     x = _check_point(x, problem.dim)
-    return apply_noise(problem.gradient(x), noise, x, sample.xi)
+    return apply_noise(problem.gradient(x), noise, x, xi)
 
 
 def datafit_problem(dataset: "Dataset") -> SmoothProblem:
@@ -368,8 +355,8 @@ def load_csv_dataset(path, target_column: Union[str, int] = "target") -> Dataset
 
     Raises:
         DatasetFormatError: empty file, ragged row, unknown target column,
-            or a non-numeric or non-finite cell (the message names the row
-            and column).
+            no feature column besides the target, or a non-numeric or
+            non-finite cell (the message names the row and column).
         OSError: unreadable path.
     """
     with open(path, newline="") as fh:
@@ -392,6 +379,8 @@ def load_csv_dataset(path, target_column: Union[str, int] = "target") -> Dataset
             raise DatasetFormatError(
                 f"{path}: no column named {target_column!r}; header has {header}"
             ) from None
+    if len(header) == 1:
+        raise DatasetFormatError(f"{path}: no feature columns besides the target")
     data = np.empty((len(rows) - 1, len(header)))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):

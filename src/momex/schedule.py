@@ -31,7 +31,6 @@ __all__ = [
     "ScheduleConfig",
     "IterationParams",
     "ParamsBlock",
-    "PotentialWeight",
     "params_block",
     "params_general",
     "params_for",
@@ -75,8 +74,9 @@ def _as_gamma_stack(gammas, stack: bool = True) -> np.ndarray:
 @dataclass(frozen=True)
 class ScheduleConfig:
     """The built-in order-p schedule, which pairs q = p - 1 extrapolations
-    with decreasing step and mixing rules. Any other schedule is a
-    per-k stream of IterationParams handed to the optimizer directly."""
+    with decreasing step and mixing rules. Any other schedule is a stream
+    of ParamsBlocks handed to the optimizer directly; a per-k rule stacks
+    its IterationParams with ParamsBlock.of."""
 
     p: int
     q: int
@@ -125,14 +125,6 @@ class IterationParams:
         return len(self.gammas)
 
 
-@dataclass(frozen=True)
-class PotentialWeight:
-    """Error-discount weight p_k paired with its iteration index."""
-
-    k: int
-    value: float
-
-
 @dataclass(frozen=True, eq=False)
 class ParamsBlock:
     """Bundles of iterations k0 .. k0 + B - 1 as arrays: eta and theta_sum
@@ -143,6 +135,19 @@ class ParamsBlock:
     gammas: np.ndarray
     thetas: np.ndarray
     theta_sum: np.ndarray
+
+    @classmethod
+    def of(cls, rows) -> "ParamsBlock":
+        """One or more IterationParams stacked as a block, the inverse of
+        bundles(): they must be for consecutive k and share one q."""
+        rows = list(rows)
+        k0, q = rows[0].k, rows[0].q
+        for k, p in enumerate(rows, k0):
+            if (p.k, p.q) != (k, q):
+                raise ValueError(f"params are for k={p.k} with q={p.q}, "
+                                 f"state is at k={k} with q={q}")
+        return cls(k0, *(np.array([getattr(p, c) for p in rows])
+                         for c in ("eta", "gammas", "thetas", "theta_sum")))
 
     def bundles(self) -> list[IterationParams]:
         """The rows as IterationParams, in order of k."""
@@ -269,26 +274,17 @@ def solve_weights_closed_form(gammas) -> np.ndarray:
     return _closed_form(_as_gamma_stack(gammas, stack=False))[0]
 
 
-def _order_of(config) -> int:
-    if isinstance(config, ScheduleConfig):
-        return config.p
-    p = int(config)
-    _check_order(p)
-    return p
-
-
-def potential_weight(k: int, config) -> PotentialWeight:
-    """Error-discount weight p_k = (k+p)^((p-1)/(3p+1)).
+def potential_weight(k: int, p: int) -> float:
+    """Error-discount weight p_k = (k+p)^((p-1)/(3p+1)) of the order-p schedule.
 
     At p = 3 the exponent reduces to 1/5, which is also what the dedicated
-    third-order analysis uses, so one formula covers every order. Accepts a
-    ScheduleConfig or a bare order p. Nondecreasing in k, and never more
-    than doubles from one index to the next.
+    third-order analysis uses, so one formula covers every order.
+    Nondecreasing in k, and never more than doubles from one index to the
+    next.
     """
     _check_index(k)
-    p = _order_of(config)
-    value = math.exp((p - 1.0) / (3.0 * p + 1.0) * math.log(float(k) + p))
-    return PotentialWeight(k=k, value=value)
+    _check_order(p)
+    return math.exp((p - 1.0) / (3.0 * p + 1.0) * math.log(float(k) + p))
 
 
 def theorem_constant(

@@ -16,18 +16,12 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .problems import (
-    NoiseModel,
-    Sample,
-    SmoothProblem,
-    stochastic_grad,
-)
+from .problems import NoiseModel, SmoothProblem, stochastic_grad
 from .schedule import (
     IterationParams,
     _as_gamma_stack,
     _check_index,
     _check_order,
-    _order_of,
     params_block,
     params_general,
     potential_weight,
@@ -316,7 +310,7 @@ def noise_unbiasedness_check(
     xi = rng.standard_normal(n_draws if scalar else (n_draws, problem.dim))
     for i in range(5):
         draw = float(xi[i]) if scalar else xi[i]
-        got = stochastic_grad(problem, noise, x, Sample(draw, -1, i))
+        got = stochastic_grad(problem, noise, x, draw)
         expect = g + scale * draw
         if float(np.max(np.abs(got - expect))) > _bridge_tolerance(
             float(np.max(np.abs(expect)))
@@ -373,7 +367,7 @@ def noise_moment_check(
     xi = rng.standard_normal(n_draws)
     vals = a + 2.0 * b * xi + c * xi * xi
     for i in range(5):
-        s = Sample(float(xi[i]), -1, i)
+        s = float(xi[i])
         d = stochastic_grad(problem, noise, y, s) - stochastic_grad(problem, noise, x, s)
         if abs(float(d @ d) - vals[i]) > _bridge_tolerance(a + c * (1.0 + xi[i] ** 2)):
             raise RuntimeError("quadratic reduction disagrees with the oracle path")
@@ -602,16 +596,15 @@ def validate(params: IterationParams) -> WeightDiagnostics:
     )
 
 
-def check_potential_inequality(k: int, config) -> bool:
+def check_potential_inequality(k: int, p: int) -> bool:
     """True when (1 - S_k) p_{k+1} <= (1 - S_k / d) p_k.
 
     S_k is the iteration's weight sum and d = 2 at order 3, d = p + 1
     otherwise. This is the contraction the error-discount weights were
     chosen for; the built-in schedules satisfy it at every k.
     """
-    p = _order_of(config)
     s = params_general(k, p).theta_sum
-    pk, pk1 = (potential_weight(j, p).value for j in (k, k + 1))
+    pk, pk1 = (potential_weight(j, p) for j in (k, k + 1))
     return bool(_contraction(s, pk, pk1, p) <= 0.0)
 
 

@@ -127,9 +127,9 @@ def test_single_extrapolation_constant_schedule_reproduces_nigt():
     thetas = sch.solve_weights_closed_form((0.3,))
     constant = opt.AlgorithmKind(
         name="mem", q=1,
-        params=lambda k: sch.IterationParams(
+        bundles=lambda k0, k1: sch.ParamsBlock.of(sch.IterationParams(
             k=k, eta=0.05, gammas=(0.3,), thetas=thetas, theta_sum=math.fsum(thetas)
-        ),
+        ) for k in range(k0, k1)),
     )
     a = opt.run(opt.nigt(gamma=0.3, eta=0.05), problem, noise, x0,
                 budget=400, seed=21)

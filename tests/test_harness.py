@@ -330,7 +330,7 @@ def test_mem_p3_uses_general_schedule():
     kind = har.build_kind(cfg)
     assert kind.q == 2
     for k in (0, 1, 1234):
-        a, b = kind.params(k), params_general(k, 3)
+        a, b = kind.bundles(k, k + 1).bundles()[0], params_general(k, 3)
         assert a.k == b.k and a.eta == b.eta and a.theta_sum == b.theta_sum
         np.testing.assert_array_equal(a.gammas, b.gammas)
         np.testing.assert_array_equal(a.thetas, b.thetas)
@@ -468,6 +468,17 @@ def test_cli_reports_a_non_finite_dataset_cell(tmp_path, capsys):
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err == f"error: {path}: non-finite value 'inf' at row 3, column 'b'\n"
+
+
+def test_cli_reports_a_dataset_with_no_feature_column(tmp_path, capsys):
+    path = tmp_path / "target_only.csv"
+    path.write_text("target\n1\n2\n3\n")
+    rc = har.main(["run", "--alg", "mem", "--p", "3", "--problem", "datafit",
+                   "--dataset", str(path), "--iters", "3"])
+    assert rc == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: {path}: no feature columns besides the target\n"
 
 
 def test_cli_reports_an_impossible_size(capsys):

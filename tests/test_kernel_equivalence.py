@@ -48,8 +48,8 @@ def _literal_run(problem, noise, x0, seed, update, budget=BUDGET, q=1):
 
     rows = []
     for k in range(budget):
-        sample = prob.draw_sample(noise, problem.dim, seed, k)
-        g = lambda z: prob.stochastic_grad(problem, noise, z, sample)
+        xi = prob.draw_sample(noise, problem.dim, seed, k)
+        g = lambda z: prob.stochastic_grad(problem, noise, z, xi)
         x_next, m = update(k, x_prev, x, m, g)
         rows.append(row(k, x, m, (k + 1) * q))
         x_prev, x = x, x_next
@@ -179,11 +179,11 @@ def test_mem_step_on_a_stack_is_the_recursion_row_by_row(p):
     x0 = np.array([np.zeros(5), np.linspace(-1.0, 1.0, 5), np.full(5, 0.3)])
     seeds, budget = (4, 5, 6), 600
     kind = opt.mem(sch.ScheduleConfig(p=p, q=p - 1))
-    oracle = lambda z, sample: prob.stochastic_grad(problem, noise, z, sample)
+    oracle = lambda z, xi: prob.stochastic_grad(problem, noise, z, xi)
     state = opt.initial_state(x0, kind.q)
     for k in range(budget):
-        xi = np.array([prob.draw_sample(noise, 5, s, k).xi for s in seeds])
-        state = opt.mem_step(state, kind.params(k), oracle, prob.Sample(xi, seeds, k))
+        xi = np.array([prob.draw_sample(noise, 5, s, k) for s in seeds])
+        state = opt.mem_step(state, sch.params_general(k, p), oracle, xi)
     for i, seed in enumerate(seeds):
         _, x, m = _literal_run(problem, noise, x0[i], seed, _mem_update(p), budget, q=p - 1)
         assert np.array_equal(state.x_cur[i], x) and np.array_equal(state.m[i], m)
@@ -196,7 +196,8 @@ def test_mem_p3_tracks_the_literal_order3_schedule():
     objective may move by at most 1e-12, relative."""
     problem = prob.datafit_problem(prob.generate_synthetic(50, seed=0))
     noise = prob.NoiseModel("scalar-gaussian-envelope", 10.0)
-    literal = opt.AlgorithmKind(name="mem", q=2, params=ver.params_p3)
+    literal = opt.AlgorithmKind(
+        "mem", 2, lambda k0, k1: sch.ParamsBlock.of(map(ver.params_p3, range(k0, k1))))
     general = opt.mem(sch.ScheduleConfig(p=3, q=2))
     for seed in (0, 1):
         a = opt.run(general, problem, noise, np.ones(50), 3000, seed, log_stride=1000)

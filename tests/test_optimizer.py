@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,17 @@ def _datafit(n=10, seed=3):
 
 
 def _oracle(problem, noise):
-    return lambda x, sample: prob.stochastic_grad(problem, noise, x, sample)
+    return lambda x, xi: prob.stochastic_grad(problem, noise, x, xi)
+
+
+def _per_k(params):
+    """The block stream of a per-k rule."""
+    return lambda k0, k1: sched.ParamsBlock.of(map(params, range(k0, k1)))
+
+
+def _bundle(kind, k):
+    """The bundle a kind's stream gives iteration k."""
+    return kind.bundles(k, k + 1).bundles()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +38,7 @@ def _one_step(x_prev, x, m, gammas, thetas, grads=None, eta=0.3):
     (zeros when None). Returns the new state and the query points."""
     seen = []
 
-    def oracle(z, sample):
+    def oracle(z, xi):
         seen.append(z.copy())
         return np.zeros_like(z) if grads is None else np.array(grads, dtype=float)
 
@@ -36,7 +47,7 @@ def _one_step(x_prev, x, m, gammas, thetas, grads=None, eta=0.3):
                                np.array(m, dtype=float), 0, carry)
     q = len(gammas)
     params = sched.IterationParams(0, eta, (1.0,) * q, (1.0 / q,) * q, 1.0)
-    return opt.mem_step(state, params, oracle, prob.Sample(0.0, 0, 0)), seen[0]
+    return opt.mem_step(state, params, oracle, 0.0), seen[0]
 
 
 def test_extrapolate():
@@ -88,8 +99,8 @@ def test_initial_state():
     assert st.carry.k == -1
     # warm-start carry makes every first extrapolation collapse onto x0
     seen = []
-    oracle = lambda z, sample: seen.append(z.copy()) or np.ones_like(z)
-    opt.mem_step(st, sched.params_general(0, 3), oracle, prob.Sample(0.0, 0, 0))
+    oracle = lambda z, xi: seen.append(z.copy()) or np.ones_like(z)
+    opt.mem_step(st, sched.params_general(0, 3), oracle, 0.0)
     assert len(seen[0]) == st.carry.q
     for z in seen[0]:
         np.testing.assert_array_equal(z, x0)
@@ -118,12 +129,12 @@ def test_mem_step_matches_literal_recursion():
 
     for k in range(50):
         pars = ver.params_p3(k)
-        sample = prob.draw_sample(noise, 10, run_seed=11, k=k)
+        xi = prob.draw_sample(noise, 10, run_seed=11, k=k)
 
-        state = opt.mem_step(state, pars, oracle, sample)
+        state = opt.mem_step(state, pars, oracle, xi)
 
         zs = [x + ((1.0 - g) / g) * (x - x_prev) for g in carry_g]
-        grads = [prob.stochastic_grad(problem, noise, z, sample) for z in zs]
+        grads = [prob.stochastic_grad(problem, noise, z, xi) for z in zs]
         m_new = (1.0 - math.fsum(carry_th)) * m
         for th, g in zip(carry_th, grads):
             m_new = m_new + th * g
@@ -147,9 +158,9 @@ def test_mem_step_identities_short_run():
     xs = [state.x_cur]
     for k in range(30):
         pars = sched.params_for(cfg, k)
-        sample = prob.draw_sample(noise, 8, run_seed=4, k=k)
+        xi = prob.draw_sample(noise, 8, run_seed=4, k=k)
         prev_x = state.x_cur
-        state = opt.mem_step(state, pars, oracle, sample)
+        state = opt.mem_step(state, pars, oracle, xi)
         xs.append(state.x_cur)
         step = np.linalg.norm(state.x_cur - prev_x)
         assert math.isclose(step, pars.eta, rel_tol=1e-12)
@@ -167,9 +178,9 @@ def test_mem_step_rejects_desynchronized_params():
     problem = _datafit(n=6, seed=0)
     noise = prob.NoiseModel()
     state = opt.initial_state(np.ones(6), q=2)
-    sample = prob.draw_sample(noise, 6, 0, 5)
+    xi = prob.draw_sample(noise, 6, 0, 5)
     with pytest.raises(ValueError):
-        opt.mem_step(state, ver.params_p3(5), _oracle(problem, noise), sample)
+        opt.mem_step(state, ver.params_p3(5), _oracle(problem, noise), xi)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +191,10 @@ def test_sg_step_algebra():
     problem = prob.quadratic_problem(2, conditioning=1.0)
     noise = prob.NoiseModel()
     state = opt.initial_state(np.array([1.0, 2.0]), q=1)
-    sample = prob.draw_sample(noise, 2, 0, 0)
+    xi = prob.draw_sample(noise, 2, 0, 0)
     kind = opt.sg(lambda k: 0.1)
     state = opt.mem_step(
-        state, kind.params(0), _oracle(problem, noise), sample, kind.normalized
+        state, _bundle(kind, 0), _oracle(problem, noise), xi, kind.normalized
     )
     np.testing.assert_array_equal(state.m, np.array([1.0, 2.0]))  # m := g
     np.testing.assert_allclose(
@@ -196,13 +207,13 @@ def test_sgpm_step_algebra():
     noise = prob.NoiseModel()
     x0 = np.array([1.0, 2.0])
     state = opt.initial_state(x0, q=1)
-    sample = prob.draw_sample(noise, 2, 0, 0)
+    xi = prob.draw_sample(noise, 2, 0, 0)
     kind = opt.sg_pm(lambda k: 0.5, lambda k: 0.1)
     # warm-start carry has theta = 1, so the first update is m = g
-    state = opt.mem_step(state, kind.params(0), _oracle(problem, noise), sample)
+    state = opt.mem_step(state, _bundle(kind, 0), _oracle(problem, noise), xi)
     np.testing.assert_array_equal(state.m, x0)
     g2 = state.x_cur.copy()
-    state = opt.mem_step(state, kind.params(1), _oracle(problem, noise), sample)
+    state = opt.mem_step(state, _bundle(kind, 1), _oracle(problem, noise), xi)
     np.testing.assert_allclose(state.m, 0.5 * x0 + 0.5 * g2, rtol=1e-15)
 
 
@@ -214,9 +225,9 @@ def test_nigt_matches_constant_mem():
     constant = opt.AlgorithmKind(
         name="mem",
         q=1,
-        params=lambda k: sched.IterationParams(
+        bundles=_per_k(lambda k: sched.IterationParams(
             k=k, eta=0.05, gammas=[0.3], thetas=thetas, theta_sum=math.fsum(thetas)
-        ),
+        )),
     )
     a = opt.run(constant, problem, noise, x0, budget=100, seed=11)
     b = opt.run(opt.nigt(0.3, 0.05), problem, noise, x0, budget=100, seed=11)
@@ -393,9 +404,8 @@ def test_mem_step_on_a_stack_matches_each_row():
     rows = [opt.initial_state(x, kind.q) for x in x0]
     for k in range(6):
         draws = [prob.draw_sample(noise, 5, s, k) for s in range(3)]
-        xi = np.array([d.xi for d in draws])
-        stacked = opt.mem_step(stacked, kind.params(k), oracle, prob.Sample(xi, (0, 1, 2), k))
-        rows = [opt.mem_step(st, kind.params(k), oracle, d) for st, d in zip(rows, draws)]
+        stacked = opt.mem_step(stacked, _bundle(kind, k), oracle, np.array(draws))
+        rows = [opt.mem_step(st, _bundle(kind, k), oracle, d) for st, d in zip(rows, draws)]
         for i, row in enumerate(rows):
             assert np.array_equal(stacked.x_cur[i], row.x_cur)
             assert np.array_equal(stacked.m[i], row.m)
@@ -449,8 +459,8 @@ def test_run_reads_bundle_blocks_bit_for_bit(p):
     got = opt.run(kind, problem, noise, x0, budget, seed=9, store_iterates=True)
     state, iterates = opt.initial_state(x0, p - 1), [x0]
     for k in range(budget):
-        sample = prob.draw_sample(noise, problem.dim, 9, k)
-        state = opt.mem_step(state, sched.params_general(k, p), _oracle(problem, noise), sample)
+        xi = prob.draw_sample(noise, problem.dim, 9, k)
+        state = opt.mem_step(state, sched.params_general(k, p), _oracle(problem, noise), xi)
         iterates.append(state.x_cur)
     _same_state(got.state, state)
     c, want = got.state.carry, state.carry
@@ -461,7 +471,7 @@ def test_run_reads_bundle_blocks_bit_for_bit(p):
 
 def test_hand_built_streams_are_read_one_k_after_another():
     seen = []
-    kind = opt.AlgorithmKind("probe", 1, lambda k: seen.append(k) or opt.sg().params(k))
+    kind = opt.AlgorithmKind("probe", 1, _per_k(lambda k: seen.append(k) or _bundle(opt.sg(), k)))
     opt.run(kind, _datafit(), prob.NoiseModel(), np.ones(10), 300, seed=0, log_stride=50)
     assert seen == list(range(300))
 
@@ -507,10 +517,11 @@ def test_bundles_with_another_q_are_refused():
     more oracle calls than compare budgets for (budget // kind.q
     iterations); run and mem_step name the first such k and both q."""
     problem, noise = _datafit(), prob.NoiseModel()
-    wrong = opt.AlgorithmKind("x", 1, params=lambda k: sched.params_general(k, 3))
+    wrong = opt.AlgorithmKind("x", 1, _per_k(lambda k: sched.params_general(k, 3)))
     with pytest.raises(ValueError, match=r"^params are for k=0 with q=2, state is at k=0 with q=1"):
         opt.run(wrong, problem, noise, np.ones(10), 10, seed=0)
-    switching = opt.AlgorithmKind("y", 2, params=lambda k: sched.params_general(k, 3 + (k >= 300)))
+    switching = opt.AlgorithmKind(
+        "y", 2, _per_k(lambda k: sched.params_general(k, 3 + (k >= 300))))
     with pytest.raises(ValueError, match=r"k=300 with q=3, state is at k=300 with q=2"):
         opt.run(switching, problem, noise, np.ones(10), 400, seed=0)
     state = opt.initial_state(np.ones(10), q=1)
@@ -520,13 +531,22 @@ def test_bundles_with_another_q_are_refused():
 
 
 def test_custom_blocks_are_checked():
-    """A kind's block= view is checked like its per-k stream: it must start
-    at the requested k with one row per iteration and the kind's q."""
+    """A kind's block stream is checked before the kernel reads it: it must
+    start at the requested k with one row per iteration in every column, and
+    its gammas and thetas must have the kind's q. The error names what is
+    wrong, never an IndexError from deep in the kernel."""
     problem, noise = prob.quadratic_problem(5), prob.NoiseModel()
 
     def kind(q, block):
-        return opt.AlgorithmKind("custom", q, params=lambda k: sched.params_general(k, q + 1),
-                                 block=block)
+        return opt.AlgorithmKind("custom", q, block)
+
+    def cut(column, rows=-1, q=0):  # mem's block with one column cut or widened
+        def block(a, b):
+            full = sched.params_block(3, a, b)
+            col = getattr(full, column)
+            col = col[:rows] if not q else np.concatenate([col, col[:, :q]], axis=1)
+            return dataclasses.replace(full, **{column: col})
+        return block
 
     cases = [
         (1, lambda a, b: sched.params_block(3, a, b),
@@ -536,6 +556,10 @@ def test_custom_blocks_are_checked():
         (2, lambda a, b: sched.params_block(3, a, b + 3), r"^13 bundles for the 10 iterations 0..9$"),
         (2, lambda a, b: sched.params_block(3, a, max(a + 1, b - 3)),
          r"^7 bundles for the 10 iterations 0..9$"),
+        (2, cut("gammas"), r"^gammas has 9 rows for the 10 iterations 0..9$"),
+        (2, cut("thetas"), r"^thetas has 9 rows for the 10 iterations 0..9$"),
+        (2, cut("theta_sum"), r"^theta_sum has 9 rows for the 10 iterations 0..9$"),
+        (2, cut("thetas", q=1), r"^thetas have q=3, state is at k=0 with q=2$"),
     ]
     for q, block, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -565,8 +589,8 @@ def test_one_gate_per_block_names_the_bad_k():
         return sched.ParamsBlock(block.k0, block.eta, gammas, block.thetas, block.theta_sum)
 
     per_k = opt.AlgorithmKind(
-        "custom", 1, lambda k: sched.IterationParams(k, 0.01, (gamma_at(k),), (0.5,), 0.5))
-    blocked = opt.AlgorithmKind("custom", 2, lambda k: sched.params_general(k, 3), block=view)
+        "custom", 1, _per_k(lambda k: sched.IterationParams(k, 0.01, (gamma_at(k),), (0.5,), 0.5)))
+    blocked = opt.AlgorithmKind("custom", 2, view)
     cases = [(make(eta_at(bad)), rf"^bundle for k=300: eta must be positive, got {bad}$")
              for make in (opt.sg, lambda rule: opt.sg_pm(eta_rule=rule))
              for bad in (0.0, -1.0, math.nan)]
@@ -580,7 +604,7 @@ def test_one_gate_per_block_names_the_bad_k():
     carry = sched.IterationParams(6, 0.1, (0.0,), (0.5,), 0.5)
     state = opt.OptimizerState(x0, x0, np.zeros(5), 7, carry)
     with pytest.raises(ValueError, match=r"^bundle for k=6: gamma must be in \(0, 1\], got 0.0$"):
-        opt.mem_step(state, per_k.params(7), _oracle(problem, noise), prob.Sample(0.0, 0, 7))
+        opt.mem_step(state, _bundle(per_k, 7), _oracle(problem, noise), 0.0)
 
     # the gammas of a run's last bundle are never read, so they are not refused
     last = opt.run(per_k, problem, noise, x0, 301, 0)

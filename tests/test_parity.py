@@ -29,8 +29,8 @@ def test_one_ulp_change_is_reported(monkeypatch):
     before = parity.mem_step_section(m)
     real = m.problems.stochastic_grad
 
-    def nudged(problem, noise, x, sample):  # every gradient one ulp larger in x[..., 0]
-        g = real(problem, noise, x, sample).copy()
+    def nudged(problem, noise, x, xi):  # every gradient one ulp larger in x[..., 0]
+        g = real(problem, noise, x, xi).copy()
         g[..., 0] = np.nextafter(g[..., 0], np.inf)
         return g
 

@@ -157,14 +157,14 @@ def test_stacked_noise_broadcasts_one_draw_per_point():
                      ("elementwise-gaussian-envelope", np.array([[0.1, -0.2, 0.3, 1.0],
                                                                   [2.0, 0.5, -1.0, 0.0]]))]:
         noise = prob.NoiseModel(kind, 3.0)
-        G = prob.stochastic_grad(p, noise, X, prob.Sample(xi, (0, 1), 0))
+        G = prob.stochastic_grad(p, noise, X, xi)
         for t in range(2):
             for s in range(2):
-                want = prob.stochastic_grad(p, noise, X[t, s], prob.Sample(xi[s], s, 0))
+                want = prob.stochastic_grad(p, noise, X[t, s], xi[s])
                 assert np.array_equal(G[t, s], want)
     with pytest.raises(ValueError, match="one scalar draw per point"):
         prob.stochastic_grad(p, prob.NoiseModel("scalar-gaussian-envelope", 1.0), X,
-                             prob.Sample(np.ones((2, 2, 4)), 0, 0))
+                             np.ones((2, 2, 4)))
 
 
 def test_problem_rejects_wrong_shape():
@@ -198,9 +198,8 @@ def test_envelope_saturates_and_vanishes():
 def test_noise_vanishes_at_origin_for_any_draw():
     p = prob.quadratic_problem(3)
     nm = prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=100.0)
-    sample = prob.Sample(xi=1e6, run_seed=0, k=0)
     np.testing.assert_array_equal(
-        prob.stochastic_grad(p, nm, np.zeros(3), sample), p.gradient(np.zeros(3))
+        prob.stochastic_grad(p, nm, np.zeros(3), 1e6), p.gradient(np.zeros(3))
     )
 
 
@@ -223,8 +222,9 @@ def test_none_kind_returns_exact_gradient():
     p = prob.quadratic_problem(3, conditioning=2.0)
     nm = prob.NoiseModel()
     x = np.array([1.0, 1.0, 1.0])
-    s = prob.draw_sample(nm, 3, run_seed=9, k=0)
-    np.testing.assert_array_equal(prob.stochastic_grad(p, nm, x, s), p.gradient(x))
+    xi = prob.draw_sample(nm, 3, run_seed=9, k=0)
+    assert xi == 0.0 and type(xi) is float
+    np.testing.assert_array_equal(prob.stochastic_grad(p, nm, x, xi), p.gradient(x))
 
 
 def test_draw_sample_deterministic_per_iteration():
@@ -232,11 +232,14 @@ def test_draw_sample_deterministic_per_iteration():
     a = prob.draw_sample(nm, 5, run_seed=3, k=7)
     b = prob.draw_sample(nm, 5, run_seed=3, k=7)
     c = prob.draw_sample(nm, 5, run_seed=3, k=8)
-    assert a.xi == b.xi
-    assert a.xi != c.xi
+    assert a == b
+    assert a != c
+    # the draw is the (seed, k) generator's first output, bit for bit
+    assert type(a) is float and a == np.random.default_rng((3, 7)).standard_normal()
     el = prob.NoiseModel(kind="elementwise-gaussian-envelope", sigma_tilde=1.0)
     v = prob.draw_sample(el, 5, run_seed=3, k=7)
-    assert np.asarray(v.xi).shape == (5,)
+    assert np.asarray(v).shape == (5,)
+    assert np.array_equal(v, np.random.default_rng((3, 7)).standard_normal(5))
 
 
 def test_kind_mismatch_rejected():
@@ -307,6 +310,15 @@ def test_load_csv_errors_name_the_offender(tmp_path):
     no_target.write_text("a,b\n1,2\n3,4\n")
     with pytest.raises(prob.DatasetFormatError, match="target"):
         prob.load_csv_dataset(no_target)
+
+
+@pytest.mark.parametrize("target", ["target", 0])
+def test_load_csv_needs_a_feature_column(tmp_path, target):
+    path = tmp_path / "target_only.csv"
+    path.write_text("target\n1\n2\n3\n")
+    with pytest.raises(prob.DatasetFormatError) as err:
+        prob.load_csv_dataset(path, target_column=target)
+    assert str(err.value) == f"{path}: no feature columns besides the target"
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", " NaN"])

@@ -264,15 +264,15 @@ def test_builtin_config_requires_matching_q():
 # ---------------------------------------------------------------------------
 
 def test_potential_weight_pinned():
-    assert sched.potential_weight(0, 3).value == 1.2457309396155174
-    assert sched.potential_weight(0, 2).value == 1.1040895136738123
+    assert sched.potential_weight(0, 3) == 1.2457309396155174
+    assert sched.potential_weight(0, 2) == 1.1040895136738123
 
 
 def test_potential_weight_growth_window():
     for p in (2, 3, 5):
-        prev = sched.potential_weight(0, p).value
+        prev = sched.potential_weight(0, p)
         for k in range(1, 400):
-            cur = sched.potential_weight(k, p).value
+            cur = sched.potential_weight(k, p)
             assert prev <= cur <= 2.0 * prev
             prev = cur
 
@@ -388,6 +388,20 @@ def test_params_block_rows_do_not_depend_on_the_split(p):
         for field in ("eta", "gammas", "thetas", "theta_sum"):
             joined = np.concatenate([getattr(part, field) for part in parts])
             assert joined.tobytes() == getattr(whole, field).tobytes()
+
+
+def test_params_block_of_is_the_inverse_of_bundles():
+    block = sched.params_block(4, 250, 260)
+    back = sched.ParamsBlock.of(block.bundles())
+    assert back.k0 == 250
+    for field in ("eta", "gammas", "thetas", "theta_sum"):
+        assert getattr(back, field).tobytes() == getattr(block, field).tobytes()
+    rows = [sched.params_general(k, 3) for k in (7, 8, 10)]
+    with pytest.raises(ValueError, match=r"^params are for k=10 with q=2, state is at k=9 with q=2$"):
+        sched.ParamsBlock.of(rows)
+    rows[2] = sched.params_general(9, 4)
+    with pytest.raises(ValueError, match=r"^params are for k=9 with q=3, state is at k=9 with q=2$"):
+        sched.ParamsBlock.of(rows)
 
 
 def test_params_block_errors():

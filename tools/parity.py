@@ -26,6 +26,11 @@ against each tree's src/, and compares the two result lists. The matrix:
   at a k_max past several boundaries of the sweeps' chunks;
 - the CLI's run (csv, json and --out), compare and verify.
 
+A few lookups (_xi, _draw, _stream, _weight) let the matrix run on trees
+from before and after the kernel came to read the draw itself, kinds
+came to hold only a block stream and potential_weight came to return a
+float, so both sides of that change can be compared.
+
 Each result is recorded as its repr (arrays at full precision) and the
 json.dumps of its plain form, with elapsed_seconds masked: the only field
 that may differ between two runs of the same code. The first difference is
@@ -116,6 +121,36 @@ class CountingClock:
         return float(self.calls)
 
 
+def _xi(draw):
+    """draw_sample's result as the draw itself, on trees that wrap it too."""
+    return getattr(draw, "xi", draw)
+
+
+def _draw(m, xi, seeds, k):
+    """The draw as mem_step takes it: xi itself, or on trees whose
+    draw_sample wraps the draw with its (seed, k), wrapped the same way."""
+    made = m.problems.draw_sample(m.problems.NoiseModel(), 1, 0, 0)
+    return xi if isinstance(made, float) else type(made)(xi, seeds, k)
+
+
+def _bundle(kind, k):
+    """The bundle of iteration k from the kind's stream (every tree since the
+    block kernel has AlgorithmKind.bundles(k0, k1))."""
+    return kind.bundles(k, k + 1).bundles()[0]
+
+
+def _stream(m, params):
+    """A kind's stream for the per-k rule params: stacked with
+    ParamsBlock.of, or params itself on trees whose kinds take params(k)."""
+    of = getattr(m.schedule.ParamsBlock, "of", None)
+    return params if of is None else lambda k0, k1: of(map(params, range(k0, k1)))
+
+
+def _weight(w):
+    """A potential weight as a float, on trees that wrap it in .value too."""
+    return getattr(w, "value", w)
+
+
 def _kinds(m):
     opt, sch = m.optimizer, m.schedule
     return [opt.mem(sch.ScheduleConfig(p=p, q=p - 1)) for p in (2, 3, 4)] + [
@@ -184,11 +219,11 @@ def mem_step_section(m):
     kind = opt.mem(m.schedule.ScheduleConfig(p=3, q=2))
     state = opt.initial_state(np.array([np.zeros(5), np.linspace(-1.0, 1.0, 5),
                                         np.full(5, 0.3)]), kind.q)
-    oracle = lambda z, sample: prob.stochastic_grad(problem, noise, z, sample)
+    oracle = lambda z, xi: prob.stochastic_grad(problem, noise, z, xi)
     out = []
     for k in range(6):
-        xi = np.array([prob.draw_sample(noise, 5, s, k).xi for s in range(3)])
-        state = opt.mem_step(state, kind.params(k), oracle, prob.Sample(xi, (0, 1, 2), k))
+        xi = np.array([_xi(prob.draw_sample(noise, 5, s, k)) for s in range(3)])
+        state = opt.mem_step(state, _bundle(kind, k), oracle, _draw(m, xi, (0, 1, 2), k))
         out.append(entry(f"mem_step stack k={k}", state))
     return out
 
@@ -199,8 +234,8 @@ def _mixed_stream(m):
     sch = m.schedule
     rows = [((1.0, 1.0), (0.5, 0.5)), ((1.0, 0.5), (0.6, -0.2)),
             ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
-    return m.optimizer.AlgorithmKind("mixed", 2, lambda k: sch.IterationParams(
-        k, 0.05, *rows[k % 4], sum(rows[k % 4][1])))
+    return m.optimizer.AlgorithmKind("mixed", 2, _stream(m, lambda k: sch.IterationParams(
+        k, 0.05, *rows[k % 4], sum(rows[k % 4][1]))))
 
 
 def custom_stream_section(m):
@@ -218,7 +253,7 @@ def custom_stream_section(m):
                             [7], store_iterates=True)
         out.append(entry(f"mixed stream {name}", res))
     problem = prob.quadratic_problem(5, conditioning=3.0)
-    oracle = lambda z, sample: prob.stochastic_grad(problem, prob.NoiseModel(), z, sample)
+    oracle = lambda z, xi: prob.stochastic_grad(problem, prob.NoiseModel(), z, xi)
     x = np.array([[-0.0, 0.5, -1.0, 0.25, 2.0], np.linspace(-1.0, 1.0, 5), np.full(5, -0.0)])
     x_prev = x.copy()
     x_prev[1, 2:4] = (np.inf, np.nan)
@@ -226,12 +261,12 @@ def custom_stream_section(m):
         carry = sch.IterationParams(-1, float("nan"), gammas, (0.5, 0.5), 1.0)
         state = opt.OptimizerState(x_prev, x, np.zeros_like(x), 0, carry)
         for k in range(4):
-            sample = prob.Sample(np.zeros(3), (0, 1, 2), k)
-            state = opt.mem_step(state, kind.params(k), oracle, sample)
+            state = opt.mem_step(state, _bundle(kind, k), oracle,
+                                 _draw(m, np.zeros(3), (0, 1, 2), k))
             out.append(entry(f"mixed stream mem_step carry={gammas} k={k}", state))
-    three = lambda z, sample: np.zeros((3, *z.shape[1:]))
+    three = lambda z, xi: np.zeros((3, *z.shape[1:]))
     out.append(entry("mem_step 2 weights for 3 gradients", _outcome(
-        opt.mem_step, opt.initial_state(x, 2), kind.params(0), three, prob.Sample(0.0, 0, 0))))
+        opt.mem_step, opt.initial_state(x, 2), _bundle(kind, 0), three, _draw(m, 0.0, 0, 0))))
     return out
 
 
@@ -306,7 +341,7 @@ def schedule_section(m):
         ]
     return out + [
         entry("check_potential_inequality config",
-              [find("check_potential_inequality")(k, sch.ScheduleConfig(4, 3)) for k in ks]),
+              [find("check_potential_inequality")(k, 4) for k in ks]),
         entry("validate flags, hand-built", [(d.theta_sum_in_unit, d.signs_alternate)
                                              for d in map(find("validate"), odd)]),
         entry("weight sum and dense solve errors",
@@ -321,8 +356,8 @@ def _contractions(m, find, p: int) -> list:
     a change that moves the contraction but not its sign still shows."""
     sch, ks = m.schedule, range(0, 3000, 7)
     sums = sch.params_block(p, 0, 3000).theta_sum[::7]
-    return [(float(m.verify._contraction(s, sch.potential_weight(k, p).value,
-                                         sch.potential_weight(k + 1, p).value, p)),
+    return [(float(m.verify._contraction(s, _weight(sch.potential_weight(k, p)),
+                                         _weight(sch.potential_weight(k + 1, p)), p)),
              find("check_potential_inequality")(k, p)) for k, s in zip(ks, sums)]
 
 
