@@ -534,7 +534,8 @@ def compare(
     cumulative oracle-call counts agree to within one iteration's worth of
     calls. The problem, noise model and initial point are built once, from
     the first config, and each config's AlgorithmKind once; one run_batch
-    steps all seeds of every config, each (seed, k) drawn once. The run
+    steps all seeds of every config, each (seed, k) drawn once, and kinds
+    of one (q, normalized, iterations) step as one state. The run
     seed varies as base_seed .. base_seed + n_seeds - 1. Outputs depend only
     on (config, seed), bit for bit. wall_seconds and log_stride of the
     configs are ignored. status lists each seed's run status; warnings names
@@ -639,9 +640,10 @@ def grid_search(
     Defaults: etas log-spaced 1e-3..1, gammas 0.02..0.8. The sweep covers
     eta alone for sg, (gamma, eta) pairs for sg-pm and nigt. The grid runs
     through compare, one label per point; every method searched makes one
-    oracle call per iteration, so the budget counts iterations. Returns
-    every grid point with its median final rel_obj, best first; the input
-    config is never modified and the winner is never applied silently.
+    oracle call per iteration, so the budget counts iterations, and all
+    points step as one state. Returns every grid point with its median
+    final rel_obj, best first; the input config is never modified and the
+    winner is never applied silently.
     """
     if config.algorithm == "mem":
         raise ValueError("mem's schedule is parameter-free; nothing to search")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import momex.harness as har
 import momex.optimizer as opt
 import momex.problems as prob
 import momex.schedule as sched
@@ -392,6 +393,151 @@ def test_run_batch_matches_single_runs(name, noise_kind):
             assert got.status == alone.status == "completed"
 
 
+def _alternating():
+    """A custom q = 1 stream whose gamma alternates 1.0 / 0.5 and whose
+    weight is 1.0 (m dropped) at every third k."""
+    return opt.AlgorithmKind("alternating", 1, _per_k(lambda k: sched.IterationParams(
+        k, 0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,),
+        1.0 if k % 3 == 0 else 0.4)))
+
+
+def _same_as_alone(got, kind, problem, noise, x0, budget, seed, stride, **kw):
+    """got is bit for bit the (kind, seed) run alone: records (elapsed
+    masked), state with its carry and zs, iterates and status."""
+    alone = opt.run(kind, problem, noise, x0, budget, seed, log_stride=stride, **kw)
+    assert repr(_strip(got.records)) == repr(_strip(alone.records))  # nan rows compare too
+    a, b = got.state, alone.state
+    arrays = lambda st: [st.x_prev, st.x_cur, st.m, *st.zs]
+    assert len(a.zs) == len(b.zs) and len(got.iterates) == len(alone.iterates)
+    for u, v in zip(arrays(a) + list(got.iterates), arrays(b) + list(alone.iterates)):
+        assert u.shape == v.shape and u.tobytes() == v.tobytes()  # -0.0 and nan bits too
+    assert (a.k, a.oracle_calls, a.zero_steps) == (b.k, b.oracle_calls, b.zero_steps)
+    assert repr(a.carry) == repr(b.carry)
+    assert got.status == alone.status
+
+
+@pytest.mark.parametrize("noise_kind", ["none", "scalar-gaussian-envelope",
+                                        "elementwise-gaussian-envelope"])
+@pytest.mark.parametrize("name", ["datafit", "robust", "quadratic"])
+def test_kinds_of_one_shape_stack_bit_for_bit(name, noise_kind):
+    """mem p = 2, sg-pm, nigt and the alternating stream have q = 1, are
+    normalized and share a budget, so they step as one (12, n) state across
+    two loop blocks; every (kind, seed) is still its run alone."""
+    if name == "quadratic":
+        problem = prob.quadratic_problem(7, conditioning=20.0)
+    else:
+        make = prob.datafit_problem if name == "datafit" else prob.robust_problem
+        problem = make(prob.generate_synthetic(9, seed=2))
+    noise = prob.NoiseModel(noise_kind, 0.0 if noise_kind == "none" else 2.0)
+    x0 = np.full(problem.dim, 0.6)
+    x0[1] = -0.0
+    kinds = [opt.mem(sched.ScheduleConfig(p=2, q=1)), opt.sg_pm(), opt.nigt(0.3, 0.05),
+             _alternating()]
+    seeds, budget, strides = [3, 4, 5], 300, [7, 1, 13, 300]
+    shapes = []
+    real = opt._steps
+
+    def steps(states, blocks, *args):
+        shapes.append((len(states), len(args[1])))
+        return real(states, blocks, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "_steps", steps)
+        batches = opt.run_batch(kinds, problem, noise, x0, [budget] * 4, seeds, strides,
+                                store_iterates=True)
+    assert shapes == [(4, 256), (4, 44)]  # one kernel step per iteration for all four
+    for kind, stride, results in zip(kinds, strides, batches):
+        for seed, got in zip(seeds, results):
+            _same_as_alone(got, kind, problem, noise, x0, budget, seed, stride,
+                           store_iterates=True)
+            assert got.status == "completed"
+
+
+def test_a_diverging_run_leaves_its_stacked_neighbour_alone():
+    """Two unnormalized sg kinds of one budget step as one state. The one at
+    eta = 1 on the kappa = 1000 quadratic overflows and says where; its
+    neighbour's rows are its run alone. Beside an unnormalized momentum
+    kind, each step drops m on the sg rows only: at k = 103 the overflowing
+    row's m = g is -inf, where 0 * inf + g would make it nan. From the
+    minimizer every row has a zero direction, and the normalized kinds
+    count each such step."""
+    problem = prob.quadratic_problem(5, conditioning=1000.0)
+    heavy = opt.AlgorithmKind("heavy-ball", 1, opt.sg_pm(lambda k: 0.5, lambda k: 0.001).bundles,
+                              normalized=False)
+    for kinds, budget in (([opt.sg(lambda k: 1.0), opt.sg(lambda k: 0.01)], 150),
+                          ([opt.sg(lambda k: 1.0), heavy], 104)):
+        batches = opt.run_batch(kinds, problem, prob.NoiseModel(), np.ones(5), [budget] * 2,
+                                [0, 1], [1, 1], store_iterates=True)
+        for kind, results in zip(kinds, batches):
+            for seed, got in enumerate(results):
+                _same_as_alone(got, kind, problem, prob.NoiseModel(), np.ones(5), budget, seed,
+                               1, store_iterates=True)
+        assert [r.status for r in batches[0]] == ["non-finite at 51"] * 2
+        assert [r.status for r in batches[1]] == ["completed"] * 2
+    assert batches[0][0].state.m[-1] == -math.inf
+
+    noise = prob.NoiseModel("scalar-gaussian-envelope", 1.0)
+    kinds = [opt.sg(lambda k: 1.0), heavy, opt.sg(lambda k: 0.01), opt.sg_pm(),
+             opt.nigt(0.3, 0.05), opt.mem(sched.ScheduleConfig(p=2, q=1))]
+    batches = opt.run_batch(kinds, problem, noise, np.zeros(5), [40] * 6, [0, 1], [3] * 6)
+    for kind, results in zip(kinds, batches):
+        for seed, got in enumerate(results):
+            _same_as_alone(got, kind, problem, noise, np.zeros(5), 40, seed, 3)
+            assert not got.state.x_cur.any() and got.status == "completed"
+            assert got.state.zero_steps == (40 if kind.normalized else 0)
+
+
+def test_a_stacked_group_stops_together_on_the_wall_clock(monkeypatch):
+    """The clock is read once per iteration of a group: at a ceiling of
+    100.5 on the counting clock every member of the q = 1 group stops after
+    iteration 100, its rows a prefix of its run alone and its state and
+    closing row those of a run alone to k = 101."""
+    problem = prob.quadratic_problem(10, conditioning=4.0)
+    noise = prob.NoiseModel("scalar-gaussian-envelope", 1.0)
+    kinds = [opt.mem(sched.ScheduleConfig(p=2, q=1)), opt.sg_pm(), opt.nigt(0.3, 0.05)]
+    full = [[opt.run(kind, problem, noise, np.ones(10), 1000, seed, log_stride=10)
+             for seed in (0, 1)] for kind in kinds]
+    monkeypatch.setattr(opt, "time", _CountingClock())
+    batches = opt.run_batch(kinds, problem, noise, np.ones(10), [1000] * 3, [0, 1], [10] * 3,
+                            wall_seconds=100.5)
+    for kind, results, alone in zip(kinds, batches, full):
+        for seed, (got, whole) in enumerate(zip(results, alone)):
+            assert got.state.k == 101 and got.status == "wall-clock"
+            assert _strip(got.records[:-1]) == _strip(whole.records[: len(got.records) - 1])
+            _same_as_alone(dataclasses.replace(got, status="completed"), kind, problem, noise,
+                           np.ones(10), 101, seed, 10)
+
+
+def test_block_length_follows_the_largest_group(monkeypatch):
+    """A block array holds at most _BLOCK_VALUES values: the default sg-pm
+    grid is one group of 35 points x 3 seeds, a (105, 50) state, so its
+    blocks have 32768 // (105 * 50) = 6 iterations. Groups of one member
+    keep blocks of _BLOCK_VALUES // (S n) iterations, at most 256."""
+    calls = []
+    real = opt._steps
+
+    def steps(states, blocks, oracle, xis, *args):
+        out = real(states, blocks, oracle, xis, *args)
+        calls.append((len(states), len(xis), out[2].size))
+        return out
+
+    monkeypatch.setattr(opt, "_steps", steps)
+    config = har.RunConfig(algorithm="sg-pm", problem="datafit", synthetic=50, sigma=1.0,
+                           iters=1)
+    grid = har.grid_search(config, 20)
+    assert len(grid["grid"]) == 35
+    assert calls == [(35, 6, 6 * 105 * 50)] * 3 + [(35, 2, 2 * 105 * 50)]
+    assert max(size for _, _, size in calls) <= opt._BLOCK_VALUES
+
+    calls.clear()
+    kinds = [opt.sg(), opt.sg_pm(), opt.nigt(0.3, 0.05)]
+    opt.run_batch(kinds, prob.datafit_problem(prob.generate_synthetic(50, 1)), prob.NoiseModel(),
+                  np.ones(50), [700, 600, 500], [0, 1, 2], [50] * 3)
+    assert {(k, b) for k, b, _ in calls} == {(1, 218), (1, 700 - 3 * 218), (1, 600 - 2 * 218),
+                                             (1, 500 - 2 * 218)}
+    assert len(calls) == 4 + 3 + 3
+
+
 def test_mem_step_on_a_stack_matches_each_row():
     """A stacked state with a zero-momentum row (x at the minimizer, where
     the envelope vanishes too) steps every row as it steps alone."""
@@ -411,6 +557,27 @@ def test_mem_step_on_a_stack_matches_each_row():
             assert np.array_equal(stacked.m[i], row.m)
     assert list(np.broadcast_to(stacked.zero_steps, 3)) == [6, 0, 0]
     assert [row.zero_steps for row in rows] == [6, 0, 0]
+
+
+def test_step_wrappers_take_the_kinds_steps():
+    """sg_step, sgpm_step and nigt_step at constant parameters step as run
+    steps their kinds, iteration after iteration."""
+    problem = _datafit()
+    noise = prob.NoiseModel("scalar-gaussian-envelope", 1.0)
+    oracle, x0 = _oracle(problem, noise), np.full(problem.dim, 0.4)
+    for kind, step in ((opt.sg(lambda k: 0.1), lambda st, xi: opt.sg_step(st, 0.1, oracle, xi)),
+                       (opt.sg_pm(lambda k: 0.3, lambda k: 0.05),
+                        lambda st, xi: opt.sgpm_step(st, 0.3, 0.05, oracle, xi)),
+                       (opt.nigt(0.3, 0.05),
+                        lambda st, xi: opt.nigt_step(st, 0.3, 0.05, oracle, xi))):
+        state = opt.initial_state(x0, 1)
+        for k in range(3):
+            state = step(state, prob.draw_sample(noise, problem.dim, 7, k))
+        alone = opt.run(kind, problem, noise, x0, 3, seed=7).state
+        for a, b in ((state.x_prev, alone.x_prev), (state.x_cur, alone.x_cur),
+                     (state.m, alone.m)):
+            assert a.tobytes() == b.tobytes()
+        assert (state.k, state.oracle_calls, repr(state.carry)) == (3, 3, repr(alone.carry))
 
 
 def test_run_status_reports_how_runs_end():

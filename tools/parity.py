@@ -9,7 +9,12 @@ against each tree's src/, and compares the two result lists. The matrix:
 - run_batch on 3 problems x 3 noise kinds x every kind (mem p = 2, 3, 4,
   sg, sg-pm and nigt), with mixed budgets and log strides across loop
   blocks, and stored iterates; every kind again from the quadratic's
-  minimizer (zero directions); a diverging run (non-finite status);
+  minimizer (zero directions); every kind plus a q = 1 stream alternating
+  gamma 1.0 / 0.5 and the q = 2 mixed stream below at one budget, so that
+  kinds of one (q, normalized) shape step as one state, per noise kind
+  from an x0 with a -0.0 coordinate; a diverging sg kind beside sg and
+  beside an unnormalized momentum kind at one budget; a diverging run
+  (non-finite status);
   wall-clock stops under a counting clock, mid-block and on a block's last
   step; mem_step on a stack of runs with a zero-direction row;
 - a custom q = 2 stream whose gammas mix 1.0 with 0.5, through run_batch
@@ -185,6 +190,26 @@ def run_batch_section(m):
                                     [13] * 6)
         out += [entry(f"run_batch zero-direction {noise_kind} {kind}", r)
                 for kind, r in zip(KIND_NAMES, res)]
+    # equal budgets: the kinds of one (q, normalized) shape step as one state
+    kinds = _kinds(m) + [_alternating(m), _mixed_stream(m)]
+    names = KIND_NAMES + ("alternating", "mixed")
+    for noise_kind in NOISE_KINDS:
+        noise = m.problems.NoiseModel(noise_kind, 0.0 if noise_kind == "none" else 2.0)
+        problem = _problem(m, "datafit")
+        x0 = np.full(problem.dim, 0.6)
+        x0[2] = -0.0
+        res = m.optimizer.run_batch(kinds, problem, noise, x0, [300] * len(kinds), [3, 4],
+                                    [7, 1, 13, 5, 300, 2, 9, 11], store_iterates=True)
+        out += [entry(f"run_batch equal budgets {noise_kind} {kind}", r)
+                for kind, r in zip(names, res)]
+    opt, steep = m.optimizer, m.problems.quadratic_problem(5, conditioning=1000.0)
+    heavy = opt.AlgorithmKind("heavy-ball", 1, opt.sg_pm(lambda k: 0.5, lambda k: 0.001).bundles,
+                              normalized=False)
+    for label, neighbour, budget in (("sg", opt.sg(lambda k: 0.01), 150),
+                                     ("heavy-ball", heavy, 104)):
+        pair = opt.run_batch([opt.sg(lambda k: 1.0), neighbour], steep, m.problems.NoiseModel(),
+                             np.ones(5), [budget] * 2, [0, 1], [1, 1], store_iterates=True)
+        out.append(entry(f"run_batch stacked sg and {label}, sg non-finite", pair))
     diverging = m.optimizer.run(m.optimizer.sg(lambda k: 1.0),
                                 m.problems.quadratic_problem(5, conditioning=1000.0),
                                 m.problems.NoiseModel(), np.ones(5), 150, seed=0)
@@ -236,6 +261,15 @@ def _mixed_stream(m):
             ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
     return m.optimizer.AlgorithmKind("mixed", 2, _stream(m, lambda k: sch.IterationParams(
         k, 0.05, *rows[k % 4], sum(rows[k % 4][1]))))
+
+
+def _alternating(m):
+    """A custom q = 1 per-k stream whose gamma alternates 1.0 / 0.5 and whose
+    weight is 1.0 (m dropped) at every third k."""
+    sch = m.schedule
+    return m.optimizer.AlgorithmKind("alternating", 1, _stream(m, lambda k: sch.IterationParams(
+        k, 0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,),
+        1.0 if k % 3 == 0 else 0.4)))
 
 
 def custom_stream_section(m):
