@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .problems import NoiseModel, SmoothProblem, _norm, draw_sample, stochastic_grad
+from .problems import (  # draw_sample: not called here; perfbench traces optimizer.draw_sample
+    NoiseModel, SmoothProblem, _norm, draw_block, draw_sample, stochastic_grad)
 from .schedule import (
     IterationParams,
     ParamsBlock,
@@ -405,11 +406,12 @@ def run_batch(
     Kinds of one (q, normalized, iterations) step as one state: all seeds
     of all of them, (K S, n) for K such kinds, one kernel step per
     iteration. The groups advance block by block, each block's (seed, k)
-    draws made once and tiled across a group, each member's bundles for the
-    block read from its own stream. Every run is bit for bit what it is
-    alone (elapsed_seconds aside). The clock is read once per iteration of
-    a group, so a wall-clock ceiling stops every member of a group at the
-    same iteration, and each member's rows are a prefix of its run alone.
+    draws made once by one draw_block call and tiled across a group, each
+    member's bundles for the block read from its own stream. Every run is
+    bit for bit what it is alone (elapsed_seconds aside). The clock is read
+    once per iteration of a group, so a wall-clock ceiling stops every
+    member of a group at the same iteration, and each member's rows are a
+    prefix of its run alone.
     """
     x0, S, seeds = np.asarray(x0, dtype=float), len(seeds), tuple(seeds)
     if len({len(kinds), len(budgets), len(log_strides)}) > 1 or not kinds or not S or x0.ndim != 1:
@@ -448,8 +450,7 @@ def run_batch(
 
     for k0 in range(0, max(budgets), block):
         k1 = min(k0 + block, max(budgets))
-        xis = np.zeros((k1 - k0, S)) if noise.kind == "none" else np.array(
-            [[draw_sample(noise, problem.dim, s, k) for s in seeds] for k in range(k0, k1)])
+        xis = draw_block(noise, problem.dim, seeds, k0, k1)
         for (q, normalized, budget), members in groups.items():
             if stopped or budget <= k0:
                 continue

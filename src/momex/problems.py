@@ -13,10 +13,11 @@ smoothness near the origin.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "stochastic_grad",
     "apply_noise",
     "draw_sample",
+    "draw_block",
     "generate_synthetic",
     "load_csv_dataset",
     "dataset_to_csv",
@@ -135,6 +137,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
+        if not math.isfinite(self.sigma_tilde):
+            raise ValueError(f"sigma_tilde must be finite, got {self.sigma_tilde}")
         if self.kind != "none" and not self.sigma_tilde > 0.0:
             raise ValueError("sigma_tilde must be positive for gaussian noise kinds")
         if self.sigma_tilde < 0.0:
@@ -151,6 +155,8 @@ def draw_sample(noise: NoiseModel, dim: int, run_seed: int, k: int) -> Union[flo
     for the scalar kind, a (dim,) array for the elementwise kind, and 0.0
     for "none", which skips the generator entirely.
 
+    This is the definition of every draw, and the reference that
+    draw_block, the faster path the run loop takes, is tested against.
     Every gradient query inside an iteration shares its one draw; that
     coupling is what the momentum combination relies on. Seeding per
     iteration index makes trajectories replay identically whatever the
@@ -162,6 +168,77 @@ def draw_sample(noise: NoiseModel, dim: int, run_seed: int, k: int) -> Union[flo
     if noise.kind == "scalar-gaussian-envelope":
         return float(rng.standard_normal())
     return rng.standard_normal(dim)
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_states(seeds: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """SeedSequence((s, k)).generate_state(4, np.uint64) for every k of ks
+    and s of seeds (uint32 arrays), as (len(ks), len(seeds), 4): numpy's
+    hash of the two entropy words into a pool of 4, then of the pool into
+    8 words, on whole arrays (uint32 arithmetic wraps as numpy's C does)."""
+    h = [_INIT_A]
+
+    def hashmix(v, mult):
+        v = v ^ h[0]
+        h[0] = h[0] * mult & 0xFFFFFFFF
+        v = v * h[0]
+        return v ^ (v >> 16)
+
+    zero = np.zeros(1, np.uint32)
+    pool = [hashmix(w, _MULT_A) for w in (seeds[None, :], ks[:, None], zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = pool[dst] * _MIX_L - hashmix(pool[src], _MULT_A) * _MIX_R
+                pool[dst] = r ^ (r >> 16)
+    h[0] = _INIT_B
+    words = np.broadcast_arrays(*(hashmix(pool[i % 4], _MULT_B) for i in range(8)))
+    state = np.stack(words, axis=-1).astype("<u4", copy=False)  # numpy's little-endian pairs
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _hashed():
+    """An ISeedSequence holding one C-contiguous generate_state(4, np.uint64)
+    result, made at first use: importing momex leaves numpy.random alone."""
+
+    class Hashed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:  # PCG64's request, and no other
+                raise ValueError(f"holds generate_state(4, uint64), not ({n_words}, {dtype})")
+            return self.state
+
+    return Hashed
+
+
+def draw_block(noise: NoiseModel, dim: int, seeds: Sequence[int], k0: int, k1: int) -> np.ndarray:
+    """The draws of iterations k0 .. k1 - 1 for every seed, bit for bit what
+    stacking draw_sample gives: (k1 - k0, S), (k1 - k0, S, dim) for the
+    elementwise kind, zeros for "none". default_rng((s, k)) is PCG64 seeded
+    by SeedSequence((s, k)); that hash runs for the whole block at once, on
+    arrays, and each pair's state seeds numpy's own PCG64 and standard_normal.
+    A seed that is not an integer in [0, 2**32), or a k outside it, sends the
+    block pair by pair through draw_sample: its bits and errors (a negative
+    seed) are then numpy's own."""
+    shape = (k1 - k0, len(seeds)) + ((dim,) if noise.kind == NOISE_KINDS[2] else ())
+    if noise.kind == "none":
+        return np.zeros(shape[:2])
+    if 0 <= k0 and k1 <= 1 << 32 and all(
+            isinstance(s, (int, np.integer)) and 0 <= s < 1 << 32 for s in seeds):
+        states = _seed_states(np.array(seeds, dtype=np.uint32),
+                              np.arange(k0, k1, dtype=np.int64).astype(np.uint32))
+        Hashed, size, rng, pcg = _hashed(), shape[2:] or None, np.random.Generator, np.random.PCG64
+        draws = [rng(pcg(Hashed(st))).standard_normal(size) for st in states.reshape(-1, 4)]
+    else:
+        draws = [draw_sample(noise, dim, s, k) for k in range(k0, k1) for s in seeds]
+    return np.array(draws, dtype=float).reshape(shape)
 
 
 def apply_noise(grad: np.ndarray, noise: NoiseModel, x, xi) -> np.ndarray:

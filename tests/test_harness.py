@@ -708,9 +708,16 @@ def test_compare_on_robust_with_elementwise_noise_matches_run_experiment():
 def test_compare_draws_each_seed_and_iteration_once(monkeypatch):
     import momex.optimizer as opt
 
-    calls = []
-    draw = opt.draw_sample
-    monkeypatch.setattr(opt, "draw_sample", lambda *a: calls.append(a) or draw(*a))
+    calls, blocks = [], []  # the (seed, k) pairs drawn with noise; every block returned
+    draw = opt.draw_block
+
+    def counted(noise, dim, seeds, k0, k1):
+        if noise.kind != "none":
+            calls.extend((s, k) for k in range(k0, k1) for s in seeds)
+        blocks.append(draw(noise, dim, seeds, k0, k1))
+        return blocks[-1]
+
+    monkeypatch.setattr(opt, "draw_block", counted)
     base = dict(problem="datafit", synthetic=8, sigma=1.0, iters=1)
     configs = [
         har.RunConfig(algorithm="mem", p=3, **base),
@@ -720,10 +727,12 @@ def test_compare_draws_each_seed_and_iteration_once(monkeypatch):
     table = har.compare(configs, budget=600, n_seeds=3)
     assert max(table["iterations"].values()) == 600
     assert len(calls) == 3 * 600
-    assert len({(a[2], a[3]) for a in calls}) == 3 * 600
+    assert len(set(calls)) == 3 * 600
     calls.clear()
+    blocks.clear()
     har.compare([replace(c, noise="none", sigma=None) for c in configs], budget=60, n_seeds=2)
     assert calls == []  # nothing to draw without noise
+    assert blocks and not any(b.any() for b in blocks)
 
 
 def test_compare_says_when_a_median_takes_in_non_finite_finals(capsys):

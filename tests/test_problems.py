@@ -187,6 +187,13 @@ def test_noise_model_validation():
     prob.NoiseModel()  # none kind needs no sigma
 
 
+@pytest.mark.parametrize("kind", prob.NOISE_KINDS)
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_noise_model_refuses_a_non_finite_sigma(kind, sigma):
+    with pytest.raises(ValueError, match="sigma_tilde must be finite"):
+        prob.NoiseModel(kind=kind, sigma_tilde=sigma)
+
+
 def test_envelope_saturates_and_vanishes():
     nm = prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=3.0)
     assert nm.envelope_scale(np.array([2.0, 2.0])) == 3.0  # ||x|| >= 1
@@ -240,6 +247,62 @@ def test_draw_sample_deterministic_per_iteration():
     v = prob.draw_sample(el, 5, run_seed=3, k=7)
     assert np.asarray(v).shape == (5,)
     assert np.array_equal(v, np.random.default_rng((3, 7)).standard_normal(5))
+
+
+def _stacked_draws(noise, dim, seeds, k0, k1):
+    """draw_sample stacked (k, seed), the definition draw_block must equal."""
+    draws = [[prob.draw_sample(noise, dim, s, k) for s in seeds] for k in range(k0, k1)]
+    shape = (k1 - k0, len(seeds)) + ((dim,) if noise.kind == prob.NOISE_KINDS[2] else ())
+    return np.array(draws, dtype=float).reshape(shape)
+
+
+_RANDOM_SEEDS = [int(s) for s in np.random.default_rng(19).integers(0, 2**32, size=4)]
+
+
+@pytest.mark.parametrize("kind", prob.NOISE_KINDS[1:])
+@pytest.mark.parametrize("dim", [1, 2, 7])
+@pytest.mark.parametrize(
+    "seeds, k0, k1",
+    [
+        ([0, 1, 2**31 - 1, 2**32 - 1] + _RANDOM_SEEDS, 0, 40),
+        ([0, 1, 2**31 - 1, 2**32 - 1] + _RANDOM_SEEDS, 2**16 - 9, 2**16 + 9),
+        ([0, 1, 2**31 - 1, 2**32 - 1] + _RANDOM_SEEDS, 2**32 - 12, 2**32),
+        ([5, 2**32, 0, 2**40, 2**64 + 3, 2**32 - 1], 3, 20),  # pair by pair
+        ([0, 7, 2**32 - 1], 11, 11),
+    ],
+    ids=["from-0", "across-2^16", "to-2^32", "wide-seeds", "empty"],
+)
+def test_draw_block_is_stacked_draw_sample_bit_for_bit(kind, dim, seeds, k0, k1):
+    noise = prob.NoiseModel(kind, 1.0)
+    block, expected = prob.draw_block(noise, dim, seeds, k0, k1), _stacked_draws(
+        noise, dim, seeds, k0, k1)
+    assert block.shape == (k1 - k0, len(seeds)) + ((dim,) if kind == prob.NOISE_KINDS[2] else ())
+    assert block.dtype == np.float64 and block.tobytes() == expected.tobytes()
+
+
+def test_draw_block_without_noise_is_zeros():
+    block = prob.draw_block(prob.NoiseModel(), 4, [0, 3, 2**64], 5, 12)
+    assert block.shape == (7, 3) and block.tobytes() == np.zeros((7, 3)).tobytes()
+    assert prob.draw_block(prob.NoiseModel(), 4, [1], 3, 3).shape == (0, 1)
+
+
+@pytest.mark.parametrize("kind", prob.NOISE_KINDS[1:])
+def test_draw_block_raises_what_draw_sample_raises_for_a_negative_seed(kind):
+    noise = prob.NoiseModel(kind, 1.0)
+    with pytest.raises(Exception) as alone:
+        prob.draw_sample(noise, 3, -1, 4)
+    with pytest.raises(Exception) as block:
+        prob.draw_block(noise, 3, [2, -1], 4, 6)
+    assert type(block.value) is type(alone.value)
+    assert str(block.value) == str(alone.value)
+
+
+def test_the_seed_holder_gives_only_what_pcg64_asks_for():
+    held = prob._hashed()(np.arange(4, dtype=np.uint64))
+    assert held.generate_state(4, np.uint64) is held.state
+    for request in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError, match="holds generate_state"):
+            held.generate_state(*request)
 
 
 def test_kind_mismatch_rejected():

@@ -13,8 +13,10 @@ against each tree's src/, and compares the two result lists. The matrix:
   gamma 1.0 / 0.5 and the q = 2 mixed stream below at one budget, so that
   kinds of one (q, normalized) shape step as one state, per noise kind
   from an x0 with a -0.0 coordinate; a diverging sg kind beside sg and
-  beside an unnormalized momentum kind at one budget; a diverging run
-  (non-finite status);
+  beside an unnormalized momentum kind at one budget; mem p = 3 and sg-pm
+  per noisy kind over three loop blocks with the one-word seeds 7 and
+  2^32 - 1, then with the two-word seed 2^32 + 5 beside them; a diverging
+  run (non-finite status);
   wall-clock stops under a counting clock, mid-block and on a block's last
   step; mem_step on a stack of runs with a zero-direction row;
 - a custom q = 2 stream whose gammas mix 1.0 with 0.5, through run_batch
@@ -202,6 +204,15 @@ def run_batch_section(m):
                                     [7, 1, 13, 5, 300, 2, 9, 11], store_iterates=True)
         out += [entry(f"run_batch equal budgets {noise_kind} {kind}", r)
                 for kind, r in zip(names, res)]
+    # seeds of one 32-bit word, then a two-word seed beside them in every block
+    problem, kinds = _problem(m, "datafit"), _kinds(m)[1:5:3]  # mem p = 3 and sg-pm
+    for noise_kind in NOISE_KINDS[1:]:
+        noise = m.problems.NoiseModel(noise_kind, 2.0)
+        for seeds in ([7, 2**32 - 1], [7, 2**32 + 5, 2**32 - 1]):
+            res = m.optimizer.run_batch(kinds, problem, noise, np.full(problem.dim, 0.6),
+                                        [600, 530], seeds, [7, 11])
+            out += [entry(f"run_batch seeds {seeds} {noise_kind} {kind}", r)
+                    for kind, r in zip(("mem:3", "sg-pm"), res)]
     opt, steep = m.optimizer, m.problems.quadratic_problem(5, conditioning=1000.0)
     heavy = opt.AlgorithmKind("heavy-ball", 1, opt.sg_pm(lambda k: 0.5, lambda k: 0.001).bundles,
                               normalized=False)
