@@ -102,6 +102,21 @@ def initial_state(x0, q: int) -> OptimizerState:
 Oracle = Callable[[np.ndarray, Union[float, np.ndarray]], np.ndarray]
 
 
+def _shared(a: np.ndarray, S: int) -> list:
+    """Per-member values a, (K, n, ...) floats or bools, as one entry per
+    position of (n, ...) in order: the Python float (or bool) that all K S
+    rows share, else the (K S, 1) column of each row's value, member i's at
+    rows i*S .. (i+1)*S - 1. Sharing is decided on the bits, so -0.0 and
+    +0.0 differ and a NaN is shared with itself."""
+    flat = a[0].ravel().tolist()
+    bits = a if a.dtype == bool else a.view(np.uint64)
+    same = (bits == bits[:1]).all(0).ravel()
+    if same.all():
+        return flat
+    cols = np.repeat(a.reshape(len(a), -1).T, S, axis=1)[..., None]
+    return [v if s else c for v, s, c in zip(flat, same.tolist(), cols)]
+
+
 def _steps(
     states: Sequence[OptimizerState], blocks: Sequence[ParamsBlock], oracle: Oracle,
     xis: Sequence, normalized: bool, stop: Callable[[], bool] = lambda: False,
@@ -118,12 +133,12 @@ def _steps(
     stop() after an iteration ends the block there. Returns each member's
     state after the block and the group's x^k0 .. and m^k0 .., stacked.
 
-    One member keeps its coefficients as Python floats, so its state may
-    be (n,) or (S, n). Several members' states are (S, n) each, and their
-    coefficients become per-row columns; every row still gets the bits it
-    gets alone: a row at gamma = 1 takes z = x (x + 0 (x - x_prev) would
-    turn -0.0 into +0.0 and inf into NaN), and a row whose weights sum to
-    one drops m, as a member alone does.
+    A lone member's state may be (n,) or (S, n); several members' are
+    (S, n) each. Each coefficient is a Python float where every row shares
+    its bits and a per-row column where rows differ, so every row gets the
+    bits it gets alone: a row at gamma = 1 takes z = x (x + 0 (x - x_prev)
+    would turn -0.0 into +0.0 and inf into NaN), and a row whose weights
+    sum to one drops m, as a member alone does.
 
     Before the first step, one gate checks everything the call reads, and
     its ValueError says what is wrong: every column of each block has one
@@ -156,44 +171,26 @@ def _steps(
         gam.append(gs)
         the.append([state.carry.thetas, *block.thetas.tolist()])
         eta.append(es)
-    # Step j's q query points are (za, zc)[j*q .. j*q + q - 1], each an (a, c):
-    # z = x where a is True, x + c (x - x_prev) where it is False, and a
-    # choice per row where it is a mask; (wa[j], wv[j]) likewise chooses
-    # m = 0 or w m, with w = 1 - fsum(thetas) of each member. The lists are
-    # flat: a list per step would hand the garbage collector n more objects.
-    wv = [[1.0 - math.fsum(t) for t in ts[:n]] for ts in the]
-    G = np.array([np.concatenate(([st.carry.gammas], b.gammas[: n - 1]))
-                  for st, b in zip(states, blocks)])  # (K, n, q): the gammas steps read
-    if K == 1:  # Python floats: the state may be (n,), and each op is the plain one
-        G, wv, th, et, part = G[0], wv[0], the[0][:n], eta[0], lambda a, i: a
-        one = G == 1.0
-        za, zc, wa = one.ravel().tolist(), ((1.0 - G) / G).ravel().tolist(), [v == 0.0 for v in wv]
-        x_prev, x, m, zero_steps = (states[0].x_prev, states[0].x_cur, states[0].m,
-                                    states[0].zero_steps)
-    else:  # (rows, 1) columns, the rows of member i at i*S .. (i+1)*S - 1
-        S = len(states[0].x_cur)
-        part = lambda a, i: a[i * S:(i + 1) * S]
-
-        def col(a):  # (K, n, ...) per member -> (n, ..., rows, 1)
-            return np.repeat(np.moveaxis(np.asarray(a, dtype=float), 0, -1), S, axis=-1)[..., None]
-
-        def choice(mask):  # per (rows, 1) mask: True (every row), False (none) or the mask
-            mask = mask.reshape(-1, K * S, 1)
-            return [True if all_ else o if any_ else False
-                    for all_, any_, o in zip(mask.all((1, 2)).tolist(), mask.any((1, 2)).tolist(),
-                                             mask)]
-
-        G, W = col(G), col(wv)  # (n, q, rows, 1), (n, rows, 1)
-        one = G == 1.0
-        za, zc = choice(one), list(((1.0 - G) / G).reshape(n * q, -1, 1))
-        wa, wv = choice(W == 0.0), W
-        th = col([np.concatenate(([st.carry.thetas], b.thetas[: n - 1]))
-                  for st, b in zip(states, blocks)])
-        et = col([b.eta for b in blocks])
-        x_prev, x, m = (np.concatenate([getattr(st, f) for st in states])
-                        for f in ("x_prev", "x_cur", "m"))
-        zero_steps = np.concatenate([np.broadcast_to(st.zero_steps, S) for st in states])
-    pts, at_x = zip(za, zc), one.reshape(n, -1).all(1).tolist()
+    # Each coefficient and mask is a flat list of what _shared gives (a list
+    # per step would hand the garbage collector n more objects). pts yields
+    # step j's q query points as pairs (a, c): z = x where a is True,
+    # x + c (x - x_prev) where it is False, and a choice per row where it is
+    # a mask; (wa[j], wv[j]) likewise chooses m = 0 or w m, with w =
+    # 1 - fsum(thetas) of each member; th yields step j's q thetas.
+    S = len(states[0].x_cur)  # member i's rows are i*S .. (i+1)*S - 1
+    G, T = (np.array([np.concatenate(([getattr(st.carry, f)], getattr(b, f)[: n - 1]))
+                      for st, b in zip(states, blocks)], dtype=float) for f in ("gammas", "thetas"))
+    E = np.array([b.eta for b in blocks], dtype=float)
+    W, one = np.array([[1.0 - math.fsum(t) for t in ts[:n]] for ts in the]), G == 1.0
+    pts, th = zip(_shared(one, S), _shared((1.0 - G) / G, S)), iter(_shared(T, S))
+    wa, wv, et = (_shared(c, S) for c in (W == 0.0, W, E))
+    at_x = one.all((0, 2)).tolist()
+    x_prev, x, m = (np.concatenate([getattr(st, f) for st in states])
+                    for f in ("x_prev", "x_cur", "m"))
+    # a lone member's state, which may be (n,), goes back unsplit
+    part = (lambda a, i: a) if K == 1 else (lambda a, i: a[i * S:(i + 1) * S])
+    zero_steps = states[0].zero_steps if K == 1 else np.concatenate(
+        [np.broadcast_to(st.zero_steps, S) for st in states])
     # each step's arrays are copied out and freed at once (holding them is slower)
     X, M = np.empty((n + 1, *x.shape)), np.empty((n, *x.shape))
     X[0] = x
@@ -209,7 +206,7 @@ def _steps(
         # even when m is not finite (0 * inf would give NaN)
         a, v = wa[j], wv[j]
         m = 0.0 if a is True else v * m if a is False else np.where(a, 0.0, v * m)
-        for t, g in zip(th[j], grads):
+        for t, g in zip(islice(th, q), grads):
             m = m + t * g
         if not normalized:
             x_next, zero = x - e * m, False
@@ -405,9 +402,11 @@ def run_batch(
 
     Kinds of one (q, normalized, iterations) step as one state: all seeds
     of all of them, (K S, n) for K such kinds, one kernel step per
-    iteration. The groups advance block by block, each block's (seed, k)
-    draws made once by one draw_block call and tiled across a group, each
-    member's bundles for the block read from its own stream. Every run is
+    iteration; a kind alone is a group with K = 1. The groups advance
+    block by block, each block's (seed, k) draws made once by one
+    draw_block call and tiled across a group, each member's bundles for the
+    block read from its own stream, and the metrics evaluated once for the
+    iterations any member logs. Every run is
     bit for bit what it is alone (elapsed_seconds aside). The clock is read
     once per iteration of a group, so a wall-clock ceiling stops every
     member of a group at the same iteration, and each member's rows are a
@@ -455,9 +454,8 @@ def run_batch(
             if stopped or budget <= k0:
                 continue
             times.clear()
-            end, K = min(k1, budget), len(members)
-            tiled = xis[: end - k0] if K == 1 else np.tile(
-                xis[: end - k0], (1, K) + (1,) * (xis.ndim - 2))
+            end = min(k1, budget)
+            tiled = np.tile(xis[: end - k0], (1, len(members)) + (1,) * (xis.ndim - 2))
             new, X, M = _steps([states[i] for i in members],
                                [kinds[i].bundles(k0, end) for i in members], oracle, tiled,
                                normalized, past_wall)
@@ -467,7 +465,7 @@ def run_batch(
             logged = [[j for j in range(n)
                        if (k0 + j) % log_strides[i] == 0 or k0 + j == budget - 1]
                       for i in members]
-            union = sorted(set().union(*logged)) if K > 1 else logged[0]
+            union = sorted(set().union(*logged))
             cols = metrics(X[union], M[union])
             for p, (i, st, own) in enumerate(zip(members, new, logged)):
                 states[i], r = st, slice(p * S, (p + 1) * S)

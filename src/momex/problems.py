@@ -335,8 +335,8 @@ def quadratic_problem(n: int, conditioning: float = 1.0) -> SmoothProblem:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if conditioning < 1.0:
-        raise ValueError(f"conditioning must be >= 1, got {conditioning}")
+    if not 1.0 <= conditioning < math.inf:  # nan and inf compare False
+        raise ValueError(f"conditioning must be finite and >= 1, got {conditioning}")
     lam = np.geomspace(1.0, float(conditioning), n)
     lam.flags.writeable = False
 

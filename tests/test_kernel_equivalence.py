@@ -3,10 +3,7 @@ hold mem and the baselines to their textbook recursions, written out
 literally here, and pin how far mem(p=3) drifts from the literal order-3
 schedule."""
 
-import importlib
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -205,23 +202,3 @@ def test_mem_p3_tracks_the_literal_order3_schedule():
         ra, rb = a.records[-1].rel_obj, b.records[-1].rel_obj
         assert abs(ra - rb) <= 1e-12 * abs(rb), f"seed {seed}: {ra!r} vs {rb!r}"
 
-
-def test_traced_names_resolve():
-    """The benchmark's tracer wraps momex attributes by name; each must
-    exist, or traced benchmark runs fail where this test would."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    missing = [
-        f"momex.{module}.{attr}"
-        for module, attr in tracing.SPANS
-        if not callable(getattr(importlib.import_module(f"momex.{module}"), attr, None))
-    ]
-    harness = importlib.import_module("momex.harness")
-    missing += [
-        f"momex.harness.{attr}"
-        for attr in tracing.PROBLEM_FACTORIES
-        if not callable(getattr(harness, attr, None))
-    ]
-    assert not missing, f"traced names missing: {missing}"

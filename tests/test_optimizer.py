@@ -487,6 +487,34 @@ def test_a_diverging_run_leaves_its_stacked_neighbour_alone():
             assert got.state.zero_steps == (40 if kind.normalized else 0)
 
 
+def _signed_zero(sign):
+    """A custom q = 1 stream at gamma = 1 whose weight is 1.5 at k = 0,
+    sign * 0.0 at k = 1 and 0.5 after."""
+    theta = lambda k: 1.5 if k == 0 else sign * 0.0 if k == 1 else 0.5
+    return opt.AlgorithmKind(f"zero{sign:+.0f}", 1, _per_k(lambda k: sched.IterationParams(
+        k, 0.05, (1.0,), (theta(k),), theta(k))))
+
+
+def test_a_group_shares_a_coefficient_only_on_its_bits():
+    """Two kinds of one group whose thetas differ only in the sign of a zero
+    at k = 1. The gradient's second coordinate is -0.0 and the weight 1.5
+    turns m's into -0.0, so the step that reads theta = +0.0 keeps -0.0
+    there and the one that reads -0.0 makes it +0.0: a coefficient shared
+    because -0.0 == 0.0 would give one kind the other's bits."""
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([x[..., 0], np.full(x.shape[:-1], -0.0)], axis=-1)
+
+    problem = prob.SmoothProblem("signed-zero", 2, lambda x: 0.5 * np.asarray(x)[..., 0] ** 2,
+                                 gradient)
+    kinds, x0 = [_signed_zero(1), _signed_zero(-1)], np.full(2, 0.6)
+    batches = opt.run_batch(kinds, problem, prob.NoiseModel(), x0, [6, 6], [0, 1], [1, 1])
+    for kind, results in zip(kinds, batches):
+        for seed, got in enumerate(results):
+            _same_as_alone(got, kind, problem, prob.NoiseModel(), x0, 6, seed, 1)
+    assert [np.signbit(r[0].state.m[1]) for r in batches] == [True, False]
+
+
 def test_a_stacked_group_stops_together_on_the_wall_clock(monkeypatch):
     """The clock is read once per iteration of a group: at a ceiling of
     100.5 on the counting clock every member of the q = 1 group stops after

@@ -128,6 +128,12 @@ def test_quadratic_problem():
         prob.quadratic_problem(4, conditioning=0.5)
 
 
+@pytest.mark.parametrize("conditioning", [math.inf, -math.inf, math.nan])
+def test_quadratic_problem_refuses_a_non_finite_conditioning(conditioning):
+    with pytest.raises(ValueError, match="conditioning must be finite"):
+        prob.quadratic_problem(4, conditioning=conditioning)
+
+
 @pytest.mark.parametrize("name", ["datafit", "robust", "quadratic"])
 def test_stacked_points_give_each_row_its_own_bits(name):
     """value and gradient on a stack (S, q, n) equal row-by-row calls, at

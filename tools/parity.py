@@ -12,31 +12,31 @@ against each tree's src/, and compares the two result lists. The matrix:
   minimizer (zero directions); every kind plus a q = 1 stream alternating
   gamma 1.0 / 0.5 and the q = 2 mixed stream below at one budget, so that
   kinds of one (q, normalized) shape step as one state, per noise kind
-  from an x0 with a -0.0 coordinate; a diverging sg kind beside sg and
-  beside an unnormalized momentum kind at one budget; mem p = 3 and sg-pm
-  per noisy kind over three loop blocks with the one-word seeds 7 and
-  2^32 - 1, then with the two-word seed 2^32 + 5 beside them; a diverging
-  run (non-finite status);
+  from an x0 with a -0.0 coordinate; two sg-pm kinds, then two nigt
+  kinds, per noise kind at one budget: a group whose members share every
+  coefficient; a diverging sg kind beside sg and beside an unnormalized
+  momentum kind at one budget; mem p = 3 and sg-pm per noisy kind over
+  three loop blocks with the one-word seeds 7 and 2^32 - 1, then with the
+  two-word seed 2^32 + 5 beside them; a diverging run (non-finite status);
   wall-clock stops under a counting clock, mid-block and on a block's last
   step; mem_step on a stack of runs with a zero-direction row;
 - a custom q = 2 stream whose gammas mix 1.0 with 0.5, through run_batch
   and through mem_step from a stack with a -0.0 coordinate and a
-  non-finite x_prev; an oracle returning too many gradients;
+  non-finite x_prev; two q = 1 streams in one group whose thetas differ
+  only in the sign of a zero, on a gradient with a -0.0 coordinate; an
+  oracle returning too many gradients;
 - compare (with a diverging config), grid_search, run_experiment and
   verify_all at small sizes;
 - the schedule's oracles and measurements on a fixed grid: params_p3,
   p3_arrays, schedule_arrays, stacked solve_weights_linear,
   weight_sum_closed_form, check_potential_inequality with the signed
-  contraction it compares with 0, and validate's two flags (each looked
-  up in momex.verify, else in momex.schedule);
+  contraction it compares with 0, and validate's two flags;
 - bound_sweep, weight_residual_sweep and sum_identity_sweep for p = 2..6
   at a k_max past several boundaries of the sweeps' chunks;
 - the CLI's run (csv, json and --out), compare and verify.
 
-A few lookups (_xi, _draw, _stream, _weight) let the matrix run on trees
-from before and after the kernel came to read the draw itself, kinds
-came to hold only a block stream and potential_weight came to return a
-float, so both sides of that change can be compared.
+The matrix calls the API as it stands since the kernel came to read the
+draw itself (7f69c18); older trees are not supported.
 
 Each result is recorded as its repr (arrays at full precision) and the
 json.dumps of its plain form, with elapsed_seconds masked: the only field
@@ -128,34 +128,14 @@ class CountingClock:
         return float(self.calls)
 
 
-def _xi(draw):
-    """draw_sample's result as the draw itself, on trees that wrap it too."""
-    return getattr(draw, "xi", draw)
-
-
-def _draw(m, xi, seeds, k):
-    """The draw as mem_step takes it: xi itself, or on trees whose
-    draw_sample wraps the draw with its (seed, k), wrapped the same way."""
-    made = m.problems.draw_sample(m.problems.NoiseModel(), 1, 0, 0)
-    return xi if isinstance(made, float) else type(made)(xi, seeds, k)
-
-
 def _bundle(kind, k):
-    """The bundle of iteration k from the kind's stream (every tree since the
-    block kernel has AlgorithmKind.bundles(k0, k1))."""
+    """The bundle of iteration k from the kind's stream."""
     return kind.bundles(k, k + 1).bundles()[0]
 
 
-def _stream(m, params):
-    """A kind's stream for the per-k rule params: stacked with
-    ParamsBlock.of, or params itself on trees whose kinds take params(k)."""
-    of = getattr(m.schedule.ParamsBlock, "of", None)
-    return params if of is None else lambda k0, k1: of(map(params, range(k0, k1)))
-
-
-def _weight(w):
-    """A potential weight as a float, on trees that wrap it in .value too."""
-    return getattr(w, "value", w)
+def _per_k(m, params):
+    """The block stream of a per-k rule params(k)."""
+    return lambda k0, k1: m.schedule.ParamsBlock.of(map(params, range(k0, k1)))
 
 
 def _kinds(m):
@@ -204,6 +184,16 @@ def run_batch_section(m):
                                     [7, 1, 13, 5, 300, 2, 9, 11], store_iterates=True)
         out += [entry(f"run_batch equal budgets {noise_kind} {kind}", r)
                 for kind, r in zip(names, res)]
+    # groups whose members share every coefficient, so each is a Python float
+    opt = m.optimizer
+    for noise_kind in NOISE_KINDS:
+        noise = m.problems.NoiseModel(noise_kind, 0.0 if noise_kind == "none" else 2.0)
+        problem = _problem(m, "datafit")
+        for label, pair in (("sg-pm", [opt.sg_pm(), opt.sg_pm()]),
+                            ("nigt", [opt.nigt(0.3, 0.05), opt.nigt(0.3, 0.05)])):
+            res = opt.run_batch(pair, problem, noise, np.full(problem.dim, 0.6), [300] * 2,
+                                [3, 4], [7, 1])
+            out.append(entry(f"run_batch shared coefficients {noise_kind} {label}", res))
     # seeds of one 32-bit word, then a two-word seed beside them in every block
     problem, kinds = _problem(m, "datafit"), _kinds(m)[1:5:3]  # mem p = 3 and sg-pm
     for noise_kind in NOISE_KINDS[1:]:
@@ -213,7 +203,7 @@ def run_batch_section(m):
                                         [600, 530], seeds, [7, 11])
             out += [entry(f"run_batch seeds {seeds} {noise_kind} {kind}", r)
                     for kind, r in zip(("mem:3", "sg-pm"), res)]
-    opt, steep = m.optimizer, m.problems.quadratic_problem(5, conditioning=1000.0)
+    steep = m.problems.quadratic_problem(5, conditioning=1000.0)
     heavy = opt.AlgorithmKind("heavy-ball", 1, opt.sg_pm(lambda k: 0.5, lambda k: 0.001).bundles,
                               normalized=False)
     for label, neighbour, budget in (("sg", opt.sg(lambda k: 0.01), 150),
@@ -258,8 +248,8 @@ def mem_step_section(m):
     oracle = lambda z, xi: prob.stochastic_grad(problem, noise, z, xi)
     out = []
     for k in range(6):
-        xi = np.array([_xi(prob.draw_sample(noise, 5, s, k)) for s in range(3)])
-        state = opt.mem_step(state, _bundle(kind, k), oracle, _draw(m, xi, (0, 1, 2), k))
+        xi = np.array([prob.draw_sample(noise, 5, s, k) for s in range(3)])
+        state = opt.mem_step(state, _bundle(kind, k), oracle, xi)
         out.append(entry(f"mem_step stack k={k}", state))
     return out
 
@@ -270,7 +260,7 @@ def _mixed_stream(m):
     sch = m.schedule
     rows = [((1.0, 1.0), (0.5, 0.5)), ((1.0, 0.5), (0.6, -0.2)),
             ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
-    return m.optimizer.AlgorithmKind("mixed", 2, _stream(m, lambda k: sch.IterationParams(
+    return m.optimizer.AlgorithmKind("mixed", 2, _per_k(m, lambda k: sch.IterationParams(
         k, 0.05, *rows[k % 4], sum(rows[k % 4][1]))))
 
 
@@ -278,9 +268,17 @@ def _alternating(m):
     """A custom q = 1 per-k stream whose gamma alternates 1.0 / 0.5 and whose
     weight is 1.0 (m dropped) at every third k."""
     sch = m.schedule
-    return m.optimizer.AlgorithmKind("alternating", 1, _stream(m, lambda k: sch.IterationParams(
+    return m.optimizer.AlgorithmKind("alternating", 1, _per_k(m, lambda k: sch.IterationParams(
         k, 0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,),
         1.0 if k % 3 == 0 else 0.4)))
+
+
+def _signed_zero(m, sign):
+    """A custom q = 1 stream at gamma = 1 whose weight is 1.5 at k = 0,
+    sign * 0.0 at k = 1 and 0.5 after."""
+    sch, theta = m.schedule, lambda k: 1.5 if k == 0 else sign * 0.0 if k == 1 else 0.5
+    return m.optimizer.AlgorithmKind(f"zero{sign:+.0f}", 1, _per_k(m, lambda k: sch.IterationParams(
+        k, 0.05, (1.0,), (theta(k),), theta(k))))
 
 
 def custom_stream_section(m):
@@ -306,12 +304,20 @@ def custom_stream_section(m):
         carry = sch.IterationParams(-1, float("nan"), gammas, (0.5, 0.5), 1.0)
         state = opt.OptimizerState(x_prev, x, np.zeros_like(x), 0, carry)
         for k in range(4):
-            state = opt.mem_step(state, _bundle(kind, k), oracle,
-                                 _draw(m, np.zeros(3), (0, 1, 2), k))
+            state = opt.mem_step(state, _bundle(kind, k), oracle, np.zeros(3))
             out.append(entry(f"mixed stream mem_step carry={gammas} k={k}", state))
+    def gradient(x):  # a -0.0 second coordinate, which weight 1.5 carries into m
+        x = np.asarray(x, dtype=float)
+        return np.stack([x[..., 0], np.full(x.shape[:-1], -0.0)], axis=-1)
+
+    signed = prob.SmoothProblem("signed-zero", 2, lambda x: 0.5 * np.asarray(x)[..., 0] ** 2,
+                                gradient)
+    out.append(entry("thetas +0.0 and -0.0 in one group", opt.run_batch(
+        [_signed_zero(m, 1), _signed_zero(m, -1)], signed, prob.NoiseModel(), np.full(2, 0.6),
+        [6, 6], [0, 1], [1, 1])))
     three = lambda z, xi: np.zeros((3, *z.shape[1:]))
     out.append(entry("mem_step 2 weights for 3 gradients", _outcome(
-        opt.mem_step, opt.initial_state(x, 2), _bundle(kind, 0), three, _draw(m, 0.0, 0, 0))))
+        opt.mem_step, opt.initial_state(x, 2), _bundle(kind, 0), three, 0.0)))
     return out
 
 
@@ -358,15 +364,11 @@ def _outcome(fn, *args):
 
 
 def schedule_section(m):
-    """The schedule's oracles and measurements on a fixed grid. Each name is
-    looked up in momex.verify first and in momex.schedule after, so the
-    same matrix runs on trees from before and after they moved."""
-    def find(name):
-        return getattr(m.verify if hasattr(m.verify, name) else m.schedule, name)
-
-    sch, ks = m.schedule, [0, 1, 2, 7, 255, 256, 1000, 12345, 10**6, 2**40]
-    out = [entry("params_p3", [find("params_p3")(k) for k in ks]),
-           entry("p3_arrays", find("p3_arrays")(np.array(ks)))]
+    """The schedule's oracles and measurements in momex.verify on a fixed
+    grid."""
+    sch, ver, ks = m.schedule, m.verify, [0, 1, 2, 7, 255, 256, 1000, 12345, 10**6, 2**40]
+    out = [entry("params_p3", [ver.params_p3(k) for k in ks]),
+           entry("p3_arrays", ver.p3_arrays(np.array(ks)))]
     odd = [sch.init_params(3), sch.IterationParams(3, 0.1, (0.6, 0.3), (0.9, float("nan")), 0.5),
            sch.IterationParams(4, 0.1, (0.5, 0.25), (1.5, -0.2), 1.3)]
     for p in range(2, 7):
@@ -375,35 +377,35 @@ def schedule_section(m):
         odd.append(sch.IterationParams(9, 0.1, bundles[3].gammas,
                                        tuple(map(abs, bundles[3].thetas)), 0.5))
         out += [
-            entry(f"schedule_arrays p={p}", find("schedule_arrays")(p, np.array(ks))),
+            entry(f"schedule_arrays p={p}", ver.schedule_arrays(p, np.array(ks))),
             entry(f"solve_weights_linear stack p={p}",
-                  [_outcome(find("solve_weights_linear"), gammas[: n]) for n in (4, 7, 10)]),
+                  [_outcome(ver.solve_weights_linear, gammas[: n]) for n in (4, 7, 10)]),
             entry(f"weight_sum_closed_form p={p}",
-                  [find("weight_sum_closed_form")(g) for g in gammas]),
-            entry(f"check_potential_inequality p={p}", _contractions(m, find, p)),
+                  [ver.weight_sum_closed_form(g) for g in gammas]),
+            entry(f"check_potential_inequality p={p}", _contractions(m, p)),
             entry(f"validate flags p={p}", [(d.theta_sum_in_unit, d.signs_alternate)
-                                            for d in map(find("validate"), bundles)]),
+                                            for d in map(ver.validate, bundles)]),
         ]
     return out + [
         entry("check_potential_inequality config",
-              [find("check_potential_inequality")(k, 4) for k in ks]),
+              [ver.check_potential_inequality(k, 4) for k in ks]),
         entry("validate flags, hand-built", [(d.theta_sum_in_unit, d.signs_alternate)
-                                             for d in map(find("validate"), odd)]),
+                                             for d in map(ver.validate, odd)]),
         entry("weight sum and dense solve errors",
-              [_outcome(find(name), g) for name in ("weight_sum_closed_form", "solve_weights_linear")
+              [_outcome(f, g) for f in (ver.weight_sum_closed_form, ver.solve_weights_linear)
                for g in ([1.0, 0.4], [0.4, 0.6], [[0.9, 0.6], [0.5, 0.5 - 1e-14]],
                          list(0.5 / np.arange(1, 10)))]),
     ]
 
 
-def _contractions(m, find, p: int) -> list:
+def _contractions(m, p: int) -> list:
     """(signed contraction, check_potential_inequality) at k = 0, 7, .. 2996:
     a change that moves the contraction but not its sign still shows."""
-    sch, ks = m.schedule, range(0, 3000, 7)
+    sch, ver, ks = m.schedule, m.verify, range(0, 3000, 7)
     sums = sch.params_block(p, 0, 3000).theta_sum[::7]
-    return [(float(m.verify._contraction(s, _weight(sch.potential_weight(k, p)),
-                                         _weight(sch.potential_weight(k + 1, p)), p)),
-             find("check_potential_inequality")(k, p)) for k, s in zip(ks, sums)]
+    return [(float(ver._contraction(s, sch.potential_weight(k, p),
+                                    sch.potential_weight(k + 1, p), p)),
+             ver.check_potential_inequality(k, p)) for k, s in zip(ks, sums)]
 
 
 def sweep_section(m):
