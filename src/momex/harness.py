@@ -12,6 +12,7 @@ byte for byte, except elapsed_seconds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import statistics
@@ -393,14 +394,14 @@ def run_experiment(config: RunConfig):
         log_stride=config.log_stride,
         wall_seconds=config.wall_seconds,
     )
-    records = result.records
+    records, last = result.records, result.records[-1]
     summary = {
         "algorithm": config.algorithm,
         "problem": config.problem,
         "iterations": result.state.k,
-        "final_f": records[-1].f_val,
-        "final_rel_obj": records[-1].rel_obj,
-        "min_grad_norm": min(r.grad_norm for r in records),
+        "final_f": last.f_val,
+        "final_rel_obj": last.rel_obj,
+        "min_grad_norm": min(records.columns["grad_norm"].tolist()),
         "oracle_calls": result.state.oracle_calls,
         "zero_direction_steps": result.state.zero_steps,
         "metric_grad_evals": result.metric_grad_evals,
@@ -424,18 +425,20 @@ def run_experiment(config: RunConfig):
     return records, summary
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _csv_chunks(records: Sequence[TrajectoryRecord]):
+    """The header line, then the rows as CSV text, 4096 rows a chunk, read
+    from records' columns (a plain sequence is made columns first)."""
+    cols = getattr(records, "columns", None) or {
+        f: [getattr(r, f) for r in records] for f in CSV_HEADER.split(",")}
+    cols = [np.asarray(c, int if f in ("k", "oracle_calls") else float) for f, c in cols.items()]
+    yield CSV_HEADER + "\n"
+    for i in range(0, len(records), 4096):
+        cells = [repr(c[i : i + 4096].tolist())[1:-1].split(", ") for c in cols]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def records_to_csv(records: Sequence[TrajectoryRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.k},{_fmt(r.f_val)},{_fmt(r.rel_obj)},{_fmt(r.grad_norm)},"
-            f"{_fmt(r.mom_err)},{r.oracle_calls},{_fmt(r.elapsed_seconds)}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(records))
 
 
 def parse_records(text: str) -> Tuple[TrajectoryRecord, ...]:
@@ -448,48 +451,45 @@ def parse_records(text: str) -> Tuple[TrajectoryRecord, ...]:
         cells = ln.split(",")
         if len(cells) != 7:
             raise ValueError(f"expected 7 cells, got {len(cells)}: {ln!r}")
-        out.append(
-            TrajectoryRecord(
-                k=int(cells[0]),
-                f_val=float(cells[1]),
-                rel_obj=float(cells[2]),
-                grad_norm=float(cells[3]),
-                mom_err=float(cells[4]),
-                oracle_calls=int(cells[5]),
-                elapsed_seconds=float(cells[6]),
-            )
-        )
+        k, *vals, calls, elapsed = cells
+        out.append(TrajectoryRecord(int(k), *map(float, vals), int(calls), float(elapsed)))
     return tuple(out)
 
 
-def _output(text: str, path: Optional[str] = None, receipt: Optional[dict] = None) -> None:
-    """Print text (newline-terminated), or write it to path as is and then
-    print the receipt, if any, as one JSON line with the path."""
-    if path is None:
-        print(text, end="" if text.endswith("\n") else "\n")
-        return
+def _open(path: Optional[str]):
+    """path opened for writing, or stdout (left open) when path is None."""
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-    if receipt is not None:
+
+
+def _output(chunks, path: Optional[str] = None, receipt: Optional[dict] = None, out=None) -> None:
+    """Write chunks (at least one string) to out, what _open(path) gave, or
+    to _open(path) now: to a file as they are, to stdout newline-terminated;
+    after a file, print the receipt, if any, as one JSON line with the path."""
+    with out or _open(path) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.write("" if path is not None or chunk.endswith("\n") else "\n")
+    if path is not None and receipt is not None:
         print(json.dumps({"out": path, **receipt}))
 
 
-def _payload(records, format: str, config: Optional[RunConfig], summary: Optional[dict]) -> str:
+def _payload(records, format: str, config: Optional[RunConfig], summary: Optional[dict]):
+    """The chunks of records as format: CSV a chunk at a time, JSON whole."""
     if format not in _CHOICES["format"]:
         raise ValueError(f"format must be csv or json, got {format!r}")
     if format == "csv":
-        return records_to_csv(records)
-    return json.dumps(
+        return _csv_chunks(records)
+    return [json.dumps(
         {
             "config": None if config is None else asdict(config),
             "summary": summary,
             "records": [asdict(r) for r in records],
         },
         indent=2,
-    )
+    )]
 
 
 def emit(
@@ -594,19 +594,16 @@ def compare(
     batches = run_batch(kinds, problem, noise, x0, iterations, seeds, strides)
     final, status, series, warnings = {}, {}, {}, []
     for label, results in zip(labels, batches):
-        per_seed = [r.records for r in results]
-        final[label] = [recs[-1].rel_obj for recs in per_seed]
+        cols = [r.records.columns for r in results]  # a kind's seeds log the same k
+        final[label] = [c["rel_obj"][-1].item() for c in cols]
         status[label] = [r.status for r in results]
         bad = [s for s, v in zip(seeds, final[label]) if not math.isfinite(v)]
         if bad:
             warnings.append(f"median_final of {label!r} includes non-finite finals (seeds {bad})")
         series[label] = [
-            {
-                "k": row[0].k,
-                "oracle_calls": row[0].oracle_calls,
-                "rel_obj_median": statistics.median(r.rel_obj for r in row),
-            }
-            for row in zip(*per_seed)
+            {"k": k, "oracle_calls": calls, "rel_obj_median": statistics.median(row)}
+            for k, calls, *row in zip(cols[0]["k"].tolist(), cols[0]["oracle_calls"].tolist(),
+                                      *(c["rel_obj"].tolist() for c in cols))
         ]
     median_final = {label: statistics.median(final[label]) for label in labels}
     ordering = sorted(labels, key=lambda lb: median_final[lb])
@@ -732,10 +729,12 @@ def verify_all(
 
 def _cmd_run(argv: Sequence[str]) -> int:
     config = parse_config(argv)
-    records, summary = run_experiment(config)
-    if summary["status"].startswith("non-finite"):
-        print(f"warning: the run's status is {summary['status']!r}", file=sys.stderr)
-    _output(_payload(records, config.format, config, summary), config.out, summary)
+    out = _open(config.out)  # a path that cannot be written fails before the run
+    with out:
+        records, summary = run_experiment(config)
+        if summary["status"].startswith("non-finite"):
+            print(f"warning: the run's status is {summary['status']!r}", file=sys.stderr)
+        _output(_payload(records, config.format, config, summary), config.out, summary, out)
     return 0
 
 
@@ -788,7 +787,7 @@ def _cmd_compare(argv: Sequence[str]) -> int:
     table = compare(configs, ns.budget, n_seeds=ns.seeds, base_seed=ns.base_seed, labels=tokens)
     for warning in table["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
-    _output(json.dumps(table, indent=2), ns.out, {"median_final": table["median_final"]})
+    _output([json.dumps(table, indent=2)], ns.out, {"median_final": table["median_final"]})
     return 0
 
 
@@ -804,7 +803,7 @@ def _cmd_verify(argv: Sequence[str]) -> int:
     ns = vars(p.parse_args(argv))
     out = ns.pop("out")
     report = verify_all(**ns)
-    _output(json.dumps(report, indent=2), out, {"passed": report["passed"]})
+    _output([json.dumps(report, indent=2)], out, {"passed": report["passed"]})
     return 0 if report["passed"] else 1
 
 
@@ -814,7 +813,7 @@ def _cmd_gen_data(argv: Sequence[str]) -> int:
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", type=_out_path, required=True)
     ns = p.parse_args(argv)
-    _output(dataset_to_csv(generate_synthetic(ns.n, ns.seed)), ns.out, {"n": ns.n, "seed": ns.seed})
+    _output([dataset_to_csv(generate_synthetic(ns.n, ns.seed))], ns.out, {"n": ns.n, "seed": ns.seed})
     return 0
 
 

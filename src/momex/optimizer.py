@@ -18,14 +18,15 @@ get the bits they would get alone. One kernel steps a state through the
 rows of a ParamsBlock, each on its noise draw, and mem_step is its one-row
 case; it steps kinds of one q and normalization as one stacked state, each
 with its own block. run_batch steps all seeds of several kinds that way,
-and run is its one-kind, one-seed case.
+and run is its one-kind, one-seed case. A run's logged rows are kept as
+column arrays; RunResult.records, a Trajectory, builds rows when read.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -47,6 +48,7 @@ __all__ = [
     "OptimizerState",
     "AlgorithmKind",
     "TrajectoryRecord",
+    "Trajectory",
     "RunResult",
     "initial_state",
     "mem_step",
@@ -354,14 +356,41 @@ class TrajectoryRecord:
     elapsed_seconds: float
 
 
+# not Sequence[TrajectoryRecord]: typing caches that alias, and with it this
+# module's classes, past a fresh import of momex
+class Trajectory(Sequence):
+    """A run's logged rows as columns, one array per TrajectoryRecord field
+    (k and oracle_calls int64); rows are built only when read: an index
+    gives a TrajectoryRecord, a slice a tuple of them, repr the tuple's."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["k"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(TrajectoryRecord, *(c[i].tolist() for c in self.columns.values())))
+        return TrajectoryRecord(*(c[i].item() for c in self.columns.values()))
+
+    def __iter__(self):
+        for i in range(0, len(self), 4096):
+            yield from self[i : i + 4096]
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """One run's rows, final state ((n,) arrays) and stored iterates.
+    records is the rows' column view; metric_grad_evals counts its rows.
     status is "completed", "wall-clock" (stopped by the ceiling) or
     "non-finite at k": iteration k left a momentum norm or next iterate
     that is not finite. Nothing is frozen; the rows show what followed."""
 
-    records: Tuple[TrajectoryRecord, ...]
+    records: Trajectory
     state: OptimizerState
     iterates: Tuple[np.ndarray, ...]
     metric_grad_evals: int
@@ -406,11 +435,13 @@ def run_batch(
     block by block, each block's (seed, k) draws made once by one
     draw_block call and tiled across a group, each member's bundles for the
     block read from its own stream, and the metrics evaluated once for the
-    iterations any member logs. Every run is
-    bit for bit what it is alone (elapsed_seconds aside). The clock is read
-    once per iteration of a group, so a wall-clock ceiling stops every
-    member of a group at the same iteration, and each member's rows are a
-    prefix of its run alone.
+    iterations any member logs, each member's logged k, calls and times
+    (shared by its seeds) and (rows, S) metric columns kept per block and
+    concatenated once at the end: a seed's records are a Trajectory over
+    its columns. Every run is bit for bit what it is alone (elapsed_seconds
+    aside). The clock is read once per iteration of a group, so a
+    wall-clock ceiling stops every member of a group at the same iteration,
+    and each member's rows are a prefix of its run alone.
     """
     x0, S, seeds = np.asarray(x0, dtype=float), len(seeds), tuple(seeds)
     if len({len(kinds), len(budgets), len(log_strides)}) > 1 or not kinds or not S or x0.ndim != 1:
@@ -425,7 +456,7 @@ def run_batch(
     for i, kind in enumerate(kinds):
         groups.setdefault((kind.q, kind.normalized, budgets[i]), []).append(i)
     states = [initial_state(np.tile(x0, (S, 1)), kind.q) for kind in kinds]
-    records = [[[] for _ in seeds] for _ in kinds]
+    logs = [[] for _ in kinds]  # per kind and block: k, calls, elapsed, (rows, S) metric columns
     iterates = [[st.x_cur] for st in states]
     bad_at = [np.full(S, -1) for _ in kinds]  # first non-finite iteration per seed
     oracle = lambda z, xi: stochastic_grad(problem, noise, z, xi)
@@ -434,10 +465,6 @@ def run_batch(
         G, F = problem.gradient(X), problem.value(X)
         rel = F / f0 if f0 != 0.0 else np.full(F.shape, np.nan)
         return F, rel, _norm(G), _norm(M - G)
-
-    def log(i, cols, ks, calls, times):  # cols: kind i's (rows, S) metric columns
-        for recs, *row in zip(records[i], *(a.T.tolist() for a in cols)):
-            recs.extend(map(TrajectoryRecord, ks, *row, calls, times))
 
     rows = S * max(map(len, groups.values()))  # of the largest group's state
     block, stopped = max(1, min(_BLOCK_MAX, _BLOCK_VALUES // (rows * x0.size))), False
@@ -461,40 +488,42 @@ def run_batch(
                                normalized, past_wall)
             n, stopped = len(times), times[-1] > wall
             bad = ~(np.isfinite(X[1 : n + 1]).all(-1) & np.isfinite(np.vecdot(M[:n], M[:n])))
-            # row k pairs x^k (the point the momentum was computed at) with m^k
-            logged = [[j for j in range(n)
-                       if (k0 + j) % log_strides[i] == 0 or k0 + j == budget - 1]
-                      for i in members]
-            union = sorted(set().union(*logged))
-            cols = metrics(X[union], M[union])
-            for p, (i, st, own) in enumerate(zip(members, new, logged)):
+            # row k pairs x^k (the point the momentum was computed at) with m^k;
+            # per log stride, the logged k, their calls and times, and metric rows
+            ks = np.arange(k0, k0 + n)
+            on = {s: (ks % s == 0) | (ks == budget - 1) for s in {log_strides[i] for i in members}}
+            union = np.flatnonzero(np.logical_or.reduce(list(on.values())))
+            cols, tm = metrics(X[union], M[union]), np.array(times)
+            logged = {s: (ks[w], (ks[w] + 1) * q, tm[w], slice(None) if len(on) == 1 else w[union])
+                      for s, w in on.items()}
+            for p, (i, st) in enumerate(zip(members, new)):
                 states[i], r = st, slice(p * S, (p + 1) * S)
                 if store_iterates:
                     iterates[i].extend(X[1 : n + 1, r])
                 hit = bad[:, r]
                 bad_at[i] = np.where((bad_at[i] < 0) & hit.any(0), k0 + hit.argmax(0), bad_at[i])
-                at = slice(None) if own == union else np.searchsorted(union, own)
-                log(i, [c[at, r] for c in cols], [k0 + j for j in own],
-                    [(k0 + j + 1) * q for j in own], [times[j] for j in own])
+                *own, at = logged[log_strides[i]]
+                logs[i].append((*own, *(c[at, r] for c in cols)))
         if stopped:
             break
 
-    results = []
+    results, names = [], [f.name for f in fields(TrajectoryRecord)]
     for i, st in enumerate(states):
-        log(i, metrics(st.x_cur[None], st.m[None]), [st.k], [st.oracle_calls],
-            [time.perf_counter() - t0])
+        logs[i].append((np.array([st.k]), np.array([st.oracle_calls]),
+                        np.array([time.perf_counter() - t0]), *metrics(st.x_cur[None], st.m[None])))
+        k, calls, elapsed, *cols = map(np.concatenate, zip(*logs[i]))
         zero_steps = np.broadcast_to(st.zero_steps, S)
         ended = "completed" if st.k == budgets[i] else "wall-clock"
         results.append(tuple(
             RunResult(
-                tuple(recs),
+                Trajectory(dict(zip(names, (k, *(c[:, s] for c in cols), calls, elapsed)))),
                 replace(st, x_prev=st.x_prev[s], x_cur=st.x_cur[s], m=st.m[s],
                         zero_steps=int(zero_steps[s]), zs=tuple(z[s] for z in st.zs)),
                 tuple(x[s].copy() for x in iterates[i]) if store_iterates else (),
-                len(recs),  # one exact gradient per logged row
+                len(k),  # one exact gradient per logged row
                 f"non-finite at {bad_at[i][s]}" if bad_at[i][s] >= 0 else ended,
             )
-            for s, recs in enumerate(records[i])
+            for s in range(S)
         ))
     return results
 

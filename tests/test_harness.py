@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import momex.harness as har
+import momex.optimizer as opt
 import momex.problems as prob
 from momex.optimizer import TrajectoryRecord
 from momex.schedule import params_general
@@ -351,6 +353,40 @@ def test_csv_round_trip_is_exact():
     assert list(back) == records
 
 
+def _csv_reference(records):
+    """The CSV of records, formatted row by row."""
+    return "".join([har.CSV_HEADER + "\n"] + [
+        f"{r.k},{float(r.f_val)!r},{float(r.rel_obj)!r},{float(r.grad_norm)!r},"
+        f"{float(r.mom_err)!r},{r.oracle_calls},{float(r.elapsed_seconds)!r}\n"
+        for r in records])
+
+
+_ODD = [-0.0, 5e-324, math.nan, math.inf, -math.inf, 1.0 / 3.0, 1e300, 2]
+
+
+def _odd_records(n):
+    v = lambda i: _ODD[i % len(_ODD)]
+    return [TrajectoryRecord(i, v(i), v(i + 1), v(i + 2), v(i + 3), 2 * i, v(i + 4))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 2 * 4096 + 5])
+def test_records_to_csv_matches_a_row_by_row_formatter(n):
+    # 4096 rows make one chunk: n covers no row, one partial chunk, exactly
+    # one chunk and more than one
+    records = _odd_records(n)
+    text = har.records_to_csv(records)
+    assert text == _csv_reference(records)
+    assert "\n\n" not in text and text.count("\n") == n + 1
+    chunks = list(har._csv_chunks(records))  # the header, then whole rows only
+    assert len(chunks) == 1 + math.ceil(n / 4096)
+    assert all(c.endswith("\n") and c[0] != "\n" for c in chunks)
+    # a run's row view gives the same text as its rows as a plain list
+    problem = prob.quadratic_problem(3, conditioning=2.0)
+    res = opt.run(opt.sg(), problem, prob.NoiseModel(), np.ones(3), budget=min(n, 4100), seed=0)
+    assert har.records_to_csv(res.records) == _csv_reference(list(res.records))
+
+
 def test_emit_csv_and_json(tmp_path):
     records = [TrajectoryRecord(0, 2.0, 1.0, 0.5, 0.5, 1, 0.0)]
     cfg = har.RunConfig(algorithm="sg", problem="datafit", synthetic=4, iters=1)
@@ -384,6 +420,31 @@ def test_run_experiment_deterministic_and_summarized():
     assert sum_a["oracle_calls"] == 50
     assert sum_a["final_rel_obj"] == rec_a[-1].rel_obj
     assert sum_a["min_grad_norm"] <= rec_a[0].grad_norm
+
+
+def test_min_grad_norm_of_a_diverging_run_reads_its_rows():
+    cfg = har.RunConfig(algorithm="sg", eta=1.0, problem="quadratic", dim=5,
+                        conditioning=1000.0, iters=150)
+    records, summary = har.run_experiment(cfg)
+    assert summary["status"] == "non-finite at 51" and math.isnan(records[-1].grad_norm)
+    assert repr(summary["min_grad_norm"]) == repr(min(r.grad_norm for r in records))
+
+
+def test_run_experiment_holds_its_rows_as_columns():
+    # a held result costs about 56 B a logged row (seven 8-byte columns);
+    # a short run first, so one-time imports and caches are not counted
+    base = dict(algorithm="mem", p=3, q=2, problem="quadratic", dim=10, conditioning=10.0,
+                noise="none", log_stride=1)
+    har.run_experiment(har.RunConfig(iters=10, **base))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records, summary = har.run_experiment(har.RunConfig(iters=20_000, **base))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_001
+    assert held / len(records) <= 80
 
 
 def test_run_experiment_reports_certified_constants():
@@ -423,6 +484,29 @@ def test_cli_diverging_run_warns_once(tmp_path, capsys, to_file):
     assert len(records) == 151 and math.isnan(records[-1].f_val)
     if to_file:
         assert json.loads(printed.out)["status"] == "non-finite at 51"
+
+
+def test_cli_run_refuses_an_unwritable_out_before_the_run(tmp_path, monkeypatch, capsys):
+    def run_batch(*args, **kwargs):
+        raise AssertionError("run_batch was called")
+
+    monkeypatch.setattr(opt, "run_batch", run_batch)
+    argv = ["run", "--alg", "sg", "--problem", "quadratic", "--dim", "2", "--iters", "3"]
+    bad = tmp_path / "no" / "such" / "run.csv"
+    assert har.main([*argv, "--out", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ") and not bad.exists()
+
+    # --out is opened, so emptied, before the run: a run that fails leaves it empty
+    def failing(*args, **kwargs):
+        raise ValueError("the run failed")
+
+    monkeypatch.setattr(opt, "run_batch", failing)
+    out = tmp_path / "old.csv"
+    out.write_text("old content\n")
+    assert har.main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the run failed\n"
+    assert out.read_text() == ""
 
 
 _OUT_COMMANDS = [

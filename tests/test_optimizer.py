@@ -270,6 +270,28 @@ def test_run_accounting_and_record_grid():
     assert res.records[0].rel_obj == 1.0
 
 
+def test_records_are_a_row_view_over_columns():
+    # more rows than one chunk of iteration, so the chunked __iter__ crosses a boundary
+    problem = prob.quadratic_problem(4, conditioning=10.0)
+    kind = opt.mem(sched.ScheduleConfig(p=3, q=2))
+    res = opt.run(kind, problem, prob.NoiseModel(), np.ones(4), budget=5000, seed=0)
+    recs, cols = res.records, res.records.columns
+    assert list(cols) == [f.name for f in dataclasses.fields(opt.TrajectoryRecord)]
+    assert [c.dtype for c in cols.values()] == [np.int64, *[np.float64] * 4, np.int64, np.float64]
+    rows = tuple(opt.TrajectoryRecord(*v) for v in zip(*(c.tolist() for c in cols.values())))
+    assert len(recs) == len(rows) == res.metric_grad_evals == 5001
+    assert recs[-1] == rows[-1] and recs[0] == rows[0] and recs[4097] == rows[4097]
+    assert type(recs[-1].k) is int and type(recs[-1].f_val) is float
+    for part in (slice(None), slice(10, 20), slice(-3, None), slice(None, None, -7), slice(5, 5)):
+        got = recs[part]
+        assert type(got) is tuple and got == rows[part]
+    assert tuple(recs) == rows
+    assert repr(recs) == repr(rows)
+    assert repr(res).startswith("RunResult(records=" + repr(rows)[:200])
+    with pytest.raises(IndexError):
+        recs[len(rows)]
+
+
 def test_run_is_reproducible():
     problem = _datafit(n=8, seed=2)
     noise = prob.NoiseModel(kind="elementwise-gaussian-envelope", sigma_tilde=2.0)

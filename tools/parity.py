@@ -63,6 +63,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,9 @@ def _mask_text(text: str) -> str:
 
 def _plain(obj):
     """obj as JSON-native values: dataclasses as dicts, arrays with dtype
-    and shape, numpy scalars tagged with their type."""
+    and shape, numpy scalars tagged with their type, and any sequence but a
+    string (a tuple of records, or a run's row view over its columns) as a
+    list of its items."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {"@": type(obj).__name__,
                 **{f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}}
@@ -104,7 +107,7 @@ def _plain(obj):
         return {"@": type(obj).__name__, "value": obj.item()}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, Sequence) and not isinstance(obj, str):
         return [_plain(v) for v in obj]
     return obj
 
