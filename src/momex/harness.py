@@ -425,16 +425,31 @@ def run_experiment(config: RunConfig):
     return records, summary
 
 
-def _csv_chunks(records: Sequence[TrajectoryRecord]):
-    """The header line, then the rows as CSV text, 4096 rows a chunk, read
-    from records' columns (a plain sequence is made columns first)."""
+def _cells(records: Sequence[TrajectoryRecord]):
+    """Per column, its cells' text, 4096 rows a chunk (a plain sequence is made columns first)."""
     cols = getattr(records, "columns", None) or {
         f: [getattr(r, f) for r in records] for f in CSV_HEADER.split(",")}
     cols = [np.asarray(c, int if f in ("k", "oracle_calls") else float) for f, c in cols.items()]
-    yield CSV_HEADER + "\n"
     for i in range(0, len(records), 4096):
-        cells = [repr(c[i : i + 4096].tolist())[1:-1].split(", ") for c in cols]
+        yield [repr(c[i : i + 4096].tolist())[1:-1].split(", ") for c in cols]
+
+
+def _csv_chunks(records: Sequence[TrajectoryRecord]):
+    """The header line, then the rows as CSV text, a chunk of _cells each."""
+    yield CSV_HEADER + "\n"
+    for cells in _cells(records):
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _json_chunks(doc: dict, records: Sequence[TrajectoryRecord]):
+    """json.dumps({**doc, "records": [each row as a dict]}, indent=2), a chunk of _cells a time."""
+    row = "    {\n" + ",\n".join(f'      "{f}": %s' for f in CSV_HEADER.split(",")) + "\n    }"
+    yield json.dumps({**doc, "records": []}, indent=2)[: -len("]\n}")]  # to the "["
+    for i, cells in enumerate(_cells(records)):
+        rows = ",\n".join(row % r for r in zip(*cells))
+        # cells are float and int reprs, and no field name holds "nan" or "inf"
+        yield ("\n" if i == 0 else ",\n") + rows.replace("nan", "NaN").replace("inf", "Infinity")
+    yield "\n  ]\n}" if len(records) else "]\n}"
 
 
 def records_to_csv(records: Sequence[TrajectoryRecord]) -> str:
@@ -477,19 +492,13 @@ def _output(chunks, path: Optional[str] = None, receipt: Optional[dict] = None, 
 
 
 def _payload(records, format: str, config: Optional[RunConfig], summary: Optional[dict]):
-    """The chunks of records as format: CSV a chunk at a time, JSON whole."""
+    """The chunks of records as format, 4096 rows a chunk."""
     if format not in _CHOICES["format"]:
         raise ValueError(f"format must be csv or json, got {format!r}")
     if format == "csv":
         return _csv_chunks(records)
-    return [json.dumps(
-        {
-            "config": None if config is None else asdict(config),
-            "summary": summary,
-            "records": [asdict(r) for r in records],
-        },
-        indent=2,
-    )]
+    config = None if config is None else asdict(config)
+    return _json_chunks({"config": config, "summary": summary}, records)
 
 
 def emit(

@@ -273,6 +273,23 @@ def _bridge_tolerance(scale: float) -> float:
     return 1e-10 * (1.0 + scale)
 
 
+def _draw_sums(seed: int, n_draws: int, dim: int, centre=None) -> np.ndarray:
+    """Column sums of the (n_draws, dim) normal draws xi of default_rng(seed), or of
+    (xi - centre)**2, bit for bit np.add.reduce's over the whole array, one block of
+    max(1, _CHUNK // dim) draws at a time: numpy adds a 2-D array's rows in order, so
+    the sum so far rides in row 0 above each block; one column it sums pairwise."""
+    rng = np.random.default_rng(seed)
+    rows = n_draws if dim == 1 else max(1, _CHUNK // dim)  # one column: one block
+    buf = np.empty((min(rows, n_draws) + 1, dim))
+    for start in range(0, n_draws, rows):
+        block = buf[1 : min(rows, n_draws - start) + 1]
+        rng.standard_normal(out=block)
+        if centre is not None:
+            np.square(np.subtract(block, centre, out=block), out=block)
+        buf[0] = np.add.reduce(buf[int(start == 0) : len(block) + 1], axis=0)
+    return buf[0]
+
+
 def noise_unbiasedness_check(
     problem: SmoothProblem,
     noise: NoiseModel,
@@ -284,11 +301,12 @@ def noise_unbiasedness_check(
 
     The perturbation is linear in the draw, so the coordinate z-scores
     reduce to z-scores of the draws themselves; the first few draws are
-    pushed through the public oracle path to pin that reduction down.
+    pushed through the public oracle path to pin that reduction down. The
+    draws are summed a block at a time and replayed for the spread about the
+    mean (_draw_sums), so memory is one block, not n_draws x dim.
     """
     x = np.asarray(x, dtype=float)
     g = problem.gradient(x)
-    rng = np.random.default_rng(seed)
     if noise.kind == "none":
         return CheckReport(
             name=f"unbiased:{noise.kind}",
@@ -306,18 +324,22 @@ def noise_unbiasedness_check(
             samples=0,
             detail="envelope vanishes at this point; oracle is exact",
         )
+    if n_draws < 5:
+        raise ValueError(f"need at least 5 draws, got {n_draws}")
     scalar = noise.kind == "scalar-gaussian-envelope"
-    xi = rng.standard_normal(n_draws if scalar else (n_draws, problem.dim))
-    for i in range(5):
-        draw = float(xi[i]) if scalar else xi[i]
+    dim = 1 if scalar else problem.dim
+    for row in np.random.default_rng(seed).standard_normal((5, dim)):
+        draw = float(row[0]) if scalar else row
         got = stochastic_grad(problem, noise, x, draw)
         expect = g + scale * draw
         if float(np.max(np.abs(got - expect))) > _bridge_tolerance(
             float(np.max(np.abs(expect)))
         ):
             raise RuntimeError("draw reduction disagrees with the oracle path")
+    mean = _draw_sums(seed, n_draws, dim) / n_draws
+    std = np.sqrt(_draw_sums(seed, n_draws, dim, mean) / (n_draws - 1))
     # a scalar draw is shared by every coordinate, so its one z-score covers all
-    z = float(np.max(np.abs(xi.mean(axis=0)) * math.sqrt(n_draws) / xi.std(axis=0, ddof=1)))
+    z = float(np.max(np.abs(mean) * math.sqrt(n_draws) / std))
     if scalar:
         detail = "scalar draw; single z-score covers every coordinate; tol 4 SE"
     else:
@@ -512,9 +534,9 @@ def solve_weights_linear(gammas) -> np.ndarray:
     equilibrates each row by its largest entry, and solves the scaled
     systems with one stacked factorization. The raw rows span many orders
     of magnitude, hence the q cap and the condition check on every
-    equilibrated matrix. Production code wants solve_weights_closed_form;
-    this path exists so the closed form can be checked against an
-    independent solver.
+    equilibrated matrix (an SVD where a 1-norm bound does not clear it).
+    Production code wants solve_weights_closed_form; this path exists so
+    the closed form can be checked against an independent solver.
 
     Raises:
         ValueError: q above DENSE_Q_CAP or invalid gammas; for a stack the
@@ -528,10 +550,19 @@ def solve_weights_linear(gammas) -> np.ndarray:
     if q > DENSE_Q_CAP:
         raise ValueError(f"dense solve supports q <= {DENSE_Q_CAP}, got {q}")
     u = 1.0 / g
-    rows = u[:, None, :] ** np.arange(1, q + 1, dtype=float)[None, :, None]
-    scale = rows.max(axis=2)
-    eq = rows / scale[:, :, None]
-    cond = np.linalg.cond(eq)
+    eq = u[:, None, :] ** np.arange(1, q + 1, dtype=float)[None, :, None]
+    scale = eq.max(axis=2)
+    eq /= scale[:, :, None]
+    # kappa_2 <= q kappa_1 (eq > 0: a column sum) clears q kappa_1 <= COND_LIMIT / 2,
+    # half for error in the inverse, without an SVD; cond runs on the rest, NaN too
+    try:
+        inv = np.linalg.inv(eq)
+        kappa1 = eq.sum(axis=1).max(axis=1) * np.abs(inv, out=inv).sum(axis=1).max(axis=1)
+        unsure = ~(q * kappa1 <= COND_LIMIT / 2)
+    except np.linalg.LinAlgError:
+        unsure = np.ones(len(eq), dtype=bool)
+    cond = np.zeros(len(eq))
+    cond[unsure] = np.linalg.cond(eq[unsure])
     bad = cond > COND_LIMIT
     if bad.any():
         i = int(np.argmax(bad))

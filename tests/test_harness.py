@@ -405,6 +405,27 @@ def test_emit_csv_and_json(tmp_path):
         har.emit(records, str(tmp_path / "no" / "such" / "dir.csv"))
 
 
+def test_json_is_written_a_chunk_at_a_time_as_json_dumps_writes_it():
+    # sg at eta 1 on eigenvalues 1 and 2.08 grows by 1.08 a step: f_val is inf
+    # from step 4602 and every metric NaN from about 9200, in three chunks
+    cfg = har.RunConfig(algorithm="sg", eta=1.0, problem="quadratic", dim=2, conditioning=2.08,
+                        iters=10_000, format="json")
+    records, summary = har.run_experiment(cfg)
+    # the columns are float64: a float field's 2 prints as 2.0, as in CSV
+    floats = lambda r: replace(r, **{f: float(getattr(r, f)) for f in ("f_val", "rel_obj",
+                                    "grad_norm", "mom_err", "elapsed_seconds")})
+    cases = [(records, cfg, summary)] + [
+        ([floats(r) for r in _odd_records(n)], None, None) for n in (0, 1, 4097)]
+    for rows, config, summ in cases:
+        chunks = list(har._payload(rows, "json", config, summ))
+        assert len(chunks) == 2 + math.ceil(len(rows) / 4096)
+        config = None if config is None else asdict(config)
+        assert "".join(chunks) == json.dumps(
+            {"config": config, "summary": summ, "records": [asdict(r) for r in rows]}, indent=2)
+    assert summary["status"] == "non-finite at 4602"
+    assert np.isinf(records.columns["f_val"]).any() and np.isnan(records.columns["f_val"]).any()
+
+
 def test_run_experiment_deterministic_and_summarized():
     cfg = har.RunConfig(
         algorithm="mem", p=3, q=2, problem="datafit", synthetic=8,

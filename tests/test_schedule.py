@@ -182,6 +182,27 @@ def test_stacked_dense_solve_names_the_bad_bundle():
         ver.solve_weights_linear(np.empty((0, 2)))
 
 
+def test_dense_solve_refuses_just_past_the_condition_limit():
+    # at gammas (0.5, 0.5 - delta) the equilibrated q = 2 system's condition
+    # is about 2 / delta: 1.98e-12 lands just past 1e12 and 2.02e-12 just
+    # inside, where the 1-norm bound cannot clear it
+    past, inside = np.array([0.5, 0.5 - 1.98e-12]), np.array([0.5, 0.5 - 2.02e-12])
+    rows = (1.0 / np.stack([past, inside]))[:, None, :] ** np.array([1.0, 2.0])[None, :, None]
+    eq = rows / rows.max(axis=2)[:, :, None]
+    cond = np.linalg.cond(eq)
+    assert cond[1] < ver.COND_LIMIT < cond[0] and 2 * np.linalg.cond(eq[1], 1) > ver.COND_LIMIT / 2
+    stack = np.array([[0.9, 0.6], inside, [0.7, 0.3], past, [0.6, 0.2]])
+    with pytest.raises(ver.IllConditionedSystem) as err:
+        ver.solve_weights_linear(stack)
+    assert str(err.value) == (f"bundle 3: equilibrated system condition {cond[0]:.3e} "
+                              f"exceeds {ver.COND_LIMIT:.0e}")
+    with pytest.raises(ver.IllConditionedSystem) as err:
+        ver.solve_weights_linear(past)
+    assert str(err.value).startswith(f"equilibrated system condition {cond[0]:.3e} ")
+    solved = ver.solve_weights_linear(np.delete(stack, 3, axis=0))
+    assert solved[1].tobytes() == ver.solve_weights_linear(inside).tobytes()
+
+
 def _closed_form_numpy_scalars(gammas):
     # the closed form as it read when it multiplied numpy scalars
     g = np.asarray(gammas, dtype=float)

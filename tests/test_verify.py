@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,51 @@ def test_noise_unbiasedness_both_kinds():
         nm = prob.NoiseModel(kind=kind, sigma_tilde=2.0)
         rep = ver.noise_unbiasedness_check(d, nm, x, n_draws=40000)
         assert rep.passed, rep.detail
+
+
+def _whole_array_z(scalar, dim, n_draws, seed):
+    """The unbiasedness z-score from all draws held at once, as numpy states it."""
+    xi = np.random.default_rng(seed).standard_normal(n_draws if scalar else (n_draws, dim))
+    return float(np.max(np.abs(xi.mean(axis=0)) * math.sqrt(n_draws) / xi.std(axis=0, ddof=1)))
+
+
+@pytest.mark.parametrize("chunk", [ver._CHUNK, 8])
+@pytest.mark.parametrize("dim", [1, 2, 20])
+def test_blocked_unbiasedness_z_is_the_whole_array_z(monkeypatch, dim, chunk):
+    # 12,345 draws leave a partial last block; a chunk of 8 makes many blocks,
+    # and one row a block at dim 20
+    monkeypatch.setattr(ver, "_CHUNK", chunk)
+    problem = prob.quadratic_problem(dim, conditioning=3.0)
+    for kind in ("scalar-gaussian-envelope", "elementwise-gaussian-envelope"):
+        nm = prob.NoiseModel(kind=kind, sigma_tilde=2.0)
+        for n_draws, seed in ((12_345, 3), (5, 0)):
+            rep = ver.noise_unbiasedness_check(problem, nm, np.ones(dim), n_draws, seed)
+            z = _whole_array_z(kind.startswith("scalar"), dim, n_draws, seed)
+            assert rep.worst_case == z and rep.samples == n_draws
+
+
+def test_unbiasedness_bridges_five_draws_in_one_block_of_memory(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prob.stochastic_grad(*args)
+
+    monkeypatch.setattr(ver, "stochastic_grad", counted)
+    problem = prob.quadratic_problem(20, conditioning=3.0)
+    nm = prob.NoiseModel(kind="elementwise-gaussian-envelope", sigma_tilde=2.0)
+    tracemalloc.start()
+    try:
+        rep = ver.noise_unbiasedness_check(problem, nm, np.ones(20), 100_000, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 5
+    # the whole (1e5, 20) draw array alone is 15.3 MiB
+    assert peak < 4 * 2**20, peak
+    assert rep.worst_case == _whole_array_z(False, 20, 100_000, 4)
+    with pytest.raises(ValueError, match="at least 5 draws"):
+        ver.noise_unbiasedness_check(problem, nm, np.ones(20), 4)
 
 
 def test_noise_moment_identity():

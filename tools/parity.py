@@ -30,7 +30,10 @@ against each tree's src/, and compares the two result lists. The matrix:
 - the schedule's oracles and measurements on a fixed grid: params_p3,
   p3_arrays, schedule_arrays, stacked solve_weights_linear,
   weight_sum_closed_form, check_potential_inequality with the signed
-  contraction it compares with 0, and validate's two flags;
+  contraction it compares with 0, and validate's two flags; stacks with a
+  system just past and one just inside the dense solve's condition limit;
+- noise_unbiasedness_check of both noise kinds at dims 1, 2 and 20, over
+  several blocks of its draws;
 - bound_sweep, weight_residual_sweep and sum_identity_sweep for p = 2..6
   at a k_max past several boundaries of the sweeps' chunks;
 - the CLI's run (csv, json and --out), compare and verify.
@@ -394,11 +397,34 @@ def schedule_section(m):
               [ver.check_potential_inequality(k, 4) for k in ks]),
         entry("validate flags, hand-built", [(d.theta_sum_in_unit, d.signs_alternate)
                                              for d in map(ver.validate, odd)]),
+        entry("solve_weights_linear at the condition limit", _condition_limit(m)),
         entry("weight sum and dense solve errors",
               [_outcome(f, g) for f in (ver.weight_sum_closed_form, ver.solve_weights_linear)
                for g in ([1.0, 0.4], [0.4, 0.6], [[0.9, 0.6], [0.5, 0.5 - 1e-14]],
                          list(0.5 / np.arange(1, 10)))]),
     ]
+
+
+def _condition_limit(m) -> list:
+    """The dense solve of stacks around gammas (0.5, 0.5 - delta), whose
+    equilibrated condition is about 2 / delta: 1.98e-12 lies just past
+    COND_LIMIT and 2.02e-12 just inside it."""
+    past, inside = [0.5, 0.5 - 1.98e-12], [0.5, 0.5 - 2.02e-12]
+    stacks = ([[0.9, 0.6], inside, [0.7, 0.3], past], [inside, [0.6, 0.2]], past, inside)
+    return [_outcome(m.verify.solve_weights_linear, np.array(s)) for s in stacks]
+
+
+def noise_section(m):
+    """noise_unbiasedness_check of both noise kinds at dims 1, 2 and 20, at
+    a draw count that spans several blocks of the draws (one block at dim 1)."""
+    prob, out = m.problems, []
+    for dim in (1, 2, 20):
+        problem = prob.quadratic_problem(dim, conditioning=3.0)
+        for kind in NOISE_KINDS[1:]:
+            out.append(entry(f"noise_unbiasedness_check {kind} dim={dim}",
+                             m.verify.noise_unbiasedness_check(
+                                 problem, prob.NoiseModel(kind, 2.0), np.ones(dim), 20_001, 5)))
+    return out
 
 
 def _contractions(m, p: int) -> list:
@@ -463,7 +489,7 @@ def collect(workdir: str) -> list:
     m = modules()
     return (run_batch_section(m) + wall_clock_section(m) + mem_step_section(m)
             + custom_stream_section(m) + harness_section(m) + schedule_section(m)
-            + sweep_section(m) + cli_section(m, workdir))
+            + sweep_section(m) + noise_section(m) + cli_section(m, workdir))
 
 
 def modules() -> argparse.Namespace:
