@@ -13,13 +13,13 @@ iterations k0 .. k1 - 1, and whether the step is normalized.
   mem on a constant q = 1 stream, bit for bit.
 - sg: gamma = theta = 1, so m = g, and an unnormalized step x - eta_k g.
 
-A state holds one run, (n,), or a stack of runs, (S, n), whose rows each
-get the bits they would get alone. One kernel steps a state through the
-rows of a ParamsBlock, each on its noise draw, and mem_step is its one-row
-case; it steps kinds of one q and normalization as one stacked state, each
-with its own block. run_batch steps all seeds of several kinds that way,
-and run is its one-kind, one-seed case. A run's logged rows are kept as
-column arrays; RunResult.records, a Trajectory, builds rows when read.
+One kernel steps a group, the runs of kinds of one q and normalization
+stacked as (K S, n) arrays, through their blocks, each row getting the
+bits it gets alone; mem_step is its one-row case on an OptimizerState.
+run_batch keeps each group's arrays from the first block to the last and
+splits each (kind, seed) off once at the end; run is its one-kind,
+one-seed case. A run's logged rows are kept as column arrays;
+RunResult.records, a Trajectory, builds rows when read.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OptimizerState:
-    """Everything iteration k needs from iteration k-1.
+    """Everything iteration k needs from iteration k-1: mem_step's state
+    and a RunResult's (run_batch keeps a group's as arrays).
 
     carry holds the parameters used during the previous iteration; the
     extrapolation at iteration k reads last iteration's gammas, not the
@@ -90,13 +91,7 @@ def initial_state(x0, q: int) -> OptimizerState:
     x0 = np.asarray(x0, dtype=float).copy()
     if x0.ndim not in (1, 2):
         raise ValueError(f"x0 must be (n,) or (S, n), got shape {x0.shape}")
-    return OptimizerState(
-        x_prev=x0.copy(),
-        x_cur=x0,
-        m=np.zeros_like(x0),
-        k=0,
-        carry=init_params(q),
-    )
+    return OptimizerState(x0.copy(), x0, np.zeros_like(x0), 0, init_params(q))
 
 
 # (stacked query points (q, ..., n), the iteration's draw xi: a float, or
@@ -119,80 +114,91 @@ def _shared(a: np.ndarray, S: int) -> list:
     return [v if s else c for v, s, c in zip(flat, same.tolist(), cols)]
 
 
+def _fault(block: ParamsBlock, k0: int, n: int, q: int) -> Optional[str]:
+    """What is wrong with the shape of a member's block of the n
+    iterations k0 .., or None."""
+    for name in ("eta", "gammas", "thetas", "theta_sum"):
+        rows = len(getattr(block, name))
+        if rows != n:
+            what = f"{rows} bundles" if name == "eta" else f"{name} has {rows} rows"
+            return f"{what} for the {n} iterations {k0}..{k0 + n - 1}"
+    if (block.k0, block.gammas.shape[-1]) != (k0, q):
+        return (f"params are for k={block.k0} with q={block.gammas.shape[-1]}, "
+                f"state is at k={k0} with q={q}")
+    if block.thetas.shape[-1] != q:
+        return f"thetas have q={block.thetas.shape[-1]}, state is at k={k0} with q={q}"
+
+
+def _rows(params: IterationParams, K: int = 1) -> tuple:
+    """K copies of params as block columns: eta and theta_sum (K,), gammas
+    and thetas (K, q)."""
+    return tuple(np.array([v] * K, dtype=float)
+                 for v in (params.eta, params.gammas, params.thetas, params.theta_sum))
+
+
+def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple, carry_k: int) -> tuple:
+    """The members' blocks of the n iterations k0 .. as float columns behind
+    their carried row (the _rows of the bundles they ran last, at carry_k):
+    eta and theta_sum (K, n + 1), gammas and thetas (K, n + 1, q). A gate
+    checks them member after member, and its ValueError says what is wrong:
+    each block has n rows in every column, starts at k0 and has the carry's
+    q; the carried gammas and those of rows 0 .. n-2 lie in (0, 1] and every
+    eta is > 0, naming the k of the first bad bundle, gammas before eta."""
+    q = carry[1].shape[-1]
+    faults = [_fault(b, k0, n, q) for b in blocks]
+    K = next((i for i, f in enumerate(faults) if f), len(blocks))  # the members before it first
+    E, G, T, sums = (np.concatenate((c[:K, None], np.array(
+        [getattr(b, f) for b in blocks[:K]], dtype=float).reshape(K, n, *c.shape[1:])), axis=1)
+        for c, f in zip(carry, ("eta", "gammas", "thetas", "theta_sum")))
+    # per member, step j's q gammas then its eta, in reading order
+    ok = np.concatenate(((G[:, :n] > 0.0) & (G[:, :n] <= 1.0), E[:, 1:, None] > 0.0), axis=2)
+    if not ok.all():
+        i = int(np.argmin(ok.all((1, 2))))
+        j, t = divmod(int(np.argmin(ok[i].ravel())), q + 1)
+        if t < q:
+            k, g = (carry_k, G[i, 0, t]) if j == 0 else (k0 + j - 1, blocks[i].gammas[j - 1, t])
+            raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {g}")
+        raise ValueError(f"bundle for k={k0 + j}: eta must be positive, got {blocks[i].eta[j]}")
+    if K < len(blocks):
+        raise ValueError(faults[K])
+    return E, G, T, sums
+
+
 def _steps(
-    states: Sequence[OptimizerState], blocks: Sequence[ParamsBlock], oracle: Oracle,
-    xis: Sequence, normalized: bool, stop: Callable[[], bool] = lambda: False,
-) -> Tuple[list, np.ndarray, np.ndarray]:
-    """The recursion every method runs, for a group of members at one
-    k0 = state.k with one q, each member a state and the block of its kind,
-    stepped as one state: their rows stacked in member order, one draw of
-    xis per iteration for all of them. Iteration k queries the oracle once,
-    at the q points z = x + ((1 - gamma)/gamma)(x - x_prev) for the carried
-    (previous-iteration) gammas, stacked as (q, ..., n), all on the draw
-    xis[k - k0]; folds them into m = (1 - sum(theta)) m + sum theta_t g_t
-    with the carried thetas; then steps with row k's eta: a fixed length
-    along m/||m||, or eta m when not normalized; row k becomes the carry.
-    stop() after an iteration ends the block there. Returns each member's
-    state after the block and the group's x^k0 .. and m^k0 .., stacked.
+    state: tuple, block: tuple, oracle: Oracle, xis: Sequence, normalized: bool,
+    stop: Callable[[], bool] = lambda: False,
+) -> Tuple[tuple, int, np.ndarray, np.ndarray]:
+    """The recursion every method runs, for a group of K members of one q
+    stepped as one state (x_prev, x, m, zero_steps, zs): (K S, n) arrays,
+    member i's at rows i*S .. (i+1)*S - 1 (or (n,), one run alone), steps
+    without a direction per row (a number until a row has one), and the
+    last step's query points; block is what _stack gives, one draw of xis
+    per iteration. Iteration k queries the oracle once, at the q points
+    x + ((1 - gamma)/gamma)(x - x_prev) for the carried gammas, stacked as
+    (q, ..., n), on the draw xis[k - k0]; folds them into m = (1 -
+    sum(theta)) m + sum theta_t g_t with the carried thetas; then steps
+    with row k's eta: a fixed length along m/||m||, or eta m when not
+    normalized. stop() after an iteration ends the block. Returns the new
+    state, the steps taken, and x^k0 .. and m^k0 .., stacked.
 
-    A lone member's state may be (n,) or (S, n); several members' are
-    (S, n) each. Each coefficient is a Python float where every row shares
-    its bits and a per-row column where rows differ, so every row gets the
-    bits it gets alone: a row at gamma = 1 takes z = x (x + 0 (x - x_prev)
-    would turn -0.0 into +0.0 and inf into NaN), and a row whose weights
-    sum to one drops m, as a member alone does.
-
-    Before the first step, one gate checks everything the call reads, and
-    its ValueError says what is wrong: every column of each block has one
-    row per draw, the block starts at k0, and its gammas and thetas have
-    the carry's q; the carried gammas and those of rows 0 .. B-2 lie in
-    (0, 1] and every eta is > 0, naming the k of the first bad bundle in
-    reading order. Row B-1's gammas are the next call's carry."""
-    n, k0, q, K = len(xis), states[0].k, states[0].carry.q, len(states)
-    gam, the, eta = [], [], []  # per member; gam[i][j], the[i][j]: carried into row j
-    for state, block in zip(states, blocks):  # member after member, as alone
-        for name in ("eta", "gammas", "thetas", "theta_sum"):
-            rows = len(getattr(block, name))
-            if rows != n:
-                what = f"{rows} bundles" if name == "eta" else f"{name} has {rows} rows"
-                raise ValueError(f"{what} for the {n} iterations {k0}..{k0 + n - 1}")
-        if (block.k0, block.gammas.shape[-1]) != (k0, q):
-            raise ValueError(f"params are for k={block.k0} with q={block.gammas.shape[-1]}, "
-                             f"state is at k={k0} with q={q}")
-        if block.thetas.shape[-1] != q:
-            raise ValueError(f"thetas have q={block.thetas.shape[-1]}, "
-                             f"state is at k={k0} with q={q}")
-        gs, es = [state.carry.gammas, *block.gammas.tolist()], block.eta.tolist()
-        for j, e in enumerate(es):  # step j reads gs[j], then eta
-            for g in gs[j]:
-                if not 0.0 < g <= 1.0:
-                    k = state.carry.k if j == 0 else k0 + j - 1
-                    raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {g}")
-            if not e > 0.0:
-                raise ValueError(f"bundle for k={k0 + j}: eta must be positive, got {e}")
-        gam.append(gs)
-        the.append([state.carry.thetas, *block.thetas.tolist()])
-        eta.append(es)
+    Each coefficient is a Python float where every row shares its bits and
+    a per-row column where rows differ, so every row gets the bits it gets
+    alone: a row at gamma = 1 takes z = x (x + 0 (x - x_prev) would turn
+    -0.0 into +0.0 and inf into NaN), and a row whose weights sum to one
+    drops m, as a member alone does."""
+    (x_prev, x, m, zero_steps, _), (E, G, T, _) = state, block
+    n, q, S = len(xis), G.shape[-1], len(x) // len(G)
     # Each coefficient and mask is a flat list of what _shared gives (a list
     # per step would hand the garbage collector n more objects). pts yields
     # step j's q query points as pairs (a, c): z = x where a is True,
     # x + c (x - x_prev) where it is False, and a choice per row where it is
     # a mask; (wa[j], wv[j]) likewise chooses m = 0 or w m, with w =
     # 1 - fsum(thetas) of each member; th yields step j's q thetas.
-    S = len(states[0].x_cur)  # member i's rows are i*S .. (i+1)*S - 1
-    G, T = (np.array([np.concatenate(([getattr(st.carry, f)], getattr(b, f)[: n - 1]))
-                      for st, b in zip(states, blocks)], dtype=float) for f in ("gammas", "thetas"))
-    E = np.array([b.eta for b in blocks], dtype=float)
-    W, one = np.array([[1.0 - math.fsum(t) for t in ts[:n]] for ts in the]), G == 1.0
+    G, T = G[:, :n], T[:, :n]
+    W, one = np.array([[1.0 - math.fsum(t) for t in ts] for ts in T.tolist()]), G == 1.0
     pts, th = zip(_shared(one, S), _shared((1.0 - G) / G, S)), iter(_shared(T, S))
-    wa, wv, et = (_shared(c, S) for c in (W == 0.0, W, E))
+    wa, wv, et = (_shared(c, S) for c in (W == 0.0, W, E[:, 1:]))
     at_x = one.all((0, 2)).tolist()
-    x_prev, x, m = (np.concatenate([getattr(st, f) for st in states])
-                    for f in ("x_prev", "x_cur", "m"))
-    # a lone member's state, which may be (n,), goes back unsplit
-    part = (lambda a, i: a) if K == 1 else (lambda a, i: a[i * S:(i + 1) * S])
-    zero_steps = states[0].zero_steps if K == 1 else np.concatenate(
-        [np.broadcast_to(st.zero_steps, S) for st in states])
     # each step's arrays are copied out and freed at once (holding them is slower)
     X, M = np.empty((n + 1, *x.shape)), np.empty((n, *x.shape))
     X[0] = x
@@ -224,24 +230,19 @@ def _steps(
         X[j + 1], M[j] = x, m
         if stop():
             break
-    return [OptimizerState(part(x_prev, i), part(x, i), part(m, i), k0 + j + 1,
-                           IterationParams(k0 + j, eta[i][j], tuple(gam[i][j + 1]),
-                                           tuple(the[i][j + 1]), block.theta_sum[j].item()),
-                           state.oracle_calls + (j + 1) * q, part(zero_steps, i),
-                           tuple(part(z, i) for z in zs))
-            for i, (state, block) in enumerate(zip(states, blocks))], X, M
+    return (x_prev, x, m, zero_steps, zs), j + 1, X, M
 
 
-def mem_step(
-    state: OptimizerState,
-    params: IterationParams,
-    oracle: Oracle,
-    xi,
-    normalized: bool = True,
-) -> OptimizerState:
+def mem_step(state: OptimizerState, params: IterationParams, oracle: Oracle, xi,
+             normalized: bool = True) -> OptimizerState:
     """One iteration on the draw xi: the kernel on params as a one-row
-    block, at state.k."""
-    return _steps([state], [ParamsBlock.of([params])], oracle, [xi], normalized)[0][0]
+    block, at state.k, carrying state.carry."""
+    c, row = state.carry, ParamsBlock.of([params])
+    (x_prev, x, m, zero_steps, zs), _, _, _ = _steps(
+        (state.x_prev, state.x_cur, state.m, state.zero_steps, ()),
+        _stack([row], state.k, 1, _rows(c), c.k), oracle, [xi], normalized)
+    return OptimizerState(x_prev, x, m, state.k + 1, replace(row.bundles()[0], k=state.k),
+                          state.oracle_calls + c.q, zero_steps, zs)
 
 
 @dataclass(frozen=True)
@@ -311,17 +312,14 @@ def nigt(gamma: float, eta: float) -> AlgorithmKind:
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     thetas = solve_weights_closed_form([gamma])
-    row = ParamsBlock.of([IterationParams(
-        k=0, eta=eta, gammas=[gamma], thetas=thetas, theta_sum=float(thetas[0]))])
-    columns = (row.eta, row.gammas, row.thetas, row.theta_sum)
-    return AlgorithmKind("nigt", 1, lambda k0, k1: ParamsBlock(
-        k0, *(np.repeat(c, k1 - k0, axis=0) for c in columns)))
+    row = IterationParams(k=0, eta=eta, gammas=[gamma], thetas=thetas, theta_sum=float(thetas[0]))
+    return AlgorithmKind("nigt", 1, lambda k0, k1: ParamsBlock(k0, *_rows(row, k1 - k0)))
 
 
 def _step(kind: AlgorithmKind, state: OptimizerState, oracle: Oracle, xi) -> OptimizerState:
     """One iteration of kind at state.k on the draw xi."""
-    return _steps([state], [kind.bundles(state.k, state.k + 1)], oracle, [xi],
-                  kind.normalized)[0][0]
+    return mem_step(state, kind.bundles(state.k, state.k + 1).bundles()[0], oracle, xi,
+                    kind.normalized)
 
 
 def sg_step(state: OptimizerState, eta: float, oracle: Oracle, xi) -> OptimizerState:
@@ -429,19 +427,18 @@ def run_batch(
     iteration that ends past it; closing rows refer to the last completed
     iterates. Seeds feed the per-iteration noise draws only, never the data.
 
-    Kinds of one (q, normalized, iterations) step as one state: all seeds
-    of all of them, (K S, n) for K such kinds, one kernel step per
-    iteration; a kind alone is a group with K = 1. The groups advance
-    block by block, each block's (seed, k) draws made once by one
-    draw_block call and tiled across a group, each member's bundles for the
-    block read from its own stream, and the metrics evaluated once for the
-    iterations any member logs, each member's logged k, calls and times
-    (shared by its seeds) and (rows, S) metric columns kept per block and
-    concatenated once at the end: a seed's records are a Trajectory over
-    its columns. Every run is bit for bit what it is alone (elapsed_seconds
-    aside). The clock is read once per iteration of a group, so a
-    wall-clock ceiling stops every member of a group at the same iteration,
-    and each member's rows are a prefix of its run alone.
+    Kinds of one (q, normalized, iterations) form a group, stepped as one
+    state from the first block to the last: (K S, n) arrays for K such
+    kinds, one kernel step per iteration; a kind alone is a group with
+    K = 1. Per block, the (seed, k) draws are made once by one draw_block
+    call and tiled across a group, each member's bundles are read from its
+    own stream, and the metrics are evaluated once for the iterations any
+    member logs, kept as the group's k, times and (rows, K S) columns. Each
+    (kind, seed) is split off once at the end, its records a Trajectory
+    over its rows of those columns. Every run is bit for bit what it is
+    alone (elapsed_seconds aside). The clock is read once per iteration of
+    a group, so a wall-clock ceiling stops every member of a group at the
+    same iteration, and each member's rows are a prefix of its run alone.
     """
     x0, S, seeds = np.asarray(x0, dtype=float), len(seeds), tuple(seeds)
     if len({len(kinds), len(budgets), len(log_strides)}) > 1 or not kinds or not S or x0.ndim != 1:
@@ -455,10 +452,14 @@ def run_batch(
     groups = {}  # (q, normalized, iterations) -> the kinds' indices, in order
     for i, kind in enumerate(kinds):
         groups.setdefault((kind.q, kind.normalized, budgets[i]), []).append(i)
-    states = [initial_state(np.tile(x0, (S, 1)), kind.q) for kind in kinds]
-    logs = [[] for _ in kinds]  # per kind and block: k, calls, elapsed, (rows, S) metric columns
-    iterates = [[st.x_cur] for st in states]
-    bad_at = [np.full(S, -1) for _ in kinds]  # first non-finite iteration per seed
+    # per group: state, carried row, k, logged blocks, X blocks, first non-finite k per row
+    state, carry, at, logs, Xs, bad_at = {}, {}, {}, {}, {}, {}
+    for g, members in groups.items():
+        st = initial_state(np.tile(x0, (S * len(members), 1)), g[0])
+        state[g] = (st.x_prev, st.x_cur, st.m, st.zero_steps, st.zs)
+        carry[g], at[g], logs[g], Xs[g] = _rows(st.carry, len(members)), 0, [], []
+        bad_at[g] = np.full(S * len(members), -1)
+    strides = {g: {log_strides[i] for i in members} for g, members in groups.items()}
     oracle = lambda z, xi: stochastic_grad(problem, noise, z, xi)
 
     def metrics(X, M):  # one gradient and one value call for all rows
@@ -477,54 +478,52 @@ def run_batch(
     for k0 in range(0, max(budgets), block):
         k1 = min(k0 + block, max(budgets))
         xis = draw_block(noise, problem.dim, seeds, k0, k1)
-        for (q, normalized, budget), members in groups.items():
+        for g, members in groups.items():
+            _, normalized, budget = g
             if stopped or budget <= k0:
                 continue
             times.clear()
             end = min(k1, budget)
             tiled = np.tile(xis[: end - k0], (1, len(members)) + (1,) * (xis.ndim - 2))
-            new, X, M = _steps([states[i] for i in members],
-                               [kinds[i].bundles(k0, end) for i in members], oracle, tiled,
-                               normalized, past_wall)
-            n, stopped = len(times), times[-1] > wall
+            stacked = _stack([kinds[i].bundles(k0, end) for i in members], k0, end - k0,
+                             carry[g], k0 - 1)
+            state[g], n, X, M = _steps(state[g], stacked, oracle, tiled, normalized, past_wall)
+            carry[g], at[g], stopped = tuple(c[:, n] for c in stacked), k0 + n, times[-1] > wall
             bad = ~(np.isfinite(X[1 : n + 1]).all(-1) & np.isfinite(np.vecdot(M[:n], M[:n])))
+            bad_at[g] = np.where((bad_at[g] < 0) & bad.any(0), k0 + bad.argmax(0), bad_at[g])
             # row k pairs x^k (the point the momentum was computed at) with m^k;
-            # per log stride, the logged k, their calls and times, and metric rows
+            # the group keeps the k any member logs, their times and metric rows
             ks = np.arange(k0, k0 + n)
-            on = {s: (ks % s == 0) | (ks == budget - 1) for s in {log_strides[i] for i in members}}
-            union = np.flatnonzero(np.logical_or.reduce(list(on.values())))
-            cols, tm = metrics(X[union], M[union]), np.array(times)
-            logged = {s: (ks[w], (ks[w] + 1) * q, tm[w], slice(None) if len(on) == 1 else w[union])
-                      for s, w in on.items()}
-            for p, (i, st) in enumerate(zip(members, new)):
-                states[i], r = st, slice(p * S, (p + 1) * S)
-                if store_iterates:
-                    iterates[i].extend(X[1 : n + 1, r])
-                hit = bad[:, r]
-                bad_at[i] = np.where((bad_at[i] < 0) & hit.any(0), k0 + hit.argmax(0), bad_at[i])
-                *own, at = logged[log_strides[i]]
-                logs[i].append((*own, *(c[at, r] for c in cols)))
+            on = np.flatnonzero(np.logical_or.reduce(
+                [(ks % s == 0) | (ks == budget - 1) for s in strides[g]]))
+            logs[g].append((ks[on], np.array(times)[on], *metrics(X[on], M[on])))
+            if store_iterates:
+                Xs[g].append(X[1 : n + 1])
         if stopped:
             break
 
-    results, names = [], [f.name for f in fields(TrajectoryRecord)]
-    for i, st in enumerate(states):
-        logs[i].append((np.array([st.k]), np.array([st.oracle_calls]),
-                        np.array([time.perf_counter() - t0]), *metrics(st.x_cur[None], st.m[None])))
-        k, calls, elapsed, *cols = map(np.concatenate, zip(*logs[i]))
-        zero_steps = np.broadcast_to(st.zero_steps, S)
-        ended = "completed" if st.k == budgets[i] else "wall-clock"
-        results.append(tuple(
-            RunResult(
-                Trajectory(dict(zip(names, (k, *(c[:, s] for c in cols), calls, elapsed)))),
-                replace(st, x_prev=st.x_prev[s], x_cur=st.x_cur[s], m=st.m[s],
-                        zero_steps=int(zero_steps[s]), zs=tuple(z[s] for z in st.zs)),
-                tuple(x[s].copy() for x in iterates[i]) if store_iterates else (),
-                len(k),  # one exact gradient per logged row
-                f"non-finite at {bad_at[i][s]}" if bad_at[i][s] >= 0 else ended,
-            )
-            for s in range(S)
-        ))
+    results, names = [None] * len(kinds), [f.name for f in fields(TrajectoryRecord)]
+    for g, members in groups.items():
+        (q, _, budget), k, (x_prev, x, m, zero_steps, zs) = g, at[g], state[g]
+        zero_steps = np.broadcast_to(zero_steps, len(x))
+        logs[g].append((np.array([k]), np.array([time.perf_counter() - t0]),
+                        *metrics(x[None], m[None])))
+        ks, elapsed, *cols = map(np.concatenate, zip(*logs.pop(g)))  # the columns held once
+        calls = np.append((ks[:-1] + 1) * q, k * q)
+        ended = "completed" if k == budget else "wall-clock"
+        for p, i in enumerate(members):
+            on = (ks % log_strides[i] == 0) | (ks == budget - 1) | (ks == k)  # the closing row too
+            on = slice(None) if on.all() else on  # then the columns are views
+            last = IterationParams(k - 1, *(c[p].tolist() for c in carry[g]))
+            results[i] = tuple(RunResult(
+                Trajectory(dict(zip(names, (ks[on], *(c[on, r] for c in cols), calls[on],
+                                            elapsed[on])))),
+                OptimizerState(x_prev[r], x[r], m[r], k, last, k * q, int(zero_steps[r]),
+                               tuple(z[r] for z in zs)),
+                (x0.copy(), *(y.copy() for X in Xs[g] for y in X[:, r])) if store_iterates else (),
+                len(elapsed[on]),  # one exact gradient per logged row
+                f"non-finite at {bad_at[g][r]}" if bad_at[g][r] >= 0 else ended,
+            ) for r in range(p * S, (p + 1) * S))
     return results
 
 

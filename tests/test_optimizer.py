@@ -459,9 +459,9 @@ def test_kinds_of_one_shape_stack_bit_for_bit(name, noise_kind):
     shapes = []
     real = opt._steps
 
-    def steps(states, blocks, *args):
-        shapes.append((len(states), len(args[1])))
-        return real(states, blocks, *args)
+    def steps(state, block, *args):  # block[0]: the members' etas behind their carry
+        shapes.append((len(block[0]), len(args[1])))
+        return real(state, block, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opt, "_steps", steps)
@@ -566,9 +566,9 @@ def test_block_length_follows_the_largest_group(monkeypatch):
     calls = []
     real = opt._steps
 
-    def steps(states, blocks, oracle, xis, *args):
-        out = real(states, blocks, oracle, xis, *args)
-        calls.append((len(states), len(xis), out[2].size))
+    def steps(state, block, oracle, xis, *args):  # block[0]: the members' etas
+        out = real(state, block, oracle, xis, *args)
+        calls.append((len(block[0]), len(xis), out[3].size))
         return out
 
     monkeypatch.setattr(opt, "_steps", steps)
@@ -827,3 +827,23 @@ def test_one_gate_per_block_names_the_bad_k():
     last = opt.run(per_k, problem, noise, x0, 301, 0)
     assert last.status == "completed" and last.state.k == 301
     assert last.state.carry.gammas == (0.0,)
+
+
+def test_the_gate_reads_a_group_member_after_member():
+    """The members of a group are checked one after another, k after k:
+    sg-pm with eta 0 at k = 350 and a q = 1 stream with gamma 0 at
+    k = 300 step as one state, both faults in the second loop block, and the
+    group is refused at the first member's. A member whose block has the
+    wrong q is refused only after the members before it are checked."""
+    problem, noise, x0 = prob.quadratic_problem(5), prob.NoiseModel(), np.ones(5)
+    eta = opt.sg_pm(eta_rule=lambda k: 0.0 if k == 350 else 0.01)
+    gamma = opt.AlgorithmKind("custom", 1, _per_k(lambda k: sched.IterationParams(
+        k, 0.01, (0.0 if k == 300 else 0.5,), (0.5,), 0.5)))
+    wide = opt.AlgorithmKind("wide", 1, lambda a, b: sched.params_block(2 if a < 256 else 3, a, b))
+    cases = [([eta, gamma], r"^bundle for k=350: eta must be positive, got 0.0$"),
+             ([gamma, eta], r"^bundle for k=300: gamma must be in \(0, 1\], got 0.0$"),
+             ([eta, wide], r"^bundle for k=350: eta must be positive, got 0.0$"),
+             ([wide, eta], r"^params are for k=256 with q=2, state is at k=256 with q=1$")]
+    for kinds, message in cases:
+        with pytest.raises(ValueError, match=message):
+            opt.run_batch(kinds, problem, noise, x0, [400, 400], [0, 1], [1, 1])

@@ -19,7 +19,8 @@ against each tree's src/, and compares the two result lists. The matrix:
   three loop blocks with the one-word seeds 7 and 2^32 - 1, then with the
   two-word seed 2^32 + 5 beside them; a diverging run (non-finite status);
   wall-clock stops under a counting clock, mid-block and on a block's last
-  step; mem_step on a stack of runs with a zero-direction row;
+  step, of two kinds of other q and of a group of three q = 1 kinds with
+  stored iterates; mem_step on a stack of runs with a zero-direction row;
 - a custom q = 2 stream whose gammas mix 1.0 with 0.5, through run_batch
   and through mem_step from a stack with a -0.0 coordinate and a
   non-finite x_prev; two q = 1 streams in one group whose thetas differ
@@ -226,8 +227,10 @@ def run_batch_section(m):
 
 def wall_clock_section(m):
     """Wall-clock stops under a counting clock: the loop reads the clock
-    once at its start and once per iteration, so each ceiling stops it at
-    a fixed iteration of a fixed kind."""
+    once at its start and once per iteration of a group, so each ceiling
+    stops it at a fixed iteration of a fixed group; two kinds of other q,
+    then one group of three q = 1 kinds with stored iterates, stopped
+    inside a block and on a block's last step."""
     out, real = [], m.optimizer.time
     noise = m.problems.NoiseModel("scalar-gaussian-envelope", 1.0)
     kinds = _kinds(m)[1:4:2]  # mem p = 3 and sg
@@ -238,6 +241,13 @@ def wall_clock_section(m):
                                         noise, np.ones(10), [1000, 700], [0, 1], [50, 3],
                                         wall_seconds=wall)
             out.append(entry(f"wall-clock stop at {wall}", res))
+        group = [_kinds(m)[0], *_kinds(m)[4:]]  # mem p = 2, sg-pm and nigt: one q = 1 group
+        for wall in (100.5, 255.5, 256 + 100.5):
+            m.optimizer.time = CountingClock()
+            res = m.optimizer.run_batch(group, m.problems.quadratic_problem(10, conditioning=4.0),
+                                        noise, np.ones(10), [1000] * 3, [0, 1], [10, 3, 7],
+                                        wall_seconds=wall, store_iterates=True)
+            out.append(entry(f"wall-clock stop of a group at {wall}", res))
     finally:
         m.optimizer.time = real
     return out
