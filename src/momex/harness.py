@@ -365,11 +365,10 @@ def build_kind(config: RunConfig) -> AlgorithmKind:
     if config.algorithm == "nigt":
         return nigt(config.gamma, config.eta)
     # a given --gamma/--eta holds for every k; an omitted one keeps the default rule
-    const = lambda v: None if v is None else (lambda k: v)
     if config.algorithm == "sg":
-        return sg(const(config.eta))
+        return sg(config.eta)
     if config.algorithm == "sg-pm":
-        return sg_pm(const(config.gamma), const(config.eta))
+        return sg_pm(config.gamma, config.eta)
     raise ValueError(f"no algorithm kind for {config.algorithm!r}")
 
 

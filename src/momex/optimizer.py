@@ -15,7 +15,8 @@ iterations k0 .. k1 - 1, and whether the step is normalized.
 
 One kernel steps a group, the runs of kinds of one q and normalization
 stacked as (K S, n) arrays, through their blocks, each row getting the
-bits it gets alone; mem_step is its one-row case on an OptimizerState.
+bits it gets alone; it reads each coefficient as one array indexed by
+step, and mem_step is its one-row case on an OptimizerState.
 run_batch keeps each group's arrays from the first block to the last and
 splits each (kind, seed) off once at the end; run is its one-kind,
 one-seed case. A run's logged rows are kept as column arrays;
@@ -24,10 +25,10 @@ RunResult.records, a Trajectory, builds rows when read.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import islice
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -99,21 +100,6 @@ def initial_state(x0, q: int) -> OptimizerState:
 Oracle = Callable[[np.ndarray, Union[float, np.ndarray]], np.ndarray]
 
 
-def _shared(a: np.ndarray, S: int) -> list:
-    """Per-member values a, (K, n, ...) floats or bools, as one entry per
-    position of (n, ...) in order: the Python float (or bool) that all K S
-    rows share, else the (K S, 1) column of each row's value, member i's at
-    rows i*S .. (i+1)*S - 1. Sharing is decided on the bits, so -0.0 and
-    +0.0 differ and a NaN is shared with itself."""
-    flat = a[0].ravel().tolist()
-    bits = a if a.dtype == bool else a.view(np.uint64)
-    same = (bits == bits[:1]).all(0).ravel()
-    if same.all():
-        return flat
-    cols = np.repeat(a.reshape(len(a), -1).T, S, axis=1)[..., None]
-    return [v if s else c for v, s, c in zip(flat, same.tolist(), cols)]
-
-
 def _fault(block: ParamsBlock, k0: int, n: int, q: int) -> Optional[str]:
     """What is wrong with the shape of a member's block of the n
     iterations k0 .., or None."""
@@ -172,62 +158,71 @@ def _steps(
     stepped as one state (x_prev, x, m, zero_steps, zs): (K S, n) arrays,
     member i's at rows i*S .. (i+1)*S - 1 (or (n,), one run alone), steps
     without a direction per row (a number until a row has one), and the
-    last step's query points; block is what _stack gives, one draw of xis
-    per iteration. Iteration k queries the oracle once, at the q points
-    x + ((1 - gamma)/gamma)(x - x_prev) for the carried gammas, stacked as
-    (q, ..., n), on the draw xis[k - k0]; folds them into m = (1 -
-    sum(theta)) m + sum theta_t g_t with the carried thetas; then steps
-    with row k's eta: a fixed length along m/||m||, or eta m when not
-    normalized. stop() after an iteration ends the block. Returns the new
-    state, the steps taken, and x^k0 .. and m^k0 .., stacked.
+    last step's query points (q, ..., n); block is what _stack gives, one
+    draw of xis per iteration. Iteration k queries the oracle once, at the
+    q points x + ((1 - gamma)/gamma)(x - x_prev) for the carried gammas, on
+    the draw xis[k - k0]; folds them into m = (1 - sum(theta)) m + sum
+    theta_t g_t with the carried thetas, added in t order; then steps with
+    row k's eta: a fixed length along m/||m||, or eta m when not normalized.
+    stop() after an iteration ends the block. Returns the new state, the
+    steps taken, and x^k0 .. and m^k0 .., stacked.
 
-    Each coefficient is a Python float where every row shares its bits and
-    a per-row column where rows differ, so every row gets the bits it gets
-    alone: a row at gamma = 1 takes z = x (x + 0 (x - x_prev) would turn
-    -0.0 into +0.0 and inf into NaN), and a row whose weights sum to one
-    drops m, as a member alone does."""
+    Each coefficient is read as one array indexed by step, with a value per
+    row; a product with it has the bits of a product with that row's value
+    alone, so every row gets the bits it gets alone: a row at gamma = 1
+    takes z = x (x + 0 (x - x_prev) would turn -0.0 into +0.0 and inf into
+    NaN), and a row whose weights sum to one drops m, as a member alone
+    does."""
     (x_prev, x, m, zero_steps, _), (E, G, T, _) = state, block
-    n, q, S = len(xis), G.shape[-1], len(x) // len(G)
-    # Each coefficient and mask is a flat list of what _shared gives (a list
-    # per step would hand the garbage collector n more objects). pts yields
-    # step j's q query points as pairs (a, c): z = x where a is True,
-    # x + c (x - x_prev) where it is False, and a choice per row where it is
-    # a mask; (wa[j], wv[j]) likewise chooses m = 0 or w m, with w =
-    # 1 - fsum(thetas) of each member; th yields step j's q thetas.
+    n, q = len(xis), G.shape[-1]
     G, T = G[:, :n], T[:, :n]
     W, one = np.array([[1.0 - math.fsum(t) for t in ts] for ts in T.tolist()]), G == 1.0
-    pts, th = zip(_shared(one, S), _shared((1.0 - G) / G, S)), iter(_shared(T, S))
-    wa, wv, et = (_shared(c, S) for c in (W == 0.0, W, E[:, 1:]))
-    at_x = one.all((0, 2)).tolist()
-    # each step's arrays are copied out and freed at once (holding them is slower)
+
+    def per_row(a):  # members' (K, n, ...) -> (n, ..., *x.shape[:-1], 1), S rows a member
+        a = np.repeat(np.moveaxis(a, 0, -1), x[..., 0].size // len(a), axis=-1)
+        return a.reshape(*a.shape[:-1], *x.shape[:-1], 1)
+
+    # C is NaN at gamma = 1: np.where drops that product, and a quiet NaN
+    # raises no flag where 0 * inf (x_prev not finite) would
+    C = per_row(np.where(one, np.nan, (1.0 - G) / G))
+    at, drop, ET = per_row(one), per_row(W == 0.0), per_row(E[:, 1:])
+    # thetas and w span each row, as the arrays they multiply do: numpy runs
+    # a product of equal shapes without its broadcasting iterator
+    TH, WV = (per_row(a).repeat(x.shape[-1], -1) for a in (T, W))
+    at_x, any_x = one.all((0, 2)).tolist(), one.any((0, 2)).tolist()
+    all_drop, any_drop = (W == 0.0).all(0).tolist(), (W == 0.0).any(0).tolist()
+    head = range(q - 1)  # the thetas' products, added in t order; the last into M
     X, M = np.empty((n + 1, *x.shape)), np.empty((n, *x.shape))
     X[0] = x
-    for j, e in enumerate(et):
-        # at gamma = 1 the query point is x itself, whatever x_prev holds
-        d = None if at_x[j] else x - x_prev
-        zs = tuple(x if a is True else x + c * d if a is False else np.where(a, x, x + c * d)
-                   for a, c in islice(pts, q))
-        grads = oracle(np.array(zs), xis[j])
+    for j, e in enumerate(ET):
+        if at_x[j]:  # every query point is x itself, whatever x_prev holds
+            zs = x[None].repeat(q, 0)
+        else:
+            zs = x + C[j] * (x - x_prev)
+            if any_x[j]:
+                zs = np.where(at[j], x, zs)
+        grads = oracle(zs, xis[j])
         if q != len(grads):
             raise ValueError(f"{q} weights for {len(grads)} gradients")
         # weights summing to one drop m outright, so m = g holds exactly
         # even when m is not finite (0 * inf would give NaN)
-        a, v = wa[j], wv[j]
-        m = 0.0 if a is True else v * m if a is False else np.where(a, 0.0, v * m)
-        for t, g in zip(islice(th, q), grads):
-            m = m + t * g
+        m = (0.0 if all_drop[j] else np.where(drop[j], 0.0, WV[j] * m) if any_drop[j]
+             else WV[j] * m)
+        terms = TH[j] * grads
+        for t in head:
+            m = m + terms[t]
+        m = np.add(m, terms[-1], out=M[j])
         if not normalized:
-            x_next, zero = x - e * m, False
+            x_next, zero = np.subtract(x, e * m, out=X[j + 1]), False
         else:
             nm = np.sqrt(np.vecdot(m, m, keepdims=True))  # bitwise np.linalg.norm per row
             if np.count_nonzero(nm) == nm.size:
-                x_next, zero = x - (e / nm) * m, False
+                x_next, zero = np.subtract(x, (e / nm) * m, out=X[j + 1]), False
             else:  # rows with a zero direction keep x; dividing them by 1.0 keeps it quiet
                 zero = nm == 0.0
-                x_next = np.where(zero, x, x - (e / np.where(zero, 1.0, nm)) * m)
-                zero = zero[..., 0]
+                X[j + 1] = np.where(zero, x, x - (e / np.where(zero, 1.0, nm)) * m)
+                x_next, zero = X[j + 1], zero[..., 0]
         x_prev, x, zero_steps = x, x_next, zero_steps + zero
-        X[j + 1], M[j] = x, m
         if stop():
             break
     return (x_prev, x, m, zero_steps, zs), j + 1, X, M
@@ -242,7 +237,7 @@ def mem_step(state: OptimizerState, params: IterationParams, oracle: Oracle, xi,
         (state.x_prev, state.x_cur, state.m, state.zero_steps, ()),
         _stack([row], state.k, 1, _rows(c), c.k), oracle, [xi], normalized)
     return OptimizerState(x_prev, x, m, state.k + 1, replace(row.bundles()[0], k=state.k),
-                          state.oracle_calls + c.q, zero_steps, zs)
+                          state.oracle_calls + c.q, zero_steps, tuple(zs))
 
 
 @dataclass(frozen=True)
@@ -263,44 +258,47 @@ def mem(schedule: ScheduleConfig) -> AlgorithmKind:
     return AlgorithmKind("mem", schedule.q, lambda k0, k1: params_block(schedule.p, k0, k1))
 
 
-def _momentum_stream(
-    gamma_rule: Callable[[int], float], eta_rule: Callable[[int], float]
-) -> Callable[[int, int], ParamsBlock]:
+# a rule is a callable of k or a float, the same at every k
+Rule = Union[float, Callable[[int], float]]
+
+
+def _column(rule: Rule, k0: int, k1: int) -> list:
+    """rule(k) for k = k0 .. k1 - 1; a float rule is read once."""
+    return [rule(k) for k in range(k0, k1)] if callable(rule) else [float(rule)] * (k1 - k0)
+
+
+def _momentum_stream(gamma_rule: Rule, eta_rule: Rule) -> Callable[[int, int], ParamsBlock]:
     """The q = 1 stream that queries x itself and weighs its gradient by
-    gamma_rule(k): ParamsBlock.of of IterationParams(k, eta_rule(k), (1.0,),
-    (gamma,), gamma), built as arrays. The rules are read k after k, gamma
-    first, and a gamma outside (0, 1] is refused at its k."""
+    gamma_k: ParamsBlock.of of IterationParams(k, eta_k, (1.0,), (gamma_k,),
+    gamma_k), built as arrays. A block reads its gammas, then its etas; a
+    gamma outside (0, 1] is refused at its k, a float one at the block's
+    first k."""
 
     def bundles(k0: int, k1: int) -> ParamsBlock:
-        gammas, etas = [], []
-        for k in range(k0, k1):
-            gamma = gamma_rule(k)
+        gammas = _column(gamma_rule, k0, k1)
+        for k, gamma in zip(range(k0, k1 if callable(gamma_rule) else k0 + 1), gammas):
             if not 0.0 < gamma <= 1.0:
                 raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {gamma}")
-            gammas.append(gamma)
-            etas.append(eta_rule(k))
-        return ParamsBlock(k0, np.array(etas), np.ones((len(etas), 1)),
-                           np.array(gammas, dtype=float)[:, None], np.array(gammas))
+        return ParamsBlock(k0, np.array(_column(eta_rule, k0, k1), dtype=float),
+                           np.ones((k1 - k0, 1)), np.array(gammas, dtype=float)[:, None],
+                           np.array(gammas, dtype=float))
 
     return bundles
 
 
-def sg(eta_rule: Optional[Callable[[int], float]] = None) -> AlgorithmKind:
+def sg(eta_rule: Optional[Rule] = None) -> AlgorithmKind:
     """Decaying-step gradient descent, x - eta_k g with m = g; default
     eta_k = (k+1)^(-1/2)."""
-    eta_rule = eta_rule or (lambda k: (k + 1.0) ** -0.5)
-    return AlgorithmKind("sg", 1, _momentum_stream(lambda k: 1.0, eta_rule), normalized=False)
+    eta_rule = (lambda k: (k + 1.0) ** -0.5) if eta_rule is None else eta_rule
+    return AlgorithmKind("sg", 1, _momentum_stream(1.0, eta_rule), normalized=False)
 
 
-def sg_pm(
-    gamma_rule: Optional[Callable[[int], float]] = None,
-    eta_rule: Optional[Callable[[int], float]] = None,
-) -> AlgorithmKind:
+def sg_pm(gamma_rule: Optional[Rule] = None, eta_rule: Optional[Rule] = None) -> AlgorithmKind:
     """Normalized Polyak momentum, m = (1 - gamma) m_prev + gamma g(x) with
     gamma from the previous iteration; defaults gamma_k = (k+1)^(-1/2),
     eta_k = (k+1)^(-3/4)."""
-    gamma_rule = gamma_rule or (lambda k: (k + 1.0) ** -0.5)
-    eta_rule = eta_rule or (lambda k: (k + 1.0) ** -0.75)
+    gamma_rule = (lambda k: (k + 1.0) ** -0.5) if gamma_rule is None else gamma_rule
+    eta_rule = (lambda k: (k + 1.0) ** -0.75) if eta_rule is None else eta_rule
     return AlgorithmKind("sg-pm", 1, _momentum_stream(gamma_rule, eta_rule))
 
 
@@ -324,14 +322,14 @@ def _step(kind: AlgorithmKind, state: OptimizerState, oracle: Oracle, xi) -> Opt
 
 def sg_step(state: OptimizerState, eta: float, oracle: Oracle, xi) -> OptimizerState:
     """One step of sg() at a constant eta."""
-    return _step(sg(lambda k: eta), state, oracle, xi)
+    return _step(sg(eta), state, oracle, xi)
 
 
 def sgpm_step(
     state: OptimizerState, gamma: float, eta: float, oracle: Oracle, xi
 ) -> OptimizerState:
     """One step of sg_pm() at a constant (gamma, eta)."""
-    return _step(sg_pm(lambda k: gamma, lambda k: eta), state, oracle, xi)
+    return _step(sg_pm(gamma, eta), state, oracle, xi)
 
 
 def nigt_step(
@@ -460,7 +458,7 @@ def run_batch(
         carry[g], at[g], logs[g], Xs[g] = _rows(st.carry, len(members)), 0, [], []
         bad_at[g] = np.full(S * len(members), -1)
     strides = {g: {log_strides[i] for i in members} for g, members in groups.items()}
-    oracle = lambda z, xi: stochastic_grad(problem, noise, z, xi)
+    oracle = functools.partial(stochastic_grad, problem, noise)
 
     def metrics(X, M):  # one gradient and one value call for all rows
         G, F = problem.gradient(X), problem.value(X)

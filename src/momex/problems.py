@@ -59,7 +59,8 @@ def sigmoid(t):
     """
     t = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(t))
-    out = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out = np.where(t >= 0.0, 1.0 / d, e / d)
     return float(out) if out.ndim == 0 else out
 
 
@@ -263,10 +264,11 @@ def stochastic_grad(problem: SmoothProblem, noise: NoiseModel, x, xi) -> np.ndar
     (S, n) broadcast against their leading axes.
 
     Deterministic given (x, xi); at x = 0 the envelope vanishes and the
-    output is the exact gradient for any draw.
+    output is the exact gradient for any draw. problem.gradient checks the
+    shape of x: every problem here raises ValueError naming (..., dim).
     """
-    x = _check_point(x, problem.dim)
-    return apply_noise(problem.gradient(x), noise, x, xi)
+    grad = problem.gradient(x)
+    return grad if noise.kind == "none" else apply_noise(grad, noise, x, xi)
 
 
 def datafit_problem(dataset: "Dataset") -> SmoothProblem:

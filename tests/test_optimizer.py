@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -535,6 +536,57 @@ def test_a_group_shares_a_coefficient_only_on_its_bits():
         for seed, got in enumerate(results):
             _same_as_alone(got, kind, problem, prob.NoiseModel(), x0, 6, seed, 1)
     assert [np.signbit(r[0].state.m[1]) for r in batches] == [True, False]
+
+
+def _mixed_stream():
+    """A custom q = 2 stream whose gammas mix 1.0 with 0.5; its weights sum
+    to one at k = 0 and 3 (mod 4)."""
+    rows = [((1.0, 1.0), (0.5, 0.5)), ((1.0, 0.5), (0.6, -0.2)),
+            ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
+    return opt.AlgorithmKind("mixed", 2, _per_k(lambda k: sched.IterationParams(
+        k, 0.05, *rows[k % 4], sum(rows[k % 4][1]))))
+
+
+def test_mem_step_past_a_non_finite_x_prev_raises_no_warning():
+    """The mixed stream's mem_step with carry gammas (1.0, 0.5) from a stack
+    whose x_prev holds inf and NaN raises no RuntimeWarning (a product
+    0 * inf at gamma = 1 would), and its query point at gamma = 1 is x, bit
+    for bit, -0.0 included."""
+    problem, kind = prob.quadratic_problem(5, conditioning=3.0), _mixed_stream()
+    x = np.array([[-0.0, 0.5, -1.0, 0.25, 2.0], np.linspace(-1.0, 1.0, 5), np.full(5, -0.0)])
+    x_prev = x.copy()
+    x_prev[1, 2:4] = (np.inf, np.nan)
+    carry = sched.IterationParams(-1, math.nan, (1.0, 0.5), (0.5, 0.5), 1.0)
+    state = opt.OptimizerState(x_prev, x, np.zeros_like(x), 0, carry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(4):
+            state = opt.mem_step(state, _bundle(kind, k), _oracle(problem, prob.NoiseModel()),
+                                 np.zeros(3))
+            if k == 0:
+                assert state.zs[0].tobytes() == x.tobytes()
+                assert not np.isfinite(state.zs[1][1]).all()
+
+
+def test_a_float_rule_is_the_constant_rule():
+    """sg and sg_pm read a float v as the rule lambda k: v, bit for bit, and
+    refuse a bad float at the block's first k, as they refuse that rule."""
+    problem, noise = _datafit(), prob.NoiseModel("scalar-gaussian-envelope", 2.0)
+    x0 = np.full(problem.dim, 0.6)
+    pairs = [(opt.sg(0.01), opt.sg(lambda k: 0.01)),
+             (opt.sg_pm(0.1, 0.03), opt.sg_pm(lambda k: 0.1, lambda k: 0.03)),
+             (opt.sg_pm(0.1), opt.sg_pm(lambda k: 0.1)),
+             (opt.sg_pm(eta_rule=0.03), opt.sg_pm(eta_rule=lambda k: 0.03))]
+    for floats, rules in pairs:
+        got = opt.run(floats, problem, noise, x0, 300, 3, log_stride=7)
+        _same_as_alone(got, rules, problem, noise, x0, 300, 3, 7)
+    for floats, rules, message in (
+            (opt.sg_pm(0.0, 0.03), opt.sg_pm(lambda k: 0.0, lambda k: 0.03),
+             r"^bundle for k=0: gamma must be in \(0, 1\], got 0.0$"),
+            (opt.sg(0.0), opt.sg(lambda k: 0.0), r"^bundle for k=0: eta must be positive, got 0.0$")):
+        for kind in (floats, rules):
+            with pytest.raises(ValueError, match=message):
+                opt.run(kind, problem, noise, x0, 300, 3)
 
 
 def test_a_stacked_group_stops_together_on_the_wall_clock(monkeypatch):

@@ -311,6 +311,17 @@ def test_the_seed_holder_gives_only_what_pcg64_asks_for():
             held.generate_state(*request)
 
 
+def test_stochastic_grad_refuses_a_point_of_another_dimension():
+    """The shape check is the problem's gradient's, for every problem, with
+    and without noise: a ValueError naming (..., dim)."""
+    data = prob.generate_synthetic(6, seed=1)
+    for p in (prob.datafit_problem(data), prob.robust_problem(data), prob.quadratic_problem(6)):
+        for noise in (prob.NoiseModel(), prob.NoiseModel("scalar-gaussian-envelope", 1.0)):
+            for x in (np.ones(5), np.ones((2, 7))):
+                with pytest.raises(ValueError, match=r"problem expects \(\.\.\., 6\)"):
+                    prob.stochastic_grad(p, noise, x, 0.0)
+
+
 def test_kind_mismatch_rejected():
     p = prob.quadratic_problem(2)
     scalar = prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=1.0)

@@ -20,7 +20,10 @@ against each tree's src/, and compares the two result lists. The matrix:
   two-word seed 2^32 + 5 beside them; a diverging run (non-finite status);
   wall-clock stops under a counting clock, mid-block and on a block's last
   step, of two kinds of other q and of a group of three q = 1 kinds with
-  stored iterates; mem_step on a stack of runs with a zero-direction row;
+  stored iterates; mem_step on a stack of runs with a zero-direction row,
+  and on one run's (n,) state at q = 2 and 3 from initial_state (whose
+  carry has every gamma 1); the quadratic gate's shape (mem p = 3,
+  noise-free, n = 10, log stride 1) over two loop blocks;
 - a custom q = 2 stream whose gammas mix 1.0 with 0.5, through run_batch
   and through mem_step from a stack with a -0.0 coordinate and a
   non-finite x_prev; two q = 1 streams in one group whose thetas differ
@@ -218,6 +221,9 @@ def run_batch_section(m):
         pair = opt.run_batch([opt.sg(lambda k: 1.0), neighbour], steep, m.problems.NoiseModel(),
                              np.ones(5), [budget] * 2, [0, 1], [1, 1], store_iterates=True)
         out.append(entry(f"run_batch stacked sg and {label}, sg non-finite", pair))
+    gate = m.optimizer.run(_kinds(m)[1], m.problems.quadratic_problem(10, conditioning=10.0),
+                           m.problems.NoiseModel(), np.array([1.0, -1.0] * 5), 400, seed=0)
+    out.append(entry("run quadratic gate shape, two blocks", gate))
     diverging = m.optimizer.run(m.optimizer.sg(lambda k: 1.0),
                                 m.problems.quadratic_problem(5, conditioning=1000.0),
                                 m.problems.NoiseModel(), np.ones(5), 150, seed=0)
@@ -254,7 +260,8 @@ def wall_clock_section(m):
 
 
 def mem_step_section(m):
-    """mem_step on a stack of three runs, one at the minimizer."""
+    """mem_step on a stack of three runs, one at the minimizer, then on one
+    run's (n,) state at q = 2 and 3, on scalar draws."""
     opt, prob = m.optimizer, m.problems
     problem = prob.quadratic_problem(5, conditioning=3.0)
     noise = prob.NoiseModel("elementwise-gaussian-envelope", 1.5)
@@ -267,6 +274,15 @@ def mem_step_section(m):
         xi = np.array([prob.draw_sample(noise, 5, s, k) for s in range(3)])
         state = opt.mem_step(state, _bundle(kind, k), oracle, xi)
         out.append(entry(f"mem_step stack k={k}", state))
+    scalar = prob.NoiseModel("scalar-gaussian-envelope", 1.5)
+    oracle = lambda z, xi: prob.stochastic_grad(problem, scalar, z, xi)
+    for p in (3, 4):
+        kind = opt.mem(m.schedule.ScheduleConfig(p=p, q=p - 1))
+        state = opt.initial_state(np.linspace(-1.0, 1.0, 5), kind.q)
+        for k in range(5):
+            xi = prob.draw_sample(scalar, 5, 0, k)
+            state = opt.mem_step(state, _bundle(kind, k), oracle, xi)
+            out.append(entry(f"mem_step (n,) q={kind.q} k={k}", state))
     return out
 
 
