@@ -4,6 +4,8 @@ Objectives are immutable bundles of exact value and gradient callables.
 Gradients are hand-derived (no autodiff) and checked against central finite
 differences by the verify module. value, gradient and stochastic_grad take
 a point (n,) or a stack (..., n) and give each row the bits it gets alone.
+A large data matrix is multiplied a row block at a time, each block by
+every point of a call while it is in cache (_matvec has the rule).
 The noise model perturbs gradients with a bounded envelope
 g(x) = sigma_tilde * min(sqrt(||x||), 1) * ones(n), which keeps the
 perturbation uniformly bounded while still breaking mean-squared
@@ -107,9 +109,28 @@ def _check_point(x, dim: int) -> np.ndarray:
 
 
 def _matvec(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M x per row x of X, as one matrix-vector product each (X @ M.T is a
-    matrix product whose bits depend on the number of rows)."""
-    return (M @ X[..., None])[..., 0]
+    """M x per row x of X, as matrix-vector products (X @ M.T is a matrix
+    product whose bits depend on the number of rows).
+
+    M goes `rows` rows at a time (the most rows in 256 KiB, a multiple of
+    4), each block times every x while it is in cache; the last block takes
+    the rest too, as a 1-row product goes to numpy's dot, whose bits differ
+    from gemv's. Every x, (n,) included, takes the same blocks at the same
+    offsets mod 4, so its rows have the bits they get alone. A block is too
+    small for OpenBLAS to split across threads, which give a whole product
+    other bits at a split that is not a multiple of 4. A matrix of fewer
+    than 2·rows rows is one product."""
+    m, n = M.shape
+    rows = max(4, 8192 // n * 4)  # 8 B · 4 · 8192 = 256 KiB
+    if m < 2 * rows:
+        return (M @ X[..., None])[..., 0]
+    P, nb = X.reshape(-1, n), m // rows - 1
+    cut = nb * rows
+    out = np.empty((len(P), m))
+    head = M[:cut].reshape(nb, 1, rows, n) @ P[None, :, :, None]  # block-major loop
+    out[:, :cut].reshape(len(P), nb, rows, copy=False)[...] = head[..., 0].transpose(1, 0, 2)
+    out[:, cut:] = (M[cut:] @ P[:, :, None])[..., 0]
+    return out.reshape(X.shape[:-1] + (m,))
 
 
 def _norm(X: np.ndarray) -> np.ndarray:
@@ -385,6 +406,10 @@ class Dataset:
             raise ValueError(
                 f"targets have shape {b.shape}, expected ({A.shape[0]},)"
             )
+        for name, v in (("features", A), ("targets", b)):
+            if not np.isfinite(v).all():
+                at = tuple(map(int, np.argwhere(~np.isfinite(v))[0]))
+                raise ValueError(f"{name} must be finite, got {v[at]} at index {at}")
         A.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "features", A)

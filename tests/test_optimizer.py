@@ -476,6 +476,24 @@ def test_kinds_of_one_shape_stack_bit_for_bit(name, noise_kind):
             assert got.status == "completed"
 
 
+@pytest.mark.parametrize("make", [prob.datafit_problem, prob.robust_problem])
+def test_wide_problems_stack_bit_for_bit(make):
+    """At order 300 the oracle multiplies by A and A^T a row block at a time
+    for all of a call's points (rows = 108, and 300 is not a multiple of
+    it); mem p = 3 and p = 4 over two seeds step (q, 2, 300) stacks across
+    two loop blocks of 54 steps, and every (kind, seed) is its run alone."""
+    problem = make(prob.generate_synthetic(300, seed=4))
+    noise = prob.NoiseModel("elementwise-gaussian-envelope", 2.0)
+    x0 = np.full(300, 0.05)
+    kinds = [opt.mem(sched.ScheduleConfig(p=p, q=p - 1)) for p in (3, 4)]
+    seeds, budgets, strides = [0, 1], [70, 61], [1, 9]
+    batches = opt.run_batch(kinds, problem, noise, x0, budgets, seeds, strides)
+    for kind, budget, stride, results in zip(kinds, budgets, strides, batches):
+        for seed, got in zip(seeds, results):
+            _same_as_alone(got, kind, problem, noise, x0, budget, seed, stride)
+            assert got.status == "completed"
+
+
 def test_a_diverging_run_leaves_its_stacked_neighbour_alone():
     """Two unnormalized sg kinds of one budget step as one state. The one at
     eta = 1 on the kappa = 1000 quadratic overflows and says where; its

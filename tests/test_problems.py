@@ -144,6 +144,17 @@ def test_stacked_points_give_each_row_its_own_bits(name):
     else:
         make = prob.datafit_problem if name == "datafit" else prob.robust_problem
         p = make(prob.generate_synthetic(n, seed=5))
+    _rows_alone(p, n)
+
+
+@pytest.mark.parametrize("make", [prob.datafit_problem, prob.robust_problem])
+def test_wide_problems_give_each_row_its_own_bits(make):
+    """At order 300 both A x and A^T r go through row blocks (rows = 108,
+    with a 192-row last block); a stacked call is still row-by-row calls."""
+    _rows_alone(make(prob.generate_synthetic(300, seed=5)), 300)
+
+
+def _rows_alone(p, n):
     rng = np.random.default_rng(1)
     for shape in [(1, n), (4, 3, n), (16, n)]:
         X = rng.standard_normal(shape) * 0.3
@@ -153,6 +164,28 @@ def test_stacked_points_give_each_row_its_own_bits(name):
             assert np.array_equal(G[idx], p.gradient(X[idx]))
             assert F[idx] == p.value(X[idx])
     assert type(p.value(np.ones(n))) is float
+
+
+# m x n with m * n below 460800, the size from which OpenBLAS splits one
+# matrix-vector product across threads: a split at a row that is not a
+# multiple of 4 gives the whole product's row there other bits, so only
+# shapes it never splits compare with the whole product on any host.
+@pytest.mark.parametrize("m, n", [
+    (216, 300), (217, 300), (218, 300), (219, 300),  # rows = 108: 2 blocks, m = 0..3 mod 4
+    (325, 300),  # 3 * 108 + 1: a 1-row tail, were it left alone
+    (215, 300),  # just under 2 * rows: one product
+    (2 * 32768 + 1, 1), (7, 1),  # n = 1: rows = 32768
+])
+def test_blocked_matvec_is_each_product_bit_for_bit(m, n):
+    M = np.random.default_rng(m).standard_normal((m, n))
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (5, n), (3, 2, n)]:
+        X = rng.standard_normal(shape)
+        got = prob._matvec(M, X)
+        assert got.shape == shape[:-1] + (m,)
+        assert np.array_equal(got, (M @ X[..., None])[..., 0])
+        for idx in np.ndindex(*shape[:-1]):
+            assert np.array_equal(got[idx], M @ X[idx])
 
 
 def test_stacked_noise_broadcasts_one_draw_per_point():
@@ -346,6 +379,13 @@ def test_generate_synthetic_shapes_and_label_noise():
     np.testing.assert_array_equal(ds.features, a)
     resid = ds.targets - prob.sigmoid(a @ xstar)
     assert 0.09 <= resid.std() <= 0.11  # labels carry 0.1-scaled gaussian noise
+
+
+def test_dataset_refuses_non_finite_values():
+    with pytest.raises(ValueError, match=r"features must be finite, got nan at index \(0, 1\)"):
+        prob.Dataset(np.array([[1.0, np.nan], [0, 1]]), np.array([0.0, np.inf]), "manual")
+    with pytest.raises(ValueError, match=r"targets must be finite, got -inf at index \(1,\)"):
+        prob.Dataset(np.eye(2), np.array([0.0, -np.inf]), "manual")
 
 
 def test_dataset_is_read_only():

@@ -24,6 +24,10 @@ against each tree's src/, and compares the two result lists. The matrix:
   and on one run's (n,) state at q = 2 and 3 from initial_state (whose
   carry has every gamma 1); the quadratic gate's shape (mem p = 3,
   noise-free, n = 10, log stride 1) over two loop blocks;
+- datafit and robust of order 300, whose oracle multiplies by A and A^T a
+  row block at a time: value and gradient on a (3, 2, n) stack and on a
+  point, and run_batch of mem p = 3 and 4 with elementwise noise over two
+  seeds and two loop blocks;
 - a custom q = 2 stream whose gammas mix 1.0 with 0.5, through run_batch
   and through mem_step from a stack with a -0.0 coordinate and a
   non-finite x_prev; two q = 1 streams in one group whose thetas differ
@@ -228,6 +232,25 @@ def run_batch_section(m):
                                 m.problems.quadratic_problem(5, conditioning=1000.0),
                                 m.problems.NoiseModel(), np.ones(5), 150, seed=0)
     out.append(entry("run non-finite", diverging))
+    return out
+
+
+def wide_section(m):
+    """Problems of order 300: rows = 108 and 300 is not a multiple of it,
+    so A x and A^T r run as two row blocks, the last of 192 rows."""
+    out, prob = [], m.problems
+    X = np.random.default_rng(3).standard_normal((3, 2, 300)) * 0.1
+    noise = prob.NoiseModel("elementwise-gaussian-envelope", 2.0)
+    kinds = _kinds(m)[1:3]  # mem p = 3 and 4
+    for name, make in (("datafit", prob.datafit_problem), ("robust", prob.robust_problem)):
+        problem = make(prob.generate_synthetic(300, seed=2))
+        for label, x in (("stack", X), ("point", X[1, 0])):
+            out.append(entry(f"wide {name} value and gradient on a {label}",
+                             (problem.value(x), problem.gradient(x))))
+        res = m.optimizer.run_batch(kinds, problem, noise, np.full(300, 0.05), [70, 61], [0, 1],
+                                    [1, 9])
+        out += [entry(f"wide {name} run_batch {kind}", r)
+                for kind, r in zip(("mem:3", "mem:4"), res)]
     return out
 
 
@@ -513,7 +536,7 @@ def cli_section(m, workdir: str):
 def collect(workdir: str) -> list:
     """Every entry of the matrix, run against the momex Python imports."""
     m = modules()
-    return (run_batch_section(m) + wall_clock_section(m) + mem_step_section(m)
+    return (run_batch_section(m) + wide_section(m) + wall_clock_section(m) + mem_step_section(m)
             + custom_stream_section(m) + harness_section(m) + schedule_section(m)
             + sweep_section(m) + noise_section(m) + cli_section(m, workdir))
 
