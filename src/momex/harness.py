@@ -5,6 +5,9 @@ algorithms on one problem at an equal oracle-call budget, medians over
 seeds), verify (the full check suite as a JSON report, nonzero exit on any
 failure), gen-data (write a synthetic dataset to CSV).
 
+Each algorithm is one row of ``_ALGORITHMS``, which the config checks,
+build_kind, compare's labels, --algs tokens and grid_search's axes all read.
+
 Everything an invocation emits is a pure function of the config and seed,
 byte for byte, except elapsed_seconds.
 """
@@ -12,6 +15,7 @@ byte for byte, except elapsed_seconds.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import math
@@ -64,11 +68,27 @@ __all__ = [
     "main",
 ]
 
-CSV_HEADER = "k,f_val,rel_obj,grad_norm,mom_err,oracle_calls,elapsed_seconds"
+# a logged row's columns and their types, in CSV order
+_RECORD_TYPES = get_type_hints(TrajectoryRecord)
+CSV_HEADER = ",".join(_RECORD_TYPES)
+
+# the fields that apply to some algorithms only
+_HYPER = ("p", "q", "gamma", "eta")
+# One row per algorithm: the fields of _HYPER it takes, in its label's order;
+# the argument lists its --algs token may carry; and its kind from a config
+# (each lambda looks its constructor up when called; a given --gamma/--eta
+# holds for every k, an omitted one keeps the default rule).
+_Algorithm = collections.namedtuple("_Algorithm", "fields tokens build")
+_ALGORITHMS = {
+    "mem": _Algorithm(("q", "p"), [("q",)], lambda c: mem(ScheduleConfig(p=c.p, q=c.q))),
+    "sg": _Algorithm(("eta",), [(), ("eta",)], lambda c: sg(c.eta)),
+    "sg-pm": _Algorithm(("gamma", "eta"), [(), ("eta",), ("gamma", "eta")], lambda c: sg_pm(c.gamma, c.eta)),
+    "nigt": _Algorithm(("gamma", "eta"), [("gamma", "eta")], lambda c: nigt(c.gamma, c.eta)),
+}
 
 # the allowed values of every field that has a fixed set
 _CHOICES = {
-    "algorithm": ("mem", "sg", "sg-pm", "nigt"),
+    "algorithm": tuple(_ALGORITHMS),
     "problem": ("datafit", "robust", "quadratic"),
     "noise": NOISE_KINDS,
     "format": ("csv", "json"),
@@ -165,30 +185,22 @@ class RunConfig:
             _require(val >= 0, f"{_flag(name)} must be >= 0, got {val}")
 
         alg, p, q, gamma, eta = self.algorithm, self.p, self.q, self.gamma, self.eta
-        algorithms = _CHOICES["algorithm"]
-        _require(alg in algorithms, f"--alg is required and must be one of {algorithms}")
+        _require(alg in _ALGORITHMS, f"--alg is required and must be one of {_CHOICES['algorithm']}")
+        for name in _HYPER:
+            if name not in _ALGORITHMS[alg].fields:
+                _require(getattr(self, name) is None, f"{_flag(name)} does not apply to {alg}")
         if alg == "mem":
-            _require(
-                p is not None,
-                "algorithm 'mem' requires --p, the smoothness order its schedule is built for",
-            )
+            _require(p is not None, "algorithm 'mem' requires --p, the smoothness order its schedule is built for")
             _require(p >= 2, f"--p must be an integer >= 2, got {p}")
             if q is None:
                 set_("q", p - 1)
             _require(self.q == p - 1, f"--q must equal p - 1 = {p - 1} for the built-in schedules")
-            _require(gamma is None and eta is None, "--gamma/--eta do not apply to mem; the schedule sets them")
         elif alg == "nigt":
-            _require(p is None and q is None, "--p/--q do not apply to nigt")
             _require(gamma is not None and 0.0 < gamma < 1.0, "nigt requires --gamma in (0, 1)")
             _require(eta is not None and eta > 0.0, "nigt requires --eta > 0")
         else:
-            _require(p is None and q is None, f"--p/--q do not apply to {alg}")
-            if alg == "sg":
-                _require(gamma is None, "--gamma does not apply to sg")
-            elif gamma is not None:
-                _require(0.0 < gamma <= 1.0, f"--gamma must lie in (0, 1], got {gamma}")
-            if eta is not None:
-                _require(eta > 0.0, f"--eta must be positive, got {eta}")
+            _require(gamma is None or 0.0 < gamma <= 1.0, f"--gamma must lie in (0, 1], got {gamma}")
+            _require(eta is None or eta > 0.0, f"--eta must be positive, got {eta}")
 
         problem, synthetic, dataset = self.problem, self.synthetic, self.dataset
         problems = _CHOICES["problem"]
@@ -360,16 +372,7 @@ def build_problem(config: RunConfig):
 
 
 def build_kind(config: RunConfig) -> AlgorithmKind:
-    if config.algorithm == "mem":
-        return mem(ScheduleConfig(p=config.p, q=config.q))
-    if config.algorithm == "nigt":
-        return nigt(config.gamma, config.eta)
-    # a given --gamma/--eta holds for every k; an omitted one keeps the default rule
-    if config.algorithm == "sg":
-        return sg(config.eta)
-    if config.algorithm == "sg-pm":
-        return sg_pm(config.gamma, config.eta)
-    raise ValueError(f"no algorithm kind for {config.algorithm!r}")
+    return _ALGORITHMS[config.algorithm].build(config)
 
 
 def run_experiment(config: RunConfig):
@@ -427,8 +430,8 @@ def run_experiment(config: RunConfig):
 def _cells(records: Sequence[TrajectoryRecord]):
     """Per column, its cells' text, 4096 rows a chunk (a plain sequence is made columns first)."""
     cols = getattr(records, "columns", None) or {
-        f: [getattr(r, f) for r in records] for f in CSV_HEADER.split(",")}
-    cols = [np.asarray(c, int if f in ("k", "oracle_calls") else float) for f, c in cols.items()]
+        f: [getattr(r, f) for r in records] for f in _RECORD_TYPES}
+    cols = [np.asarray(c, _RECORD_TYPES[f]) for f, c in cols.items()]
     for i in range(0, len(records), 4096):
         yield [repr(c[i : i + 4096].tolist())[1:-1].split(", ") for c in cols]
 
@@ -442,7 +445,7 @@ def _csv_chunks(records: Sequence[TrajectoryRecord]):
 
 def _json_chunks(doc: dict, records: Sequence[TrajectoryRecord]):
     """json.dumps({**doc, "records": [each row as a dict]}, indent=2), a chunk of _cells a time."""
-    row = "    {\n" + ",\n".join(f'      "{f}": %s' for f in CSV_HEADER.split(",")) + "\n    }"
+    row = "    {\n" + ",\n".join(f'      "{f}": %s' for f in _RECORD_TYPES) + "\n    }"
     yield json.dumps({**doc, "records": []}, indent=2)[: -len("]\n}")]  # to the "["
     for i, cells in enumerate(_cells(records)):
         rows = ",\n".join(row % r for r in zip(*cells))
@@ -463,10 +466,9 @@ def parse_records(text: str) -> Tuple[TrajectoryRecord, ...]:
     out = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != 7:
-            raise ValueError(f"expected 7 cells, got {len(cells)}: {ln!r}")
-        k, *vals, calls, elapsed = cells
-        out.append(TrajectoryRecord(int(k), *map(float, vals), int(calls), float(elapsed)))
+        if len(cells) != len(_RECORD_TYPES):
+            raise ValueError(f"expected {len(_RECORD_TYPES)} cells, got {len(cells)}: {ln!r}")
+        out.append(TrajectoryRecord(*[t(c) for t, c in zip(_RECORD_TYPES.values(), cells)]))
     return tuple(out)
 
 
@@ -513,15 +515,9 @@ def emit(
 
 
 def _label(config: RunConfig) -> str:
-    if config.algorithm == "mem":
-        return f"mem(q={config.q},p={config.p})"
-    if config.algorithm == "nigt":
-        return f"nigt(gamma={config.gamma:g},eta={config.eta:g})"
-    parts = []
-    if config.gamma is not None:
-        parts.append(f"gamma={config.gamma:g}")
-    if config.eta is not None:
-        parts.append(f"eta={config.eta:g}")
+    taken = [(f, getattr(config, f)) for f in _ALGORITHMS[config.algorithm].fields]
+    # an int as str: f"{10**7:g}" would read 1e+07
+    parts = [f"{f}={v:g}" if isinstance(v, float) else f"{f}={v}" for f, v in taken if v is not None]
     return config.algorithm + (f"({','.join(parts)})" if parts else "")
 
 
@@ -570,15 +566,11 @@ def compare(
                 f"got {fp} vs {_fingerprint(c)}"
             )
     if labels is None:
-        labels = []
-        for c in configs:
-            base = _label(c)
-            label = base
-            i = 2
-            while label in labels:
-                label = f"{base}#{i}"
-                i += 1
-            labels.append(label)
+        # no _label holds "#", so the n-th config of a label is label#n from n = 2
+        labels, seen = [], collections.Counter()
+        for base in map(_label, configs):
+            seen[base] += 1
+            labels.append(base if seen[base] == 1 else f"{base}#{seen[base]}")
     elif len(labels) != len(configs):
         raise ValueError(f"{len(labels)} labels for {len(configs)} configurations")
     else:
@@ -643,23 +635,21 @@ def grid_search(
     """Sweep constant hyperparameters for a baseline and report the grid.
 
     Defaults: etas log-spaced 1e-3..1, gammas 0.02..0.8. The sweep covers
-    eta alone for sg, (gamma, eta) pairs for sg-pm and nigt. The grid runs
+    eta, paired with gamma where the algorithm takes gamma. The grid runs
     through compare, one label per point; every method searched makes one
     oracle call per iteration, so the budget counts iterations, and all
     points step as one state. Returns every grid point with its median
     final rel_obj, best first; the input config is never modified and the
     winner is never applied silently.
     """
-    if config.algorithm == "mem":
-        raise ValueError("mem's schedule is parameter-free; nothing to search")
+    takes = _ALGORITHMS[config.algorithm].fields
+    if "eta" not in takes:
+        raise ValueError(f"{config.algorithm}'s schedule is parameter-free; nothing to search")
     if etas is None:
         etas = [float(v) for v in np.geomspace(1e-3, 1.0, 7)]
     if gammas is None:
         gammas = [float(v) for v in np.geomspace(0.02, 0.8, 5)]
-    if config.algorithm == "sg":
-        combos = [(None, e) for e in etas]
-    else:
-        combos = [(g, e) for g in gammas for e in etas]
+    combos = [(g, e) for g in (gammas if "gamma" in takes else [None]) for e in etas]
     table = compare(
         [replace(config, gamma=g, eta=e) for g, e in combos],
         budget,
@@ -746,21 +736,13 @@ def _cmd_run(argv: Sequence[str]) -> int:
     return 0
 
 
-# the argument lists an --algs token may carry after its algorithm name
-_TOKEN_ARGS = {
-    "mem": [("q",)],
-    "nigt": [("gamma", "eta")],
-    "sg": [(), ("eta",)],
-    "sg-pm": [(), ("eta",), ("gamma", "eta")],
-}
-
-
 def _parse_alg_token(token: str) -> dict:
     name, *args = token.split(":")
-    _require(name in _TOKEN_ARGS, f"--algs: unknown algorithm {name!r} in {token!r}")
-    keys = next((ks for ks in _TOKEN_ARGS[name] if len(ks) == len(args)), None)
+    _require(name in _ALGORITHMS, f"--algs: unknown algorithm {name!r} in {token!r}")
+    forms = _ALGORITHMS[name].tokens
+    keys = next((ks for ks in forms if len(ks) == len(args)), None)
     if keys is None:
-        forms = " or ".join(":".join([name, *map(str.upper, ks)]) for ks in _TOKEN_ARGS[name])
+        forms = " or ".join(":".join([name, *map(str.upper, ks)]) for ks in forms)
         raise ConfigError(f"--algs: malformed token {token!r}; expected {forms}")
     vals = {"algorithm": name}
     for key, arg in zip(keys, args):
@@ -770,7 +752,7 @@ def _parse_alg_token(token: str) -> dict:
             raise ConfigError(
                 f"--algs: {key.upper()} in {token!r} must be {_WANT[_KINDS[key]][1]}, got {arg!r}"
             ) from None
-    if name == "mem":
+    if "q" in vals:  # Q sets the order: p = Q + 1
         _require(vals["q"] >= 1, f"--algs: Q in {token!r} must be an integer >= 1")
         vals["p"] = vals["q"] + 1
     return vals

@@ -109,10 +109,6 @@ class IterationParams:
     theta_sum: float
 
     def __post_init__(self):
-        g, t = self.gammas, self.thetas
-        # equal-length tuples of Python floats, as schedules build them, are kept as they are
-        if type(g) is type(t) is tuple and len(g) == len(t) and set(map(type, g + t)) <= {float}:
-            return
         g = np.asarray(self.gammas, dtype=float)
         t = np.asarray(self.thetas, dtype=float)
         if g.ndim != 1 or g.shape != t.shape:
@@ -141,6 +137,8 @@ class ParamsBlock:
         """One or more IterationParams stacked as a block, the inverse of
         bundles(): they must be for consecutive k and share one q."""
         rows = list(rows)
+        if not rows:
+            raise ValueError("a ParamsBlock needs at least one bundle")
         k0, q = rows[0].k, rows[0].q
         for k, p in enumerate(rows, k0):
             if (p.k, p.q) != (k, q):

@@ -353,6 +353,18 @@ def test_csv_round_trip_is_exact():
     assert list(back) == records
 
 
+def test_csv_header_is_the_record_fields():
+    assert har.CSV_HEADER == ",".join(f.name for f in fields(TrajectoryRecord))
+    assert har.CSV_HEADER == "k,f_val,rel_obj,grad_norm,mom_err,oracle_calls,elapsed_seconds"
+
+
+@pytest.mark.parametrize("n_cells", [6, 8])
+def test_parse_records_refuses_a_row_of_the_wrong_width(n_cells):
+    row = ",".join(["1"] * n_cells)
+    with pytest.raises(ValueError, match=f"^expected 7 cells, got {n_cells}: "):
+        har.parse_records(f"{har.CSV_HEADER}\n0,1.0,1.0,1.0,1.0,2,0.0\n{row}\n")
+
+
 def _csv_reference(records):
     """The CSV of records, formatted row by row."""
     return "".join([har.CSV_HEADER + "\n"] + [
@@ -888,3 +900,123 @@ def test_grid_search_rows_are_medians_of_seeded_runs():
     assert medians == sorted(medians)
     with pytest.raises(ValueError, match="budget must be >= 1"):
         har.grid_search(cfg, budget=0, etas=[0.05], gammas=[0.1])
+
+
+# ---------------------------------------------------------------------------
+# one row per algorithm: checks, kinds, labels, tokens and grid axes
+# ---------------------------------------------------------------------------
+
+# each algorithm's smallest valid hyperparameters, and a value for every field
+_ALG_BASE = {"mem": dict(p=3), "sg": {}, "sg-pm": {}, "nigt": dict(gamma=0.5, eta=0.1)}
+_ANY = dict(p=3, q=2, gamma=0.5, eta=0.1)
+_NOT_TAKEN = [("mem", "gamma"), ("mem", "eta"), ("sg", "p"), ("sg", "q"), ("sg", "gamma"),
+              ("sg-pm", "p"), ("sg-pm", "q"), ("nigt", "p"), ("nigt", "q")]
+
+
+@pytest.mark.parametrize("alg, field", _NOT_TAKEN)
+def test_a_field_the_algorithm_does_not_take_is_refused(capsys, alg, field):
+    flag = "--" + field
+    with pytest.raises(har.ConfigError, match=f"^{flag} does not apply to {alg}$"):
+        har.RunConfig(algorithm=alg, problem="quadratic", dim=2, iters=1,
+                      **{**_ALG_BASE[alg], field: _ANY[field]})
+    argv = [f"--{k}={v}" for k, v in {**_ALG_BASE[alg], field: _ANY[field]}.items()]
+    assert har.main(["run", "--alg", alg, "--problem", "quadratic", "--dim", "2",
+                     "--iters", "1", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {flag} does not apply to {alg}\n"
+
+
+def test_mem_reports_a_field_it_does_not_take_before_a_missing_p():
+    with pytest.raises(har.ConfigError, match="^--gamma does not apply to mem$"):
+        har.RunConfig(algorithm="mem", gamma=0.5, problem="quadratic", dim=2, iters=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, label",
+    [
+        (dict(algorithm="mem", p=3), "mem(q=2,p=3)"),
+        (dict(algorithm="mem", p=10**7), "mem(q=9999999,p=10000000)"),
+        (dict(algorithm="sg"), "sg"),
+        (dict(algorithm="sg", eta=0.1), "sg(eta=0.1)"),
+        (dict(algorithm="sg", eta=10**7), "sg(eta=1e+07)"),
+        (dict(algorithm="sg-pm"), "sg-pm"),
+        (dict(algorithm="sg-pm", gamma=0.5), "sg-pm(gamma=0.5)"),
+        (dict(algorithm="sg-pm", eta=0.05), "sg-pm(eta=0.05)"),
+        (dict(algorithm="sg-pm", gamma=0.5, eta=1e-7), "sg-pm(gamma=0.5,eta=1e-07)"),
+        (dict(algorithm="nigt", gamma=0.25, eta=2), "nigt(gamma=0.25,eta=2)"),
+    ],
+)
+def test_labels(kwargs, label):
+    assert har._label(har.RunConfig(problem="quadratic", dim=2, iters=1, **kwargs)) == label
+
+
+@pytest.mark.parametrize(
+    "alg, kind",
+    [("mem", ("mem", 2, True)), ("sg", ("sg", 1, False)), ("sg-pm", ("sg-pm", 1, True)),
+     ("nigt", ("nigt", 1, True))],
+)
+def test_build_kind_per_algorithm(alg, kind):
+    built = har.build_kind(har.RunConfig(algorithm=alg, problem="quadratic", dim=2, iters=1,
+                                         **_ALG_BASE[alg]))
+    assert (built.name, built.q, built.normalized) == kind
+
+
+@pytest.mark.parametrize(
+    "alg, axes",
+    [
+        ("sg", [(None, 0.2), (None, 0.1)]),
+        ("sg-pm", [(0.3, 0.2), (0.3, 0.1), (0.5, 0.2), (0.5, 0.1)]),
+        ("nigt", [(0.3, 0.2), (0.3, 0.1), (0.5, 0.2), (0.5, 0.1)]),
+    ],
+)
+def test_grid_search_axes_per_algorithm(monkeypatch, alg, axes):
+    seen = []
+
+    def fake_compare(configs, budget, n_seeds, base_seed):
+        seen.extend((c.gamma, c.eta) for c in configs)
+        labels = [str(i) for i in range(len(configs))]
+        return {"labels": labels, "median_final": {lb: 0.0 for lb in labels}}
+
+    monkeypatch.setattr(har, "compare", fake_compare)
+    cfg = har.RunConfig(algorithm=alg, problem="quadratic", dim=2, iters=1, **_ALG_BASE[alg])
+    sweep = har.grid_search(cfg, budget=4, etas=[0.2, 0.1], gammas=[0.3, 0.5])
+    assert seen == axes
+    assert [(r["gamma"], r["eta"]) for r in sweep["grid"]] == axes
+
+
+def test_grid_search_refuses_mem():
+    cfg = har.RunConfig(algorithm="mem", p=3, problem="quadratic", dim=2, iters=1)
+    with pytest.raises(ValueError, match="^mem's schedule is parameter-free; nothing to search$"):
+        har.grid_search(cfg, budget=4)
+
+
+@pytest.mark.parametrize(
+    "token, vals",
+    [
+        ("mem:2", dict(algorithm="mem", q=2, p=3)),
+        ("sg", dict(algorithm="sg")),
+        ("sg:0.1", dict(algorithm="sg", eta=0.1)),
+        ("sg-pm", dict(algorithm="sg-pm")),
+        ("sg-pm:0.1", dict(algorithm="sg-pm", eta=0.1)),
+        ("sg-pm:0.5:0.1", dict(algorithm="sg-pm", gamma=0.5, eta=0.1)),
+        ("nigt:0.5:0.1", dict(algorithm="nigt", gamma=0.5, eta=0.1)),
+    ],
+)
+def test_every_algs_token_form_is_accepted(token, vals):
+    assert har._parse_alg_token(token) == vals
+    har.RunConfig(**vals, problem="quadratic", dim=2, iters=1)
+
+
+@pytest.mark.parametrize(
+    "token, forms",
+    [
+        ("mem", "mem:Q"),
+        ("mem:1:2", "mem:Q"),
+        ("sg:1:2", "sg or sg:ETA"),
+        ("sg-pm:1:2:3", "sg-pm or sg-pm:ETA or sg-pm:GAMMA:ETA"),
+        ("nigt:0.5", "nigt:GAMMA:ETA"),
+    ],
+)
+def test_a_malformed_algs_token_lists_the_forms(token, forms):
+    with pytest.raises(har.ConfigError) as err:
+        har._parse_alg_token(token)
+    assert str(err.value) == f"--algs: malformed token {token!r}; expected {forms}"

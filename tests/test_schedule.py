@@ -267,6 +267,12 @@ def test_bundle_fields_are_float_tuples():
         sched.IterationParams(k=0, eta=1.0, gammas=[[0.5]], thetas=[[1.0]], theta_sum=1.0)
     with pytest.raises(ValueError, match="equal length"):
         sched.IterationParams(k=0, eta=1.0, gammas=[0.5, 0.25], thetas=[1.0], theta_sum=1.0)
+    # a tuple of Python floats is stored as the same floats, -0.0 and NaN kept
+    odd = sched.IterationParams(k=0, eta=1.0, gammas=(-0.0, math.nan), thetas=(1.0, -0.0),
+                                theta_sum=1.0)
+    assert math.copysign(1.0, odd.gammas[0]) == math.copysign(1.0, odd.thetas[1]) == -1.0
+    assert math.isnan(odd.gammas[1])
+    assert all(type(v) is float for v in odd.gammas + odd.thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +429,8 @@ def test_params_block_of_is_the_inverse_of_bundles():
     rows[2] = sched.params_general(9, 4)
     with pytest.raises(ValueError, match=r"^params are for k=9 with q=3, state is at k=9 with q=2$"):
         sched.ParamsBlock.of(rows)
+    with pytest.raises(ValueError, match="^a ParamsBlock needs at least one bundle$"):
+        sched.ParamsBlock.of([])
 
 
 def test_params_block_errors():
