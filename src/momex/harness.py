@@ -75,15 +75,15 @@ CSV_HEADER = ",".join(_RECORD_TYPES)
 # the fields that apply to some algorithms only
 _HYPER = ("p", "q", "gamma", "eta")
 # One row per algorithm: the fields of _HYPER it takes, in its label's order;
-# the argument lists its --algs token may carry; and its kind from a config
-# (each lambda looks its constructor up when called; a given --gamma/--eta
-# holds for every k, an omitted one keeps the default rule).
+# the argument lists its --algs token may carry; and its kind from a mapping
+# of those fields (a config's vars or a token's), whose constructor, looked up
+# when called, alone refuses a bad value (a given --gamma/--eta holds for every k).
 _Algorithm = collections.namedtuple("_Algorithm", "fields tokens build")
 _ALGORITHMS = {
-    "mem": _Algorithm(("q", "p"), [("q",)], lambda c: mem(ScheduleConfig(p=c.p, q=c.q))),
-    "sg": _Algorithm(("eta",), [(), ("eta",)], lambda c: sg(c.eta)),
-    "sg-pm": _Algorithm(("gamma", "eta"), [(), ("eta",), ("gamma", "eta")], lambda c: sg_pm(c.gamma, c.eta)),
-    "nigt": _Algorithm(("gamma", "eta"), [("gamma", "eta")], lambda c: nigt(c.gamma, c.eta)),
+    "mem": _Algorithm(("q", "p"), [("q",)], lambda v: mem(ScheduleConfig(p=v.get("p"), q=v.get("q")))),
+    "sg": _Algorithm(("eta",), [(), ("eta",)], lambda v: sg(v.get("eta"))),
+    "sg-pm": _Algorithm(("gamma", "eta"), [(), ("eta",), ("gamma", "eta")], lambda v: sg_pm(v.get("gamma"), v.get("eta"))),
+    "nigt": _Algorithm(("gamma", "eta"), [("gamma", "eta")], lambda v: nigt(v.get("gamma"), v.get("eta"))),
 }
 
 # the allowed values of every field that has a fixed set
@@ -137,9 +137,9 @@ class RunConfig:
     config passes ``replace`` unchanged.
 
     Raises:
-        ConfigError: a field of the wrong type, a value violating its
-            constraint, or a field that does not apply to the algorithm or
-            problem; the message names the flag.
+        ConfigError: a field of the wrong type, a value its constraint or
+            its kind's constructor refuses, or a field that does not apply
+            to the algorithm or problem; the message names the flag.
     """
 
     algorithm: Optional[str] = None
@@ -184,23 +184,17 @@ class RunConfig:
             val = getattr(self, name)
             _require(val >= 0, f"{_flag(name)} must be >= 0, got {val}")
 
-        alg, p, q, gamma, eta = self.algorithm, self.p, self.q, self.gamma, self.eta
+        alg = self.algorithm
         _require(alg in _ALGORITHMS, f"--alg is required and must be one of {_CHOICES['algorithm']}")
         for name in _HYPER:
             if name not in _ALGORITHMS[alg].fields:
                 _require(getattr(self, name) is None, f"{_flag(name)} does not apply to {alg}")
-        if alg == "mem":
-            _require(p is not None, "algorithm 'mem' requires --p, the smoothness order its schedule is built for")
-            _require(p >= 2, f"--p must be an integer >= 2, got {p}")
-            if q is None:
-                set_("q", p - 1)
-            _require(self.q == p - 1, f"--q must equal p - 1 = {p - 1} for the built-in schedules")
-        elif alg == "nigt":
-            _require(gamma is not None and 0.0 < gamma < 1.0, "nigt requires --gamma in (0, 1)")
-            _require(eta is not None and eta > 0.0, "nigt requires --eta > 0")
-        else:
-            _require(gamma is None or 0.0 < gamma <= 1.0, f"--gamma must lie in (0, 1], got {gamma}")
-            _require(eta is None or eta > 0.0, f"--eta must be positive, got {eta}")
+        if alg == "mem" and self.q is None and self.p is not None:
+            set_("q", self.p - 1)
+        try:  # the kind's constructor refuses a bad value, its text led by the field's name
+            _ALGORITHMS[alg].build(vars(self))
+        except ValueError as exc:
+            raise ConfigError(f"--{exc}") from None
 
         problem, synthetic, dataset = self.problem, self.synthetic, self.dataset
         problems = _CHOICES["problem"]
@@ -251,10 +245,8 @@ class RunConfig:
             _x0_coords(self.x0)
         _require(self.format in _CHOICES["format"], "--format must be csv or json")
         _require(self.out != "", "--out must name a file, got an empty path")
-        if gamma is not None:
-            set_("gamma", float(gamma))
-        if eta is not None:
-            set_("eta", float(eta))
+        for name in ("gamma", "eta"):
+            set_(name, None if getattr(self, name) is None else float(getattr(self, name)))
 
 
 # each field's kind, int, float or str, from its annotation (Optional[X] -> X)
@@ -372,7 +364,7 @@ def build_problem(config: RunConfig):
 
 
 def build_kind(config: RunConfig) -> AlgorithmKind:
-    return _ALGORITHMS[config.algorithm].build(config)
+    return _ALGORITHMS[config.algorithm].build(vars(config))
 
 
 def run_experiment(config: RunConfig):
@@ -583,11 +575,9 @@ def compare(
     seeds = list(range(base_seed, base_seed + n_seeds))
     kinds = [build_kind(c) for c in configs]
     iterations = [budget // kind.q for kind in kinds]
-    for c, kind, iters in zip(configs, kinds, iterations):
+    for label, kind, iters in zip(labels, kinds, iterations):
         if iters < 1:
-            raise ValueError(
-                f"budget {budget} is below one iteration ({kind.q} calls) for {_label(c)}"
-            )
+            raise ValueError(f"budget {budget} is below one iteration ({kind.q} calls) for {label}")
 
     problem, noise, x0 = build_problem(configs[0])
     strides = [max(1, iters // 200) for iters in iterations]
@@ -755,6 +745,13 @@ def _parse_alg_token(token: str) -> dict:
     if "q" in vals:  # Q sets the order: p = Q + 1
         _require(vals["q"] >= 1, f"--algs: Q in {token!r} must be an integer >= 1")
         vals["p"] = vals["q"] + 1
+    try:  # RunConfig's finiteness rule, then the kind's constructor, in the token's name
+        for key in keys:
+            if not math.isfinite(vals[key]):
+                raise ValueError(f"{key} must be finite, got {vals[key]!r}")
+        _ALGORITHMS[name].build(vals)
+    except ValueError as exc:
+        raise ConfigError(f"--algs: {token!r}: {exc}") from None
     return vals
 
 

@@ -270,13 +270,18 @@ def _column(rule: Rule, k0: int, k1: int) -> list:
 def _momentum_stream(gamma_rule: Rule, eta_rule: Rule) -> Callable[[int, int], ParamsBlock]:
     """The q = 1 stream that queries x itself and weighs its gradient by
     gamma_k: ParamsBlock.of of IterationParams(k, eta_k, (1.0,), (gamma_k,),
-    gamma_k), built as arrays. A block reads its gammas, then its etas; a
-    gamma outside (0, 1] is refused at its k, a float one at the block's
-    first k."""
+    gamma_k), built as arrays. A float rule is refused when the kind is
+    built, a callable gamma rule at the k where it leaves (0, 1] (gamma_k is
+    the theta, which the kernel's gate does not read), and a callable eta
+    rule by the gate. A block reads its gammas, then its etas."""
+    if not callable(gamma_rule) and not 0.0 < gamma_rule <= 1.0:
+        raise ValueError(f"gamma must be in (0, 1], got {gamma_rule}")
+    if not callable(eta_rule) and not eta_rule > 0.0:
+        raise ValueError(f"eta must be positive, got {eta_rule}")
 
     def bundles(k0: int, k1: int) -> ParamsBlock:
         gammas = _column(gamma_rule, k0, k1)
-        for k, gamma in zip(range(k0, k1 if callable(gamma_rule) else k0 + 1), gammas):
+        for k, gamma in zip(range(k0, k1) if callable(gamma_rule) else (), gammas):
             if not 0.0 < gamma <= 1.0:
                 raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {gamma}")
         return ParamsBlock(k0, np.array(_column(eta_rule, k0, k1), dtype=float),
@@ -305,9 +310,9 @@ def sg_pm(gamma_rule: Optional[Rule] = None, eta_rule: Optional[Rule] = None) ->
 def nigt(gamma: float, eta: float) -> AlgorithmKind:
     """Implicit gradient transport: the q = 1 kernel with one constant
     (gamma, eta) bundle, so it matches mem on a constant q = 1 stream."""
-    if not 0.0 < gamma < 1.0:
+    if gamma is None or not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if not eta > 0.0:
+    if eta is None or not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     thetas = solve_weights_closed_form([gamma])
     row = IterationParams(k=0, eta=eta, gammas=[gamma], thetas=thetas, theta_sum=float(thetas[0]))

@@ -44,7 +44,7 @@ __all__ = [
 
 def _check_order(p) -> None:
     if not isinstance(p, (int, np.integer)) or p < 2:
-        raise ValueError(f"smoothness order must be an integer >= 2, got {p!r}")
+        raise ValueError(f"p, the smoothness order, must be an integer >= 2, got {p!r}")
 
 
 def _check_index(k) -> None:
@@ -84,9 +84,7 @@ class ScheduleConfig:
     def __post_init__(self):
         _check_order(self.p)
         if self.q != self.p - 1:
-            raise ValueError(
-                f"the order-p schedule pairs q = p - 1, got p={self.p}, q={self.q}"
-            )
+            raise ValueError(f"q must equal p - 1 = {self.p - 1} for the order-p schedule, got {self.q!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import momex.harness as har
 import momex.optimizer as opt
 import momex.problems as prob
+import momex.schedule as sched
 from momex.optimizer import TrajectoryRecord
 from momex.schedule import params_general
 
@@ -645,6 +646,9 @@ def test_cli_compare_runs(tmp_path, capsys):
         ("sg:x", ["ETA", "number"]),
         ("mem:0", ["Q", ">= 1"]),
         ("sg-pm:1:2:3", ["malformed", "sg-pm:GAMMA:ETA"]),
+        ("sg:inf", ["eta must be finite, got inf"]),
+        ("sg-pm:0.5:-inf", ["eta must be finite, got -inf"]),
+        ("nigt:0.5:inf", ["eta must be finite, got inf"]),
     ],
 )
 def test_cli_compare_token_errors_name_the_token(capsys, token, words):
@@ -1020,3 +1024,85 @@ def test_a_malformed_algs_token_lists_the_forms(token, forms):
     with pytest.raises(har.ConfigError) as err:
         har._parse_alg_token(token)
     assert str(err.value) == f"--algs: malformed token {token!r}; expected {forms}"
+
+
+# ---------------------------------------------------------------------------
+# one text per hyperparameter rule: constructor, RunConfig, run and --algs
+# ---------------------------------------------------------------------------
+
+# each algorithm's constructor, called as a config of its fields calls it
+_CONSTRUCTORS = {
+    "mem": lambda p=None, q=None: opt.mem(sched.ScheduleConfig(p=p, q=q)),
+    "sg": lambda eta=None: opt.sg(eta),
+    "sg-pm": lambda gamma=None, eta=None: opt.sg_pm(gamma, eta),
+    "nigt": lambda gamma=None, eta=None: opt.nigt(gamma, eta),
+}
+_NAN = float("nan")
+_P_RULE = "p, the smoothness order, must be an integer >= 2, got "
+# (algorithm, its other, valid hyperparameters, the field, the bad value (None:
+# a required value left out), the constructor's text, an --algs token or None)
+_BAD_VALUES = [
+    ("mem", {}, "p", None, _P_RULE + "None", None),
+    ("mem", {}, "p", 1, _P_RULE + "1", None),
+    ("mem", {}, "p", -2, _P_RULE + "-2", None),
+    ("mem", {"p": 3}, "q", 1, "q must equal p - 1 = 2 for the order-p schedule, got 1", None),
+    ("mem", {"p": 3}, "q", 3, "q must equal p - 1 = 2 for the order-p schedule, got 3", None),
+    ("sg", {}, "eta", 0.0, "eta must be positive, got 0.0", "sg:0.0"),
+    ("sg", {}, "eta", -1.0, "eta must be positive, got -1.0", "sg:-1.0"),
+    ("sg", {}, "eta", _NAN, "eta must be positive, got nan", "sg:nan"),
+    ("sg-pm", {"eta": 0.1}, "gamma", 0.0, "gamma must be in (0, 1], got 0.0", "sg-pm:0.0:0.1"),
+    ("sg-pm", {"eta": 0.1}, "gamma", 1.5, "gamma must be in (0, 1], got 1.5", "sg-pm:1.5:0.1"),
+    ("sg-pm", {"eta": 0.1}, "gamma", _NAN, "gamma must be in (0, 1], got nan", "sg-pm:nan:0.1"),
+    ("sg-pm", {}, "eta", 0.0, "eta must be positive, got 0.0", "sg-pm:0.0"),
+    ("sg-pm", {"gamma": 0.5}, "eta", -1.0, "eta must be positive, got -1.0", "sg-pm:0.5:-1.0"),
+    ("sg-pm", {}, "eta", _NAN, "eta must be positive, got nan", "sg-pm:nan"),
+    ("nigt", {"eta": 0.1}, "gamma", None, "gamma must be in (0, 1), got None", None),
+    ("nigt", {"eta": 0.1}, "gamma", 0.0, "gamma must be in (0, 1), got 0.0", "nigt:0.0:0.1"),
+    ("nigt", {"eta": 0.1}, "gamma", 1.0, "gamma must be in (0, 1), got 1.0", "nigt:1.0:0.1"),
+    ("nigt", {"eta": 0.1}, "gamma", 1.5, "gamma must be in (0, 1), got 1.5", "nigt:1.5:0.1"),
+    ("nigt", {"eta": 0.1}, "gamma", _NAN, "gamma must be in (0, 1), got nan", "nigt:nan:0.1"),
+    ("nigt", {"gamma": 0.5}, "eta", None, "eta must be positive, got None", None),
+    ("nigt", {"gamma": 0.5}, "eta", 0.0, "eta must be positive, got 0.0", "nigt:0.5:0.0"),
+    ("nigt", {"gamma": 0.5}, "eta", -1.0, "eta must be positive, got -1.0", "nigt:0.5:-1.0"),
+    ("nigt", {"gamma": 0.5}, "eta", _NAN, "eta must be positive, got nan", "nigt:0.5:nan"),
+]
+
+
+@pytest.mark.parametrize("alg, others, field, value, text, token", _BAD_VALUES,
+                         ids=[f"{a}-{f}-{v}" for a, _, f, v, _, _ in _BAD_VALUES])
+def test_a_bad_hyperparameter_reads_the_same_on_every_path(capsys, alg, others, field, value,
+                                                           text, token):
+    """The kind's constructor refuses the value with a text led by the
+    field's name; RunConfig gives that text behind the flag, momex run
+    prints it as its one error line (exit 2), and compare --algs behind the
+    token. A NaN meets RunConfig's own rule first (every float field is
+    finite), which --algs applies too, so those three read that rule."""
+    given = {**others, field: value}
+    with pytest.raises(ValueError) as err:
+        _CONSTRUCTORS[alg](**given)
+    assert str(err.value) == text
+    if value is not None and math.isnan(value):
+        text = f"{field} must be finite, got nan"
+    with pytest.raises(har.ConfigError) as err:
+        har.RunConfig(algorithm=alg, problem="quadratic", dim=2, iters=1, **given)
+    assert str(err.value) == f"--{text}"
+    flags = [f"--{k}={v}" for k, v in given.items() if v is not None]
+    assert har.main(["run", "--alg", alg, "--problem", "quadratic", "--dim", "2",
+                     "--iters", "1", *flags]) == 2
+    assert capsys.readouterr().err == f"error: --{text}\n"
+    if token is not None:
+        assert har.main(["compare", "--algs", f"sg,{token}", "--problem", "quadratic",
+                         "--dim", "2", "--budget", "4", "--seeds", "1"]) == 2
+        assert capsys.readouterr().err == f"error: --algs: {token!r}: {text}\n"
+
+
+def test_compare_names_its_own_label_below_one_iteration(capsys):
+    assert har.main(["compare", "--algs", "sg,mem:2", "--problem", "datafit", "--synthetic", "6",
+                     "--budget", "1", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err == "error: budget 1 is below one iteration (2 calls) for mem:2\n"
+    base = dict(problem="datafit", synthetic=6, iters=1)
+    configs = [har.RunConfig(algorithm="sg", **base), har.RunConfig(algorithm="mem", p=3, **base)]
+    with pytest.raises(ValueError, match=r"^budget 1 is below one iteration \(2 calls\) for deep$"):
+        har.compare(configs, 1, n_seeds=1, labels=["plain", "deep"])
+    with pytest.raises(ValueError, match=r"for mem\(q=2,p=3\)$"):
+        har.compare(configs, 1, n_seeds=1)

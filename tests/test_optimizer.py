@@ -587,8 +587,9 @@ def test_mem_step_past_a_non_finite_x_prev_raises_no_warning():
 
 
 def test_a_float_rule_is_the_constant_rule():
-    """sg and sg_pm read a float v as the rule lambda k: v, bit for bit, and
-    refuse a bad float at the block's first k, as they refuse that rule."""
+    """sg and sg_pm read a float v as the rule lambda k: v, bit for bit. A
+    bad float is refused when sg or sg_pm is called; that rule is refused
+    inside run, at k = 0, with the same text behind its k."""
     problem, noise = _datafit(), prob.NoiseModel("scalar-gaussian-envelope", 2.0)
     x0 = np.full(problem.dim, 0.6)
     pairs = [(opt.sg(0.01), opt.sg(lambda k: 0.01)),
@@ -599,12 +600,13 @@ def test_a_float_rule_is_the_constant_rule():
         got = opt.run(floats, problem, noise, x0, 300, 3, log_stride=7)
         _same_as_alone(got, rules, problem, noise, x0, 300, 3, 7)
     for floats, rules, message in (
-            (opt.sg_pm(0.0, 0.03), opt.sg_pm(lambda k: 0.0, lambda k: 0.03),
-             r"^bundle for k=0: gamma must be in \(0, 1\], got 0.0$"),
-            (opt.sg(0.0), opt.sg(lambda k: 0.0), r"^bundle for k=0: eta must be positive, got 0.0$")):
-        for kind in (floats, rules):
-            with pytest.raises(ValueError, match=message):
-                opt.run(kind, problem, noise, x0, 300, 3)
+            (lambda: opt.sg_pm(0.0, 0.03), opt.sg_pm(lambda k: 0.0, lambda k: 0.03),
+             r"gamma must be in \(0, 1\], got 0.0$"),
+            (lambda: opt.sg(0.0), opt.sg(lambda k: 0.0), r"eta must be positive, got 0.0$")):
+        with pytest.raises(ValueError, match="^" + message):
+            floats()
+        with pytest.raises(ValueError, match="^bundle for k=0: " + message):
+            opt.run(rules, problem, noise, x0, 300, 3)
 
 
 def test_a_stacked_group_stops_together_on_the_wall_clock(monkeypatch):
