@@ -174,12 +174,9 @@ class RunConfig:
                 or (isinstance(val, types) and not isinstance(val, bool)),
                 f"{_flag(name)} must be {want}, got {val!r}",
             )
-            if kind is float:
-                try:
-                    finite = val is None or math.isfinite(val)
-                except OverflowError:  # an integer beyond the float range
-                    finite = False
-                _require(finite, f"{_flag(name)} must be finite, got {val!r}")
+            if kind is float:  # an int beyond the float range is not finite
+                _require(val is None or abs(val) <= sys.float_info.max,
+                         f"{_flag(name)} must be finite, got {val!r}")
         for name in ("seed", "data_seed"):
             val = getattr(self, name)
             _require(val >= 0, f"{_flag(name)} must be >= 0, got {val}")
@@ -219,6 +216,9 @@ class RunConfig:
             )
             if synthetic is not None:
                 _require(synthetic >= 1, f"--synthetic must be >= 1, got {synthetic}")
+        # build_problem reads each only beside its source; a default value is not given
+        _require(dataset is not None or self.target == "target", "--target applies to --dataset only")
+        _require(synthetic is not None or self.data_seed == 0, "--data-seed applies to --synthetic only")
 
         noise, sigma = self.noise, self.sigma
         if noise is None:
@@ -292,7 +292,7 @@ def _add_flags(parser: argparse.ArgumentParser, names: Sequence[str]) -> None:
 
 
 def _run_parser() -> _Parser:
-    p = _Parser(prog="momex run", add_help=False)
+    p = _Parser(prog="momex run")
     _add_flags(p, list(_KINDS))
     p.add_argument("--config")
     return p
@@ -745,10 +745,7 @@ def _parse_alg_token(token: str) -> dict:
     if "q" in vals:  # Q sets the order: p = Q + 1
         _require(vals["q"] >= 1, f"--algs: Q in {token!r} must be an integer >= 1")
         vals["p"] = vals["q"] + 1
-    try:  # RunConfig's finiteness rule, then the kind's constructor, in the token's name
-        for key in keys:
-            if not math.isfinite(vals[key]):
-                raise ValueError(f"{key} must be finite, got {vals[key]!r}")
+    try:  # the kind's constructor refuses a bad value, in the token's name
         _ALGORITHMS[name].build(vals)
     except ValueError as exc:
         raise ConfigError(f"--algs: {token!r}: {exc}") from None
@@ -756,7 +753,7 @@ def _parse_alg_token(token: str) -> dict:
 
 
 def _cmd_compare(argv: Sequence[str]) -> int:
-    p = _Parser(prog="momex compare", add_help=False)
+    p = _Parser(prog="momex compare")
     p.add_argument("--algs", required=True)
     _add_flags(p, _PROBLEM_FIELDS)
     p.add_argument("--budget", type=_int_at_least(1), required=True)
@@ -780,7 +777,7 @@ def _cmd_compare(argv: Sequence[str]) -> int:
 
 def _cmd_verify(argv: Sequence[str]) -> int:
     # flags left out stay out of the namespace, so verify_all's defaults apply
-    p = _Parser(prog="momex verify", add_help=False, argument_default=argparse.SUPPRESS)
+    p = _Parser(prog="momex verify", argument_default=argparse.SUPPRESS)
     p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument("--k-max", type=_int_at_least(0), dest="k_max")
     p.add_argument("--bound-k-max", type=_int_at_least(0), dest="bound_k_max")
@@ -795,7 +792,7 @@ def _cmd_verify(argv: Sequence[str]) -> int:
 
 
 def _cmd_gen_data(argv: Sequence[str]) -> int:
-    p = _Parser(prog="momex gen-data", add_help=False)
+    p = _Parser(prog="momex gen-data")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", type=_out_path, required=True)

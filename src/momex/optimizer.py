@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence, Tuple, Union
@@ -122,9 +123,9 @@ def _rows(params: IterationParams, K: int = 1) -> tuple:
                  for v in (params.eta, params.gammas, params.thetas, params.theta_sum))
 
 
-def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple, carry_k: int) -> tuple:
+def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple) -> tuple:
     """The members' blocks of the n iterations k0 .. as float columns behind
-    their carried row (the _rows of the bundles they ran last, at carry_k):
+    their carried row (the _rows of the bundles they ran last, at k0 - 1):
     eta and theta_sum (K, n + 1), gammas and thetas (K, n + 1, q). A gate
     checks them member after member, and its ValueError says what is wrong:
     each block has n rows in every column, starts at k0 and has the carry's
@@ -142,8 +143,8 @@ def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple, carry_k
         i = int(np.argmin(ok.all((1, 2))))
         j, t = divmod(int(np.argmin(ok[i].ravel())), q + 1)
         if t < q:
-            k, g = (carry_k, G[i, 0, t]) if j == 0 else (k0 + j - 1, blocks[i].gammas[j - 1, t])
-            raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {g}")
+            g = G[i, 0, t] if j == 0 else blocks[i].gammas[j - 1, t]
+            raise ValueError(f"bundle for k={k0 + j - 1}: gamma must be in (0, 1], got {g}")
         raise ValueError(f"bundle for k={k0 + j}: eta must be positive, got {blocks[i].eta[j]}")
     if K < len(blocks):
         raise ValueError(faults[K])
@@ -152,8 +153,8 @@ def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple, carry_k
 
 def _steps(
     state: tuple, block: tuple, oracle: Oracle, xis: Sequence, normalized: bool,
-    stop: Callable[[], bool] = lambda: False,
-) -> Tuple[tuple, int, np.ndarray, np.ndarray]:
+    t0: float = 0.0, wall: float = math.inf,
+) -> Tuple[tuple, int, np.ndarray, np.ndarray, np.ndarray]:
     """The recursion every method runs, for a group of K members of one q
     stepped as one state (x_prev, x, m, zero_steps, zs): (K S, n) arrays,
     member i's at rows i*S .. (i+1)*S - 1 (or (n,), one run alone), steps
@@ -164,8 +165,9 @@ def _steps(
     the draw xis[k - k0]; folds them into m = (1 - sum(theta)) m + sum
     theta_t g_t with the carried thetas, added in t order; then steps with
     row k's eta: a fixed length along m/||m||, or eta m when not normalized.
-    stop() after an iteration ends the block. Returns the new state, the
-    steps taken, and x^k0 .. and m^k0 .., stacked.
+    The clock is read once a step, T[j] = time.perf_counter() - t0 after
+    step j, and a reading past wall ends the block. Returns the new state,
+    the steps taken, x^k0 .. and m^k0 .., stacked, and T.
 
     Each coefficient is read as one array indexed by step, with a value per
     row; a product with it has the bits of a product with that row's value
@@ -173,10 +175,10 @@ def _steps(
     takes z = x (x + 0 (x - x_prev) would turn -0.0 into +0.0 and inf into
     NaN), and a row whose weights sum to one drops m, as a member alone
     does."""
-    (x_prev, x, m, zero_steps, _), (E, G, T, _) = state, block
+    (x_prev, x, m, zero_steps, _), (E, G, TS, _) = state, block
     n, q = len(xis), G.shape[-1]
-    G, T = G[:, :n], T[:, :n]
-    W, one = np.array([[1.0 - math.fsum(t) for t in ts] for ts in T.tolist()]), G == 1.0
+    G, TS = G[:, :n], TS[:, :n]
+    W, one = np.array([[1.0 - math.fsum(t) for t in ts] for ts in TS.tolist()]), G == 1.0
 
     def per_row(a):  # members' (K, n, ...) -> (n, ..., *x.shape[:-1], 1), S rows a member
         a = np.repeat(np.moveaxis(a, 0, -1), x[..., 0].size // len(a), axis=-1)
@@ -188,11 +190,11 @@ def _steps(
     at, drop, ET = per_row(one), per_row(W == 0.0), per_row(E[:, 1:])
     # thetas and w span each row, as the arrays they multiply do: numpy runs
     # a product of equal shapes without its broadcasting iterator
-    TH, WV = (per_row(a).repeat(x.shape[-1], -1) for a in (T, W))
+    TH, WV = (per_row(a).repeat(x.shape[-1], -1) for a in (TS, W))
     at_x, any_x = one.all((0, 2)).tolist(), one.any((0, 2)).tolist()
     all_drop, any_drop = (W == 0.0).all(0).tolist(), (W == 0.0).any(0).tolist()
     head = range(q - 1)  # the thetas' products, added in t order; the last into M
-    X, M = np.empty((n + 1, *x.shape)), np.empty((n, *x.shape))
+    X, M, T = np.empty((n + 1, *x.shape)), np.empty((n, *x.shape)), np.empty(n)
     X[0] = x
     for j, e in enumerate(ET):
         if at_x[j]:  # every query point is x itself, whatever x_prev holds
@@ -223,9 +225,10 @@ def _steps(
                 X[j + 1] = np.where(zero, x, x - (e / np.where(zero, 1.0, nm)) * m)
                 x_next, zero = X[j + 1], zero[..., 0]
         x_prev, x, zero_steps = x, x_next, zero_steps + zero
-        if stop():
+        T[j] = t = time.perf_counter() - t0  # t a local float, for the comparison
+        if t > wall:
             break
-    return (x_prev, x, m, zero_steps, zs), j + 1, X, M
+    return (x_prev, x, m, zero_steps, zs), j + 1, X, M, T
 
 
 def mem_step(state: OptimizerState, params: IterationParams, oracle: Oracle, xi,
@@ -233,9 +236,9 @@ def mem_step(state: OptimizerState, params: IterationParams, oracle: Oracle, xi,
     """One iteration on the draw xi: the kernel on params as a one-row
     block, at state.k, carrying state.carry."""
     c, row = state.carry, ParamsBlock.of([params])
-    (x_prev, x, m, zero_steps, zs), _, _, _ = _steps(
+    (x_prev, x, m, zero_steps, zs), *_ = _steps(
         (state.x_prev, state.x_cur, state.m, state.zero_steps, ()),
-        _stack([row], state.k, 1, _rows(c), c.k), oracle, [xi], normalized)
+        _stack([row], state.k, 1, _rows(c)), oracle, [xi], normalized)
     return OptimizerState(x_prev, x, m, state.k + 1, replace(row.bundles()[0], k=state.k),
                           state.oracle_calls + c.q, zero_steps, tuple(zs))
 
@@ -267,6 +270,19 @@ def _column(rule: Rule, k0: int, k1: int) -> list:
     return [rule(k) for k in range(k0, k1)] if callable(rule) else [float(rule)] * (k1 - k0)
 
 
+def _refuse(gamma: Rule, eta: Rule, gamma_in: Callable[[float], bool], interval: str) -> None:
+    """Refuse a gamma or eta given as a number that is not finite (an int
+    beyond the float range included), then a gamma not in interval and an
+    eta that is not > 0; a callable rule is left to the k it is read at."""
+    for name, val in (("gamma", gamma), ("eta", eta)):
+        if not (callable(val) or val is None or abs(val) <= sys.float_info.max):
+            raise ValueError(f"{name} must be finite, got {val!r}")
+    if not callable(gamma) and (gamma is None or not gamma_in(gamma)):
+        raise ValueError(f"gamma must be in {interval}, got {gamma}")
+    if not callable(eta) and (eta is None or not eta > 0.0):
+        raise ValueError(f"eta must be positive, got {eta}")
+
+
 def _momentum_stream(gamma_rule: Rule, eta_rule: Rule) -> Callable[[int, int], ParamsBlock]:
     """The q = 1 stream that queries x itself and weighs its gradient by
     gamma_k: ParamsBlock.of of IterationParams(k, eta_k, (1.0,), (gamma_k,),
@@ -274,10 +290,7 @@ def _momentum_stream(gamma_rule: Rule, eta_rule: Rule) -> Callable[[int, int], P
     built, a callable gamma rule at the k where it leaves (0, 1] (gamma_k is
     the theta, which the kernel's gate does not read), and a callable eta
     rule by the gate. A block reads its gammas, then its etas."""
-    if not callable(gamma_rule) and not 0.0 < gamma_rule <= 1.0:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma_rule}")
-    if not callable(eta_rule) and not eta_rule > 0.0:
-        raise ValueError(f"eta must be positive, got {eta_rule}")
+    _refuse(gamma_rule, eta_rule, lambda g: 0.0 < g <= 1.0, "(0, 1]")
 
     def bundles(k0: int, k1: int) -> ParamsBlock:
         gammas = _column(gamma_rule, k0, k1)
@@ -310,10 +323,7 @@ def sg_pm(gamma_rule: Optional[Rule] = None, eta_rule: Optional[Rule] = None) ->
 def nigt(gamma: float, eta: float) -> AlgorithmKind:
     """Implicit gradient transport: the q = 1 kernel with one constant
     (gamma, eta) bundle, so it matches mem on a constant q = 1 stream."""
-    if gamma is None or not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if eta is None or not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _refuse(gamma, eta, lambda g: 0.0 < g < 1.0, "(0, 1)")
     thetas = solve_weights_closed_form([gamma])
     row = IterationParams(k=0, eta=eta, gammas=[gamma], thetas=thetas, theta_sum=float(thetas[0]))
     return AlgorithmKind("nigt", 1, lambda k0, k1: ParamsBlock(k0, *_rows(row, k1 - k0)))
@@ -472,12 +482,7 @@ def run_batch(
 
     rows = S * max(map(len, groups.values()))  # of the largest group's state
     block, stopped = max(1, min(_BLOCK_MAX, _BLOCK_VALUES // (rows * x0.size))), False
-    wall, times = math.inf if wall_seconds is None else wall_seconds, []
-
-    def past_wall():  # the clock is read once after each iteration
-        times.append(time.perf_counter() - t0)
-        return times[-1] > wall
-
+    wall = math.inf if wall_seconds is None else wall_seconds
     for k0 in range(0, max(budgets), block):
         k1 = min(k0 + block, max(budgets))
         xis = draw_block(noise, problem.dim, seeds, k0, k1)
@@ -485,13 +490,11 @@ def run_batch(
             _, normalized, budget = g
             if stopped or budget <= k0:
                 continue
-            times.clear()
             end = min(k1, budget)
             tiled = np.tile(xis[: end - k0], (1, len(members)) + (1,) * (xis.ndim - 2))
-            stacked = _stack([kinds[i].bundles(k0, end) for i in members], k0, end - k0,
-                             carry[g], k0 - 1)
-            state[g], n, X, M = _steps(state[g], stacked, oracle, tiled, normalized, past_wall)
-            carry[g], at[g], stopped = tuple(c[:, n] for c in stacked), k0 + n, times[-1] > wall
+            stacked = _stack([kinds[i].bundles(k0, end) for i in members], k0, end - k0, carry[g])
+            state[g], n, X, M, T = _steps(state[g], stacked, oracle, tiled, normalized, t0, wall)
+            carry[g], at[g], stopped = tuple(c[:, n] for c in stacked), k0 + n, T[n - 1] > wall
             bad = ~(np.isfinite(X[1 : n + 1]).all(-1) & np.isfinite(np.vecdot(M[:n], M[:n])))
             bad_at[g] = np.where((bad_at[g] < 0) & bad.any(0), k0 + bad.argmax(0), bad_at[g])
             # row k pairs x^k (the point the momentum was computed at) with m^k;
@@ -499,7 +502,7 @@ def run_batch(
             ks = np.arange(k0, k0 + n)
             on = np.flatnonzero(np.logical_or.reduce(
                 [(ks % s == 0) | (ks == budget - 1) for s in strides[g]]))
-            logs[g].append((ks[on], np.array(times)[on], *metrics(X[on], M[on])))
+            logs[g].append((ks[on], T[on], *metrics(X[on], M[on])))
             if store_iterates:
                 Xs[g].append(X[1 : n + 1])
         if stopped:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import statistics
 import tracemalloc
 import warnings
@@ -63,6 +64,16 @@ def test_config_file_merge(tmp_path):
                              "synthetic": 6, "iters": 2, "wat": 1}))
     with pytest.raises(har.ConfigError, match="wat"):
         har.parse_config([], config_file=str(f))
+    missing = tmp_path / "missing.json"
+    with pytest.raises(har.ConfigError, match=f"^--config: cannot read {re.escape(str(missing))}: "):
+        har.parse_config(["--config", str(missing)])
+    f.write_text("{not json")
+    with pytest.raises(har.ConfigError, match=f"^--config: {re.escape(str(f))} is not valid JSON: "):
+        har.parse_config(["--config", str(f)])
+    f.write_text("[1, 2]")
+    with pytest.raises(har.ConfigError,
+                       match=f"^--config: {re.escape(str(f))} must hold a JSON object$"):
+        har.parse_config(["--config", str(f)])
 
 
 def test_validation_messages_name_the_flags():
@@ -150,6 +161,7 @@ def test_cli_rejects_non_finite_numbers(capsys, flag, value):
         (dict(algorithm="sg", seed=None), "--seed"),
         (dict(algorithm="sg", eta=float("inf")), "--eta"),
         (dict(algorithm="sg", eta=10**400), "--eta"),
+        (dict(algorithm="sg", x0="1,a"), '^--x0 must be "ones", "zeros", or a comma-separated vector$'),
     ],
 )
 def test_direct_construction_is_validated(kwargs, flag):
@@ -195,10 +207,10 @@ def _config_kwargs():
     problem = st.one_of(
         st.fixed_dictionaries({"problem": st.just("quadratic"), "dim": st.integers(1, 50)},
                               optional={"conditioning": st.floats(1.0, 1e6)}),
-        st.fixed_dictionaries({"problem": st.sampled_from(["datafit", "robust"])},
-                              optional={"data_seed": st.integers(0, 2**32)}).flatmap(
+        st.fixed_dictionaries({"problem": st.sampled_from(["datafit", "robust"])}).flatmap(
             lambda d: st.one_of(
-                st.fixed_dictionaries({"synthetic": st.integers(1, 500)}),
+                st.fixed_dictionaries({"synthetic": st.integers(1, 500)},
+                                      optional={"data_seed": st.integers(0, 2**32)}),
                 st.fixed_dictionaries({"dataset": st.text(min_size=1), "target": st.text()}),
             ).map(lambda src: {**d, **src})
         ),
@@ -267,7 +279,8 @@ _CHOICES = {
 
 
 def _parser_of(monkeypatch, argv):
-    """The parser a subcommand builds, caught as it parses argv."""
+    """The parser a subcommand builds, caught as it parses argv, without
+    argparse's own -h/--help."""
     seen = []
 
     def catch(self, args):
@@ -276,7 +289,7 @@ def _parser_of(monkeypatch, argv):
 
     monkeypatch.setattr(har._Parser, "parse_args", catch)
     assert har.main(argv) == 2
-    return {a.dest: a for a in seen[0]._actions}
+    return {a.dest: a for a in seen[0]._actions if a.dest != "help"}
 
 
 def test_flags_are_the_config_fields(monkeypatch):
@@ -364,6 +377,12 @@ def test_parse_records_refuses_a_row_of_the_wrong_width(n_cells):
     row = ",".join(["1"] * n_cells)
     with pytest.raises(ValueError, match=f"^expected 7 cells, got {n_cells}: "):
         har.parse_records(f"{har.CSV_HEADER}\n0,1.0,1.0,1.0,1.0,2,0.0\n{row}\n")
+
+
+def test_parse_records_refuses_another_header():
+    for text in ("", "k,f_val\n0,1.0\n"):
+        with pytest.raises(ValueError, match=f"^expected header {re.escape(repr(har.CSV_HEADER))}$"):
+            har.parse_records(text)
 
 
 def _csv_reference(records):
@@ -575,6 +594,49 @@ def test_cli_rejects_bad_input(capsys):
                    "--synthetic", "6", "--iters", "3"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    rc = har.main(["compare", "--algs", " , ", "--problem", "datafit", "--synthetic", "6",
+                   "--budget", "4"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --algs must name at least one algorithm\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--problem", "quadratic", "--dim", "3", "--data-seed", "9", "--target", "zzz"],
+     "--target applies to --dataset only"),
+    (["--problem", "datafit", "--synthetic", "4", "--target", "zzz"],
+     "--target applies to --dataset only"),
+    (["--problem", "quadratic", "--dim", "3", "--data-seed", "9"],
+     "--data-seed applies to --synthetic only"),
+    (["--problem", "robust", "--dataset", "d.csv", "--data-seed", "1"],
+     "--data-seed applies to --synthetic only"),
+])
+def test_a_data_flag_without_its_source_is_refused(capsys, argv, message):
+    """build_problem reads --target only with --dataset and --data-seed only
+    with --synthetic, so either flag given without its source is refused,
+    on run's flags and on compare's."""
+    assert har.main(["run", "--alg", "sg", "--iters", "2", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert har.main(["compare", "--algs", "sg", "--budget", "2", "--seeds", "1", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    base = dict(algorithm="sg", iters=2)
+    assert har.RunConfig(problem="datafit", dataset="d.csv", target="y", **base).target == "y"
+    assert har.RunConfig(problem="datafit", synthetic=4, data_seed=9, **base).data_seed == 9
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--alg", "--problem", "--data-seed", "--config"]),
+    ("compare", ["--algs", "--budget", "--seeds", "--base-seed", "--target"]),
+    ("verify", ["--seed", "--k-max", "--bound-k-max", "--draws", "--out"]),
+    ("gen-data", ["--n", "--seed", "--out"]),
+])
+def test_each_command_answers_help(capsys, command, flags):
+    for help_flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as done:
+            har.main([command, help_flag])
+        assert done.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: momex {command} ")
+        assert all(f"\n  {flag} " in out for flag in flags), out
 
 
 def test_cli_reports_a_non_finite_dataset_cell(tmp_path, capsys):
@@ -742,6 +804,10 @@ def test_compare_rejects_mismatched_problems():
         har.compare([a], budget=10, n_seeds=0)
     with pytest.raises(ValueError, match="base_seed"):
         har.compare([a], budget=10, base_seed=-1)
+    with pytest.raises(ValueError, match="^compare needs at least one configuration$"):
+        har.compare([], budget=10)
+    with pytest.raises(ValueError, match="^1 labels for 2 configurations$"):
+        har.compare([a, a], budget=10, labels=["x"])
 
 
 def test_compare_rejects_duplicate_labels(capsys):
@@ -1049,22 +1115,25 @@ _BAD_VALUES = [
     ("mem", {"p": 3}, "q", 3, "q must equal p - 1 = 2 for the order-p schedule, got 3", None),
     ("sg", {}, "eta", 0.0, "eta must be positive, got 0.0", "sg:0.0"),
     ("sg", {}, "eta", -1.0, "eta must be positive, got -1.0", "sg:-1.0"),
-    ("sg", {}, "eta", _NAN, "eta must be positive, got nan", "sg:nan"),
+    ("sg", {}, "eta", _NAN, "eta must be finite, got nan", "sg:nan"),
+    ("sg", {}, "eta", math.inf, "eta must be finite, got inf", "sg:inf"),
     ("sg-pm", {"eta": 0.1}, "gamma", 0.0, "gamma must be in (0, 1], got 0.0", "sg-pm:0.0:0.1"),
     ("sg-pm", {"eta": 0.1}, "gamma", 1.5, "gamma must be in (0, 1], got 1.5", "sg-pm:1.5:0.1"),
-    ("sg-pm", {"eta": 0.1}, "gamma", _NAN, "gamma must be in (0, 1], got nan", "sg-pm:nan:0.1"),
+    ("sg-pm", {"eta": 0.1}, "gamma", _NAN, "gamma must be finite, got nan", "sg-pm:nan:0.1"),
     ("sg-pm", {}, "eta", 0.0, "eta must be positive, got 0.0", "sg-pm:0.0"),
     ("sg-pm", {"gamma": 0.5}, "eta", -1.0, "eta must be positive, got -1.0", "sg-pm:0.5:-1.0"),
-    ("sg-pm", {}, "eta", _NAN, "eta must be positive, got nan", "sg-pm:nan"),
+    ("sg-pm", {}, "eta", _NAN, "eta must be finite, got nan", "sg-pm:nan"),
+    ("sg-pm", {"gamma": 0.5}, "eta", math.inf, "eta must be finite, got inf", "sg-pm:0.5:inf"),
     ("nigt", {"eta": 0.1}, "gamma", None, "gamma must be in (0, 1), got None", None),
     ("nigt", {"eta": 0.1}, "gamma", 0.0, "gamma must be in (0, 1), got 0.0", "nigt:0.0:0.1"),
     ("nigt", {"eta": 0.1}, "gamma", 1.0, "gamma must be in (0, 1), got 1.0", "nigt:1.0:0.1"),
     ("nigt", {"eta": 0.1}, "gamma", 1.5, "gamma must be in (0, 1), got 1.5", "nigt:1.5:0.1"),
-    ("nigt", {"eta": 0.1}, "gamma", _NAN, "gamma must be in (0, 1), got nan", "nigt:nan:0.1"),
+    ("nigt", {"eta": 0.1}, "gamma", _NAN, "gamma must be finite, got nan", "nigt:nan:0.1"),
     ("nigt", {"gamma": 0.5}, "eta", None, "eta must be positive, got None", None),
     ("nigt", {"gamma": 0.5}, "eta", 0.0, "eta must be positive, got 0.0", "nigt:0.5:0.0"),
     ("nigt", {"gamma": 0.5}, "eta", -1.0, "eta must be positive, got -1.0", "nigt:0.5:-1.0"),
-    ("nigt", {"gamma": 0.5}, "eta", _NAN, "eta must be positive, got nan", "nigt:0.5:nan"),
+    ("nigt", {"gamma": 0.5}, "eta", _NAN, "eta must be finite, got nan", "nigt:0.5:nan"),
+    ("nigt", {"gamma": 0.5}, "eta", math.inf, "eta must be finite, got inf", "nigt:0.5:inf"),
 ]
 
 
@@ -1075,14 +1144,12 @@ def test_a_bad_hyperparameter_reads_the_same_on_every_path(capsys, alg, others, 
     """The kind's constructor refuses the value with a text led by the
     field's name; RunConfig gives that text behind the flag, momex run
     prints it as its one error line (exit 2), and compare --algs behind the
-    token. A NaN meets RunConfig's own rule first (every float field is
-    finite), which --algs applies too, so those three read that rule."""
+    token. A value that is not finite reads the constructor's finiteness
+    text, which RunConfig's own rule for every float field matches."""
     given = {**others, field: value}
     with pytest.raises(ValueError) as err:
         _CONSTRUCTORS[alg](**given)
     assert str(err.value) == text
-    if value is not None and math.isnan(value):
-        text = f"{field} must be finite, got nan"
     with pytest.raises(har.ConfigError) as err:
         har.RunConfig(algorithm=alg, problem="quadratic", dim=2, iters=1, **given)
     assert str(err.value) == f"--{text}"

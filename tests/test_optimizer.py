@@ -183,6 +183,8 @@ def test_mem_step_rejects_desynchronized_params():
     xi = prob.draw_sample(noise, 6, 0, 5)
     with pytest.raises(ValueError):
         opt.mem_step(state, ver.params_p3(5), _oracle(problem, noise), xi)
+    with pytest.raises(ValueError, match=r"^x0 must be \(n,\) or \(S, n\), got shape \(1, 2, 6\)$"):
+        opt.initial_state(np.ones((1, 2, 6)), q=2)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +609,20 @@ def test_a_float_rule_is_the_constant_rule():
             floats()
         with pytest.raises(ValueError, match="^bundle for k=0: " + message):
             opt.run(rules, problem, noise, x0, 300, 3)
+
+
+def test_a_step_size_that_is_not_finite_is_refused_when_built():
+    """Built, such a kind would end its run "non-finite at 0", or raise
+    OverflowError inside run for an int beyond the float range."""
+    big = 10**400
+    for build, name, value in ((lambda v: opt.sg(v), "eta", big),
+                               (lambda v: opt.sg_pm(0.5, v), "eta", big),
+                               (lambda v: opt.nigt(0.5, v), "eta", big),
+                               (lambda v: opt.sg_pm(v, 0.1), "gamma", math.inf),
+                               (lambda v: opt.nigt(v, 0.1), "gamma", -math.inf)):
+        with pytest.raises(ValueError) as err:
+            build(value)
+        assert str(err.value) == f"{name} must be finite, got {value!r}"
 
 
 def test_a_stacked_group_stops_together_on_the_wall_clock(monkeypatch):

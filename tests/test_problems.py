@@ -223,6 +223,8 @@ def test_noise_model_validation():
         prob.NoiseModel(kind="bogus", sigma_tilde=1.0)
     with pytest.raises(ValueError):
         prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=0.0)
+    with pytest.raises(ValueError, match="^sigma_tilde must be nonnegative$"):
+        prob.NoiseModel(kind="none", sigma_tilde=-1.0)
     prob.NoiseModel()  # none kind needs no sigma
 
 
@@ -430,6 +432,17 @@ def test_load_csv_errors_name_the_offender(tmp_path):
     no_target.write_text("a,b\n1,2\n3,4\n")
     with pytest.raises(prob.DatasetFormatError, match="target"):
         prob.load_csv_dataset(no_target)
+
+    path = tmp_path / "bad.csv"
+    for text, target, message in (
+            ("", "target", "file is empty"),
+            ("a,b,target\n", "target", "no data rows after the header"),
+            ("a,b,c\n1,2,3\n", 3, "target column index 3 outside 0..2"),
+            ("a,b,target\n1,2,3\n4,x,6\n", "target", "non-numeric value 'x' at row 3, column 'b'")):
+        path.write_text(text)
+        with pytest.raises(prob.DatasetFormatError) as err:
+            prob.load_csv_dataset(path, target_column=target)
+        assert str(err.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("target", ["target", 0])

@@ -60,6 +60,8 @@ def test_init_params():
     np.testing.assert_array_equal(pm.thetas, np.full(3, 1.0 / 3.0))
     assert pm.theta_sum == 1.0
     assert pm.q == 3
+    with pytest.raises(ValueError, match="^extrapolation count must be >= 1, got 0$"):
+        sched.init_params(0)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,14 @@ def test_noise_unbiasedness_both_kinds():
         nm = prob.NoiseModel(kind=kind, sigma_tilde=2.0)
         rep = ver.noise_unbiasedness_check(d, nm, x, n_draws=40000)
         assert rep.passed, rep.detail
+    # no draw is made where the oracle is exact: no noise, or x = 0 under the envelope
+    for nm, at, detail in (
+            (prob.NoiseModel(), x, "noiseless oracle is its own mean"),
+            (prob.NoiseModel("elementwise-gaussian-envelope", 2.0), np.zeros(8),
+             "envelope vanishes at this point; oracle is exact")):
+        rep = ver.noise_unbiasedness_check(d, nm, at, n_draws=40000)
+        assert (rep.name, rep.passed, rep.worst_case, rep.samples, rep.detail) == (
+            f"unbiased:{nm.kind}", True, 0.0, 0, detail)
 
 
 def _whole_array_z(scalar, dim, n_draws, seed):
