@@ -47,7 +47,13 @@ against each tree's src/, and compares the two result lists. The matrix:
 - the CLI's run (csv, json and --out), compare and verify.
 
 The matrix calls the API as it stands since the kernel came to read the
-draw itself (7f69c18); older trees are not supported.
+draw itself (7f69c18); older trees are not supported. It runs on trees
+where one iteration's bundle is a type of its own (the type of
+init_params' warm-up row) and on trees where it is a one-row
+ParamsBlock: the matrix builds its hand-made bundles and per-k streams
+as each tree takes them, and records every bundle as its row (k, eta,
+gammas, thetas, theta_sum) in Python numbers, so the entries of two such
+trees compare one to one.
 
 Each result is recorded as its repr (arrays at full precision) and the
 json.dumps of its plain form, with elapsed_seconds masked: the only field
@@ -123,8 +129,38 @@ def _plain(obj):
     return obj
 
 
+def _row(bundle) -> tuple:
+    """A bundle's row (k, eta, gammas, thetas, theta_sum) in Python
+    numbers, whether its type holds one iteration (k) or a block (k0)."""
+    k = bundle.k0 if hasattr(bundle, "k0") else bundle.k
+    (eta,), gammas, thetas, (theta_sum,) = (np.ravel(getattr(bundle, c)).tolist() for c in (
+        "eta", "gammas", "thetas", "theta_sum"))
+    return int(k), eta, tuple(gammas), tuple(thetas), theta_sum
+
+
+def _is_bundle(obj) -> bool:
+    """One iteration's bundle: what holds a theta_sum for one k."""
+    return hasattr(obj, "theta_sum") and np.size(obj.theta_sum) == 1
+
+
+def _flatten_bundles(obj):
+    """obj with every bundle in it, inside dataclasses, lists and tuples,
+    replaced by its _row; obj itself when it holds none."""
+    if _is_bundle(obj):
+        return _row(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        changed = {f.name: v for f in dataclasses.fields(obj)
+                   if (v := _flatten_bundles(getattr(obj, f.name))) is not getattr(obj, f.name)}
+        return dataclasses.replace(obj, **changed) if changed else obj
+    if type(obj) in (list, tuple):
+        items = [_flatten_bundles(v) for v in obj]
+        return type(obj)(items) if any(a is not b for a, b in zip(items, obj)) else obj
+    return obj
+
+
 def entry(label: str, obj) -> list:
-    """[label, masked repr, masked json] of one result."""
+    """[label, masked repr, masked json] of one result, bundles as rows."""
+    obj = _flatten_bundles(obj)
     with np.printoptions(floatmode="unique", threshold=sys.maxsize):
         text = repr(obj)
     return [label, _mask(text), _mask(json.dumps(_plain(obj), sort_keys=True))]
@@ -142,14 +178,32 @@ class CountingClock:
         return float(self.calls)
 
 
-def _bundle(kind, k):
-    """The bundle of iteration k from the kind's stream."""
-    return kind.bundles(k, k + 1).bundles()[0]
+def _one_row(m, k, eta, gammas, thetas, theta_sum):
+    """The bundle (k, eta, gammas, thetas, theta_sum) as the tree's
+    mem_step and validate take it, of the type of its warm-up row
+    init_params: a type of its own in older trees, a one-row ParamsBlock
+    since."""
+    sch = m.schedule
+    bundle = type(sch.init_params(1))
+    if bundle is not sch.ParamsBlock:
+        return bundle(k, eta, gammas, thetas, theta_sum)
+    return sch.ParamsBlock(k, *(np.array([v], dtype=float) for v in (eta, gammas, thetas,
+                                                                     theta_sum)))
 
 
-def _per_k(m, params):
-    """The block stream of a per-k rule params(k)."""
-    return lambda k0, k1: m.schedule.ParamsBlock.of(map(params, range(k0, k1)))
+def _bundle(m, kind, k):
+    """The bundle of iteration k from the kind's stream, as the tree's
+    mem_step takes it."""
+    block = kind.bundles(k, k + 1)
+    return block if type(m.schedule.init_params(1)) is m.schedule.ParamsBlock else _one_row(
+        m, *_row(block))
+
+
+def _per_k(m, row):
+    """The block stream of a per-k rule row(k) -> (eta, gammas, thetas,
+    theta_sum), written as the block's columns."""
+    return lambda k0, k1: m.schedule.ParamsBlock(
+        k0, *(np.array(c, dtype=float) for c in zip(*map(row, range(k0, k1)))))
 
 
 def _kinds(m):
@@ -295,7 +349,7 @@ def mem_step_section(m):
     out = []
     for k in range(6):
         xi = np.array([prob.draw_sample(noise, 5, s, k) for s in range(3)])
-        state = opt.mem_step(state, _bundle(kind, k), oracle, xi)
+        state = opt.mem_step(state, _bundle(m, kind, k), oracle, xi)
         out.append(entry(f"mem_step stack k={k}", state))
     scalar = prob.NoiseModel("scalar-gaussian-envelope", 1.5)
     oracle = lambda z, xi: prob.stochastic_grad(problem, scalar, z, xi)
@@ -304,7 +358,7 @@ def mem_step_section(m):
         state = opt.initial_state(np.linspace(-1.0, 1.0, 5), kind.q)
         for k in range(5):
             xi = prob.draw_sample(scalar, 5, 0, k)
-            state = opt.mem_step(state, _bundle(kind, k), oracle, xi)
+            state = opt.mem_step(state, _bundle(m, kind, k), oracle, xi)
             out.append(entry(f"mem_step (n,) q={kind.q} k={k}", state))
     return out
 
@@ -312,28 +366,26 @@ def mem_step_section(m):
 def _mixed_stream(m):
     """A custom q = 2 per-k stream whose gammas mix 1.0 with 0.5; its
     weights sum to one at k = 0 and 3 (mod 4)."""
-    sch = m.schedule
     rows = [((1.0, 1.0), (0.5, 0.5)), ((1.0, 0.5), (0.6, -0.2)),
             ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
-    return m.optimizer.AlgorithmKind("mixed", 2, _per_k(m, lambda k: sch.IterationParams(
-        k, 0.05, *rows[k % 4], sum(rows[k % 4][1]))))
+    return m.optimizer.AlgorithmKind("mixed", 2, _per_k(m, lambda k: (
+        0.05, *rows[k % 4], sum(rows[k % 4][1]))))
 
 
 def _alternating(m):
     """A custom q = 1 per-k stream whose gamma alternates 1.0 / 0.5 and whose
     weight is 1.0 (m dropped) at every third k."""
-    sch = m.schedule
-    return m.optimizer.AlgorithmKind("alternating", 1, _per_k(m, lambda k: sch.IterationParams(
-        k, 0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,),
+    return m.optimizer.AlgorithmKind("alternating", 1, _per_k(m, lambda k: (
+        0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,),
         1.0 if k % 3 == 0 else 0.4)))
 
 
 def _signed_zero(m, sign):
     """A custom q = 1 stream at gamma = 1 whose weight is 1.5 at k = 0,
     sign * 0.0 at k = 1 and 0.5 after."""
-    sch, theta = m.schedule, lambda k: 1.5 if k == 0 else sign * 0.0 if k == 1 else 0.5
-    return m.optimizer.AlgorithmKind(f"zero{sign:+.0f}", 1, _per_k(m, lambda k: sch.IterationParams(
-        k, 0.05, (1.0,), (theta(k),), theta(k))))
+    theta = lambda k: 1.5 if k == 0 else sign * 0.0 if k == 1 else 0.5
+    return m.optimizer.AlgorithmKind(f"zero{sign:+.0f}", 1, _per_k(m, lambda k: (
+        0.05, (1.0,), (theta(k),), theta(k))))
 
 
 def custom_stream_section(m):
@@ -342,7 +394,7 @@ def custom_stream_section(m):
     non-finite x_prev: a query point at gamma = 1 is x itself, bit for bit,
     whatever x_prev holds. Last, the error for an oracle that returns
     another number of gradients than there are weights."""
-    opt, prob, sch = m.optimizer, m.problems, m.schedule
+    opt, prob = m.optimizer, m.problems
     kind, out = _mixed_stream(m), []
     for name, noise in (("datafit", prob.NoiseModel("scalar-gaussian-envelope", 2.0)),
                         ("quadratic", prob.NoiseModel())):
@@ -356,10 +408,10 @@ def custom_stream_section(m):
     x_prev = x.copy()
     x_prev[1, 2:4] = (np.inf, np.nan)
     for gammas in ((1.0, 1.0), (1.0, 0.5)):
-        carry = sch.IterationParams(-1, float("nan"), gammas, (0.5, 0.5), 1.0)
+        carry = _one_row(m, -1, float("nan"), gammas, (0.5, 0.5), 1.0)
         state = opt.OptimizerState(x_prev, x, np.zeros_like(x), 0, carry)
         for k in range(4):
-            state = opt.mem_step(state, _bundle(kind, k), oracle, np.zeros(3))
+            state = opt.mem_step(state, _bundle(m, kind, k), oracle, np.zeros(3))
             out.append(entry(f"mixed stream mem_step carry={gammas} k={k}", state))
     def gradient(x):  # a -0.0 second coordinate, which weight 1.5 carries into m
         x = np.asarray(x, dtype=float)
@@ -372,7 +424,7 @@ def custom_stream_section(m):
         [6, 6], [0, 1], [1, 1])))
     three = lambda z, xi: np.zeros((3, *z.shape[1:]))
     out.append(entry("mem_step 2 weights for 3 gradients", _outcome(
-        opt.mem_step, opt.initial_state(x, 2), _bundle(kind, 0), three, 0.0)))
+        opt.mem_step, opt.initial_state(x, 2), _bundle(m, kind, 0), three, 0.0)))
     return out
 
 
@@ -424,13 +476,13 @@ def schedule_section(m):
     sch, ver, ks = m.schedule, m.verify, [0, 1, 2, 7, 255, 256, 1000, 12345, 10**6, 2**40]
     out = [entry("params_p3", [ver.params_p3(k) for k in ks]),
            entry("p3_arrays", ver.p3_arrays(np.array(ks)))]
-    odd = [sch.init_params(3), sch.IterationParams(3, 0.1, (0.6, 0.3), (0.9, float("nan")), 0.5),
-           sch.IterationParams(4, 0.1, (0.5, 0.25), (1.5, -0.2), 1.3)]
+    odd = [sch.init_params(3), _one_row(m, 3, 0.1, (0.6, 0.3), (0.9, float("nan")), 0.5),
+           _one_row(m, 4, 0.1, (0.5, 0.25), (1.5, -0.2), 1.3)]
     for p in range(2, 7):
         bundles = [sch.params_general(k, p) for k in ks]
-        gammas = np.array([b.gammas for b in bundles])
-        odd.append(sch.IterationParams(9, 0.1, bundles[3].gammas,
-                                       tuple(map(abs, bundles[3].thetas)), 0.5))
+        gammas = np.array([_row(b)[2] for b in bundles])
+        _, _, g, t, _ = _row(bundles[3])
+        odd.append(_one_row(m, 9, 0.1, g, tuple(map(abs, t)), 0.5))
         out += [
             entry(f"schedule_arrays p={p}", ver.schedule_arrays(p, np.array(ks))),
             entry(f"solve_weights_linear stack p={p}",
