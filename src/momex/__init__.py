@@ -34,7 +34,6 @@ from .problems import (
     stochastic_grad,
 )
 from .schedule import (
-    IterationParams,
     ParamsBlock,
     ScheduleConfig,
     init_params,
@@ -65,7 +64,6 @@ __all__ = [
     "Dataset",
     "DatasetFormatError",
     "IllConditionedSystem",
-    "IterationParams",
     "NoiseModel",
     "OptimizerState",
     "ParamsBlock",

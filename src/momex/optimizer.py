@@ -3,7 +3,7 @@
 Every method runs the same recursion: evaluate the stochastic gradient at
 q points extrapolated from the last two iterates, all on one shared noise
 draw, fold them into the momentum with signed weights, and step. A method
-is an AlgorithmKind: its q, a stream (k0, k1) -> the ParamsBlock of
+is an AlgorithmKind: its q, a stream (k0, k1) -> the ParamsBlock for
 iterations k0 .. k1 - 1, and whether the step is normalized.
 
 - mem: the order-p schedule, q = p - 1 extrapolations.
@@ -29,7 +29,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,7 +37,6 @@ import numpy as np
 from .problems import (  # draw_sample: not called here; perfbench traces optimizer.draw_sample
     NoiseModel, SmoothProblem, _norm, draw_block, draw_sample, stochastic_grad)
 from .schedule import (
-    IterationParams,
     ParamsBlock,
     ScheduleConfig,
     init_params,
@@ -72,17 +71,17 @@ class OptimizerState:
     """Everything iteration k needs from iteration k-1: mem_step's state
     and a RunResult's (run_batch keeps a group's as arrays).
 
-    carry holds the parameters used during the previous iteration; the
-    extrapolation at iteration k reads last iteration's gammas, not the
-    current ones. zs keeps the most recent query points for inspection.
-    Arrays are (n,) or (S, n) for S runs; zero_steps then counts per run.
+    carry holds the bundle used during the previous iteration, a one-row
+    ParamsBlock; the extrapolation at iteration k reads last iteration's
+    gammas, not the current ones. zs keeps the most recent query points
+    for inspection. Arrays are (n,) or (S, n) for S runs; zero_steps then counts per run.
     """
 
     x_prev: np.ndarray
     x_cur: np.ndarray
     m: np.ndarray
     k: int
-    carry: IterationParams
+    carry: ParamsBlock
     oracle_calls: int = 0
     zero_steps: int = 0
     zs: Tuple[np.ndarray, ...] = ()
@@ -116,18 +115,12 @@ def _fault(block: ParamsBlock, k0: int, n: int, q: int) -> Optional[str]:
         return f"thetas have q={block.thetas.shape[-1]}, state is at k={k0} with q={q}"
 
 
-def _rows(params: IterationParams, K: int = 1) -> tuple:
-    """K copies of params as block columns: eta and theta_sum (K,), gammas
-    and thetas (K, q)."""
-    return tuple(np.array([v] * K, dtype=float)
-                 for v in (params.eta, params.gammas, params.thetas, params.theta_sum))
-
-
 def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple) -> tuple:
     """The members' blocks of the n iterations k0 .. as float columns behind
-    their carried row (the _rows of the bundles they ran last, at k0 - 1):
-    eta and theta_sum (K, n + 1), gammas and thetas (K, n + 1, q). A gate
-    checks them member after member, and its ValueError says what is wrong:
+    their carried rows (the columns of the bundles they ran last, at k0 - 1:
+    eta and theta_sum (K,), gammas and thetas (K, q)): eta and theta_sum
+    (K, n + 1), gammas and thetas (K, n + 1, q). A gate checks them
+    member after member, and its ValueError says what is wrong:
     each block has n rows in every column, starts at k0 and has the carry's
     q; the carried gammas and those of rows 0 .. n-2 lie in (0, 1] and every
     eta is > 0, naming the k of the first bad bundle, gammas before eta."""
@@ -231,24 +224,26 @@ def _steps(
     return (x_prev, x, m, zero_steps, zs), j + 1, X, M, T
 
 
-def mem_step(state: OptimizerState, params: IterationParams, oracle: Oracle, xi,
+def mem_step(state: OptimizerState, params: ParamsBlock, oracle: Oracle, xi,
              normalized: bool = True) -> OptimizerState:
-    """One iteration on the draw xi: the kernel on params as a one-row
-    block, at state.k, carrying state.carry."""
-    c, row = state.carry, ParamsBlock.of([params])
+    """One iteration on the draw xi: the kernel on params, the one-row block
+    of iteration state.k, carrying state.carry; params is the new carry."""
+    c = state.carry
     (x_prev, x, m, zero_steps, zs), *_ = _steps(
         (state.x_prev, state.x_cur, state.m, state.zero_steps, ()),
-        _stack([row], state.k, 1, _rows(c)), oracle, [xi], normalized)
-    return OptimizerState(x_prev, x, m, state.k + 1, replace(row.bundles()[0], k=state.k),
-                          state.oracle_calls + c.q, zero_steps, tuple(zs))
+        _stack([params], state.k, 1, (c.eta, c.gammas, c.thetas, c.theta_sum)), oracle, [xi],
+        normalized)
+    return OptimizerState(x_prev, x, m, state.k + 1, params,
+                          state.oracle_calls + c.gammas.shape[-1], zero_steps, tuple(zs))
 
 
 @dataclass(frozen=True)
 class AlgorithmKind:
     """A method as the kernel sees it: q query points per iteration,
-    bundles(k0, k1) -> the ParamsBlock of iterations k0 .. k1 - 1, and
-    whether the step is normalized. A per-k rule params(k) is the stream
-    lambda k0, k1: ParamsBlock.of(map(params, range(k0, k1)))."""
+    bundles(k0, k1) -> the ParamsBlock for iterations k0 .. k1 - 1, and
+    whether the step is normalized. A per-k rule is written as columns: the
+    stream lambda k0, k1: ParamsBlock(k0, eta, gammas, thetas, theta_sum)
+    with the rule's values for k0 .. k1 - 1 as rows."""
 
     name: str
     q: int
@@ -285,9 +280,9 @@ def _refuse(gamma: Rule, eta: Rule, gamma_in: Callable[[float], bool], interval:
 
 def _momentum_stream(gamma_rule: Rule, eta_rule: Rule) -> Callable[[int, int], ParamsBlock]:
     """The q = 1 stream that queries x itself and weighs its gradient by
-    gamma_k: ParamsBlock.of of IterationParams(k, eta_k, (1.0,), (gamma_k,),
-    gamma_k), built as arrays. A float rule is refused when the kind is
-    built, a callable gamma rule at the k where it leaves (0, 1] (gamma_k is
+    gamma_k: the block whose row k holds eta_k, gammas (1.0,), thetas
+    (gamma_k,) and theta_sum gamma_k. A float rule is refused when the kind
+    is built, a callable gamma rule at the k where it leaves (0, 1] (gamma_k is
     the theta, which the kernel's gate does not read), and a callable eta
     rule by the gate. A block reads its gammas, then its etas."""
     _refuse(gamma_rule, eta_rule, lambda g: 0.0 < g <= 1.0, "(0, 1]")
@@ -325,14 +320,14 @@ def nigt(gamma: float, eta: float) -> AlgorithmKind:
     (gamma, eta) bundle, so it matches mem on a constant q = 1 stream."""
     _refuse(gamma, eta, lambda g: 0.0 < g < 1.0, "(0, 1)")
     thetas = solve_weights_closed_form([gamma])
-    row = IterationParams(k=0, eta=eta, gammas=[gamma], thetas=thetas, theta_sum=float(thetas[0]))
-    return AlgorithmKind("nigt", 1, lambda k0, k1: ParamsBlock(k0, *_rows(row, k1 - k0)))
+    row = (np.array([eta], dtype=float), np.array([[gamma]], dtype=float), thetas[None], thetas)
+    return AlgorithmKind("nigt", 1, lambda k0, k1: ParamsBlock(
+        k0, *(np.repeat(c, k1 - k0, axis=0) for c in row)))
 
 
 def _step(kind: AlgorithmKind, state: OptimizerState, oracle: Oracle, xi) -> OptimizerState:
     """One iteration of kind at state.k on the draw xi."""
-    return mem_step(state, kind.bundles(state.k, state.k + 1).bundles()[0], oracle, xi,
-                    kind.normalized)
+    return mem_step(state, kind.bundles(state.k, state.k + 1), oracle, xi, kind.normalized)
 
 
 def sg_step(state: OptimizerState, eta: float, oracle: Oracle, xi) -> OptimizerState:
@@ -470,7 +465,9 @@ def run_batch(
     for g, members in groups.items():
         st = initial_state(np.tile(x0, (S * len(members), 1)), g[0])
         state[g] = (st.x_prev, st.x_cur, st.m, st.zero_steps, st.zs)
-        carry[g], at[g], logs[g], Xs[g] = _rows(st.carry, len(members)), 0, [], []
+        carry[g] = tuple(np.repeat(c, len(members), axis=0) for c in (
+            st.carry.eta, st.carry.gammas, st.carry.thetas, st.carry.theta_sum))
+        at[g], logs[g], Xs[g] = 0, [], []
         bad_at[g] = np.full(S * len(members), -1)
     strides = {g: {log_strides[i] for i in members} for g, members in groups.items()}
     oracle = functools.partial(stochastic_grad, problem, noise)
@@ -520,7 +517,7 @@ def run_batch(
         for p, i in enumerate(members):
             on = (ks % log_strides[i] == 0) | (ks == budget - 1) | (ks == k)  # the closing row too
             on = slice(None) if on.all() else on  # then the columns are views
-            last = IterationParams(k - 1, *(c[p].tolist() for c in carry[g]))
+            last = ParamsBlock(k - 1, *(c[p : p + 1] for c in carry[g]))
             results[i] = tuple(RunResult(
                 Trajectory(dict(zip(names, (ks[on], *(c[on, r] for c in cols), calls[on],
                                             elapsed[on])))),

@@ -10,26 +10,24 @@ reciprocal-power system
 whose coefficient matrix is Vandermonde-like in the reciprocals 1/gamma_t.
 This module holds what the optimizer and the run summary use: the built-in
 order-p schedule, evaluated a block of iterations at a time (params_block;
-params_general is its one-row case), the closed-form solution of (*), the
-error-discount weights and the reporting constants. Everything that checks
-the schedule (the dense solve of (*), the literal order-3 form, the
-measurements of the identities, signs and bounds) lives in verify.
+a bundle is a one-row block, such as params_general's), the closed-form
+solution of (*), the error-discount weights and the reporting constants.
+Everything that checks the schedule (the dense solve of (*), the literal
+order-3 form, the measurements of the identities, signs and bounds)
+lives in verify.
 
-All values are plain 64-bit floats; every function here is pure and every
-returned object is immutable.
+All values are plain 64-bit floats and every function here is pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 __all__ = [
     "ScheduleConfig",
-    "IterationParams",
     "ParamsBlock",
     "params_block",
     "params_general",
@@ -75,8 +73,8 @@ def _as_gamma_stack(gammas, stack: bool = True) -> np.ndarray:
 class ScheduleConfig:
     """The built-in order-p schedule, which pairs q = p - 1 extrapolations
     with decreasing step and mixing rules. Any other schedule is a stream
-    of ParamsBlocks handed to the optimizer directly; a per-k rule stacks
-    its IterationParams with ParamsBlock.of."""
+    of ParamsBlocks handed to the optimizer directly; a per-k rule writes
+    its values for k0 .. k1 - 1 as the block's columns."""
 
     p: int
     q: int
@@ -88,76 +86,23 @@ class ScheduleConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class IterationParams:
-    """One iteration's parameter bundle.
+class ParamsBlock:
+    """Bundles of iterations k0 .. k0 + B - 1 as arrays: eta and theta_sum
+    (B,), gammas and thetas (B, q). Row j is the bundle of iteration k0 + j;
+    one iteration's bundle is a one-row block.
 
     Schedule outputs keep the gammas strictly decreasing in (0,1), the
     thetas alternating in sign starting positive, and theta_sum inside
-    (0,1); verify.validate() measures those properties for hand-built bundles.
-    theta_sum is stored as the exactly rounded sum of the thetas. The
-    warm-up row from init_params() intentionally sits outside these
-    conventions (gamma = 1, equal positive weights). gammas and thetas
-    are stored as tuples of Python floats, whatever sequence they came in.
-    """
-
-    k: int
-    eta: float
-    gammas: Tuple[float, ...]
-    thetas: Tuple[float, ...]
-    theta_sum: float
-
-    def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float)
-        t = np.asarray(self.thetas, dtype=float)
-        if g.ndim != 1 or g.shape != t.shape:
-            raise ValueError("gammas and thetas must be 1-d arrays of equal length")
-        object.__setattr__(self, "gammas", tuple(g.tolist()))
-        object.__setattr__(self, "thetas", tuple(t.tolist()))
-
-    @property
-    def q(self) -> int:
-        return len(self.gammas)
-
-
-@dataclass(frozen=True, eq=False)
-class ParamsBlock:
-    """Bundles of iterations k0 .. k0 + B - 1 as arrays: eta and theta_sum
-    (B,), gammas and thetas (B, q). Row j is the bundle of iteration k0 + j."""
+    (0,1), stored as the exactly rounded sum of the thetas;
+    verify.validate() measures those properties for hand-built bundles.
+    The warm-up row from init_params() intentionally sits outside these
+    conventions (gamma = 1, equal positive weights)."""
 
     k0: int
     eta: np.ndarray
     gammas: np.ndarray
     thetas: np.ndarray
     theta_sum: np.ndarray
-
-    @classmethod
-    def of(cls, rows) -> "ParamsBlock":
-        """One or more IterationParams stacked as a block, the inverse of
-        bundles(): they must be for consecutive k and share one q."""
-        rows = list(rows)
-        if not rows:
-            raise ValueError("a ParamsBlock needs at least one bundle")
-        k0, q = rows[0].k, rows[0].q
-        for k, p in enumerate(rows, k0):
-            if (p.k, p.q) != (k, q):
-                raise ValueError(f"params are for k={p.k} with q={p.q}, "
-                                 f"state is at k={k} with q={q}")
-        return cls(k0, *(np.array([getattr(p, c) for p in rows])
-                         for c in ("eta", "gammas", "thetas", "theta_sum")))
-
-    def bundles(self) -> list[IterationParams]:
-        """The rows as IterationParams, in order of k."""
-        # k0 + j, not range(k0, ...): each k keeps the type k0 was given in
-        return list(
-            map(
-                IterationParams,
-                [self.k0 + j for j in range(len(self.eta))],
-                self.eta.tolist(),
-                map(tuple, self.gammas.tolist()),
-                map(tuple, self.thetas.tolist()),
-                self.theta_sum.tolist(),
-            )
-        )
 
 
 def params_block(p: int, k0: int, k1: int) -> ParamsBlock:
@@ -203,7 +148,7 @@ def params_block(p: int, k0: int, k1: int) -> ParamsBlock:
     )
 
 
-def params_general(k: int, p: int) -> IterationParams:
+def params_general(k: int, p: int) -> ParamsBlock:
     """Parameter bundle of the order-p schedule at iteration k: the one-row
     block params_block(p, k, k + 1).
 
@@ -211,16 +156,17 @@ def params_general(k: int, p: int) -> IterationParams:
         ValueError: p < 2 or k < 0.
         OverflowError: k beyond 64-bit float range.
     """
-    return params_block(p, k, k + 1).bundles()[0]
+    return params_block(p, k, k + 1)
 
 
-def params_for(config: ScheduleConfig, k: int) -> IterationParams:
+def params_for(config: ScheduleConfig, k: int) -> ParamsBlock:
     """Bundle for iteration k of the configured schedule."""
     return params_general(k, config.p)
 
 
-def init_params(q: int) -> IterationParams:
-    """Warm-up row consumed by the first iteration.
+def init_params(q: int) -> ParamsBlock:
+    """Warm-up row consumed by the first iteration, a one-row block at
+    k0 = -1.
 
     gamma = 1 pins every query point to the current iterate and the q
     gradient draws enter with equal weight 1/q, so the first momentum is the
@@ -229,12 +175,12 @@ def init_params(q: int) -> IterationParams:
     """
     if q < 1:
         raise ValueError(f"extrapolation count must be >= 1, got {q}")
-    return IterationParams(
-        k=-1,
-        eta=math.nan,
-        gammas=np.ones(q),
-        thetas=np.full(q, 1.0 / q),
-        theta_sum=1.0,
+    return ParamsBlock(
+        k0=-1,
+        eta=np.array([math.nan]),
+        gammas=np.ones((1, q)),
+        thetas=np.full((1, q), 1.0 / q),
+        theta_sum=np.array([1.0]),
     )
 
 
@@ -299,7 +245,7 @@ def theorem_constant(
         ("L1", L1),
         ("Lp", Lp),
     ):
-        if v < 0.0:
+        if not v >= 0.0:
             raise ValueError(f"{name} must be nonnegative, got {v}")
     if p == 3:
         return 4.0 * (f0_minus_flow + 19.0 * sigma**2 + L1 + 4.0 * Lp**2 + 2.0)
@@ -324,7 +270,7 @@ def iteration_threshold(p: int, m_const: float, epsilon: float) -> float:
     _check_order(p)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0,1), got {epsilon}")
-    if m_const <= 0.0:
+    if not m_const > 0.0:
         raise ValueError(f"M must be positive, got {m_const}")
     x = (6.0 * p + 2.0) * m_const / (p * epsilon)
     y = x * math.log(x) if x > 0.0 else 0.0

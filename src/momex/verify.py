@@ -18,7 +18,7 @@ import numpy as np
 
 from .problems import NoiseModel, SmoothProblem, stochastic_grad
 from .schedule import (
-    IterationParams,
+    ParamsBlock,
     _as_gamma_stack,
     _check_index,
     _check_order,
@@ -460,8 +460,9 @@ def _p3_literal(k: int) -> tuple:
     return math.exp(-7.0 / 10.0 * lg), t1 + t2, g1, g2, t1, t2
 
 
-def params_p3(k: int) -> IterationParams:
-    """Bundle of the third-order schedule in its literal form (an oracle).
+def params_p3(k: int) -> ParamsBlock:
+    """Bundle of the third-order schedule in its literal form (an oracle),
+    as a one-row block.
 
         eta_k    = (k+3)^(-7/10)
         gamma_1  = (k+3)^(-3/5),          gamma_2 = gamma_1 / 2
@@ -474,7 +475,8 @@ def params_p3(k: int) -> IterationParams:
     """
     _check_index(k)
     eta, theta_sum, g1, g2, t1, t2 = _p3_literal(k)
-    return IterationParams(k=k, eta=eta, gammas=(g1, g2), thetas=(t1, t2), theta_sum=theta_sum)
+    return ParamsBlock(k, np.array([eta]), np.array([[g1, g2]]), np.array([[t1, t2]]),
+                       np.array([theta_sum]))
 
 
 def _as_indices(ks) -> np.ndarray:
@@ -614,15 +616,17 @@ def weight_sum_closed_form(gammas) -> float:
     return float(_weight_sum(_as_gamma_stack(gammas, stack=False)[0]))
 
 
-def validate(params: IterationParams) -> WeightDiagnostics:
-    """Measure a bundle against (*), the unit-interval sum, and the signs.
+def validate(params: ParamsBlock) -> WeightDiagnostics:
+    """Measure a bundle, a one-row block, against (*), the unit-interval
+    sum, and the signs.
 
-    Never raises; failures are carried in the flags so sweeps can aggregate.
+    Never raises on a one-row block; failures are carried in the flags so
+    sweeps can aggregate.
     """
-    th = np.asarray(params.thetas)
+    (g,), (th,), (s,) = params.gammas, params.thetas, params.theta_sum
     return WeightDiagnostics(
-        residual=float(_scaled_residual(np.asarray(params.gammas), th)),
-        theta_sum_in_unit=bool(0.0 < params.theta_sum < 1.0),
+        residual=float(_scaled_residual(g, th)),
+        theta_sum_in_unit=bool(0.0 < s < 1.0),
         signs_alternate=_sign_faults(th) == 0,
     )
 
@@ -634,7 +638,7 @@ def check_potential_inequality(k: int, p: int) -> bool:
     otherwise. This is the contraction the error-discount weights were
     chosen for; the built-in schedules satisfy it at every k.
     """
-    s = params_general(k, p).theta_sum
+    (s,) = params_general(k, p).theta_sum
     pk, pk1 = (potential_weight(j, p) for j in (k, k + 1))
     return bool(_contraction(s, pk, pk1, p) <= 0.0)
 

@@ -105,9 +105,9 @@ def test_step_length_and_extrapolation_identities():
         state = opt.mem_step(
             state, params, oracle, prob.draw_sample(noise, problem.dim, 7, k)
         )
-        moved = float(np.linalg.norm(state.x_cur - state.x_prev))
-        worst_step = max(worst_step, abs(moved - params.eta) / params.eta)
-        for z, g in zip(state.zs, carry.gammas):
+        moved, eta = float(np.linalg.norm(state.x_cur - state.x_prev)), params.eta[0]
+        worst_step = max(worst_step, abs(moved - eta) / eta)
+        for z, g in zip(state.zs, carry.gammas[0]):
             rhs = (x_cur - x_prev) / g
             err = float(np.linalg.norm((z - x_prev) - rhs))
             worst_z = max(worst_z, err / max(1.0, float(np.linalg.norm(rhs))))
@@ -127,9 +127,9 @@ def test_single_extrapolation_constant_schedule_reproduces_nigt():
     thetas = sch.solve_weights_closed_form((0.3,))
     constant = opt.AlgorithmKind(
         name="mem", q=1,
-        bundles=lambda k0, k1: sch.ParamsBlock.of(sch.IterationParams(
-            k=k, eta=0.05, gammas=(0.3,), thetas=thetas, theta_sum=math.fsum(thetas)
-        ) for k in range(k0, k1)),
+        bundles=lambda k0, k1: sch.ParamsBlock(
+            k0, np.full(k1 - k0, 0.05), np.full((k1 - k0, 1), 0.3),
+            np.tile(thetas, (k1 - k0, 1)), np.full(k1 - k0, math.fsum(thetas))),
     )
     a = opt.run(opt.nigt(gamma=0.3, eta=0.05), problem, noise, x0,
                 budget=400, seed=21)

@@ -346,10 +346,10 @@ def test_mem_p3_uses_general_schedule():
     kind = har.build_kind(cfg)
     assert kind.q == 2
     for k in (0, 1, 1234):
-        a, b = kind.bundles(k, k + 1).bundles()[0], params_general(k, 3)
-        assert a.k == b.k and a.eta == b.eta and a.theta_sum == b.theta_sum
-        np.testing.assert_array_equal(a.gammas, b.gammas)
-        np.testing.assert_array_equal(a.thetas, b.thetas)
+        a, b = kind.bundles(k, k + 1), params_general(k, 3)
+        assert a.k0 == b.k0
+        for field in ("eta", "gammas", "thetas", "theta_sum"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +435,9 @@ def test_emit_csv_and_json(tmp_path):
 
     with pytest.raises(OSError, match="no/such"):
         har.emit(records, str(tmp_path / "no" / "such" / "dir.csv"))
+    with pytest.raises(ValueError, match="^format must be csv or json, got 'xml'$"):
+        har.emit(records, str(tmp_path / "out.xml"), format="xml")
+    assert not (tmp_path / "out.xml").exists()
 
 
 def test_json_is_written_a_chunk_at_a_time_as_json_dumps_writes_it():

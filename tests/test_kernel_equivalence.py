@@ -145,8 +145,8 @@ def _mem_update(p):
         for gamma, theta in zip(gammas, thetas):
             m = m + theta * g(x + ((1.0 - gamma) / gamma) * (x - x_prev))
         bundle = sch.params_general(k, p)
-        carried[:] = bundle.gammas, bundle.thetas
-        return _normalized(x, m, bundle.eta), m
+        carried[:] = bundle.gammas[0].tolist(), bundle.thetas[0].tolist()
+        return _normalized(x, m, bundle.eta[0]), m
 
     return update
 
@@ -193,8 +193,12 @@ def test_mem_p3_tracks_the_literal_order3_schedule():
     objective may move by at most 1e-12, relative."""
     problem = prob.datafit_problem(prob.generate_synthetic(50, seed=0))
     noise = prob.NoiseModel("scalar-gaussian-envelope", 10.0)
-    literal = opt.AlgorithmKind(
-        "mem", 2, lambda k0, k1: sch.ParamsBlock.of(map(ver.params_p3, range(k0, k1))))
+    def p3_block(k0, k1):  # params_p3's one-row blocks stacked
+        rows = [ver.params_p3(k) for k in range(k0, k1)]
+        return sch.ParamsBlock(k0, *(np.concatenate([getattr(b, c) for b in rows])
+                                     for c in ("eta", "gammas", "thetas", "theta_sum")))
+
+    literal = opt.AlgorithmKind("mem", 2, p3_block)
     general = opt.mem(sch.ScheduleConfig(p=3, q=2))
     for seed in (0, 1):
         a = opt.run(general, problem, noise, np.ones(50), 3000, seed, log_stride=1000)

@@ -124,8 +124,12 @@ def test_quadratic_problem():
     dx = np.array([0.1, 0.0, -0.2, 1.0])
     # the quadratic has an exact first-order expansion of its gradient
     np.testing.assert_array_equal(p.taylor_gradient(x, dx, 2), p.gradient(x + dx))
+    with pytest.raises(ValueError, match="^expansion order must be >= 1, got 0$"):
+        p.taylor_gradient(x, dx, 0)
     with pytest.raises(ValueError):
         prob.quadratic_problem(4, conditioning=0.5)
+    with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+        prob.quadratic_problem(0)
 
 
 @pytest.mark.parametrize("conditioning", [math.inf, -math.inf, math.nan])
@@ -388,6 +392,15 @@ def test_dataset_refuses_non_finite_values():
         prob.Dataset(np.array([[1.0, np.nan], [0, 1]]), np.array([0.0, np.inf]), "manual")
     with pytest.raises(ValueError, match=r"targets must be finite, got -inf at index \(1,\)"):
         prob.Dataset(np.eye(2), np.array([0.0, -np.inf]), "manual")
+
+
+def test_dataset_refuses_bad_shapes():
+    with pytest.raises(ValueError, match="^features must be a nonempty 2-d matrix$"):
+        prob.Dataset(np.ones(3), np.ones(3), "manual")
+    with pytest.raises(ValueError, match=r"^targets have shape \(3,\), expected \(2,\)$"):
+        prob.Dataset(np.eye(2), np.ones(3), "manual")
+    with pytest.raises(ValueError, match="^dataset size must be >= 1, got 0$"):
+        prob.generate_synthetic(0, seed=0)
 
 
 def test_dataset_is_read_only():

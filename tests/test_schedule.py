@@ -19,12 +19,12 @@ import momex.verify as ver
 
 def test_p3_first_iteration_pinned():
     pm = ver.params_p3(0)
-    assert pm.eta == 0.4634630567719698
-    assert pm.gammas[0] == 0.5172818579717866
-    assert pm.gammas[1] == 0.2586409289858933
-    assert pm.thetas[0] == 0.7669831953568296
-    assert pm.thetas[1] == -0.1248506686925215
-    assert pm.theta_sum == 0.6421325266643081
+    assert pm.eta[0] == 0.4634630567719698
+    assert pm.gammas[0, 0] == 0.5172818579717866
+    assert pm.gammas[0, 1] == 0.2586409289858933
+    assert pm.thetas[0, 0] == 0.7669831953568296
+    assert pm.thetas[0, 1] == -0.1248506686925215
+    assert pm.theta_sum[0] == 0.6421325266643081
 
 
 def test_general_p4_first_iteration_pinned():
@@ -32,12 +32,12 @@ def test_general_p4_first_iteration_pinned():
     ref_eta = 0.38299158933399347
     ref_g = [0.4260901982142873, 0.21304509910714364, 0.1420300660714291]
     ref_th = [0.8630673985229299, -0.3147085297086443, 0.06414661970288199]
-    assert math.isclose(pm.eta, ref_eta, rel_tol=1e-14)
-    for got, ref in zip(pm.gammas, ref_g):
+    assert math.isclose(pm.eta[0], ref_eta, rel_tol=1e-14)
+    for got, ref in zip(pm.gammas[0], ref_g, strict=True):
         assert math.isclose(got, ref, rel_tol=1e-14)
-    for got, ref in zip(pm.thetas, ref_th):
+    for got, ref in zip(pm.thetas[0], ref_th, strict=True):
         assert math.isclose(got, ref, rel_tol=1e-13)
-    assert math.isclose(pm.theta_sum, 0.6125054885171676, rel_tol=1e-13)
+    assert math.isclose(pm.theta_sum[0], 0.6125054885171676, rel_tol=1e-13)
 
 
 def test_general_specializes_to_p3():
@@ -46,20 +46,19 @@ def test_general_specializes_to_p3():
     for k in (0, 1, 2, 3, 17, 100, 5000, 9999):
         a = sched.params_general(k, 3)
         b = ver.params_p3(k)
-        assert math.isclose(a.eta, b.eta, rel_tol=1e-14)
+        assert math.isclose(a.eta[0], b.eta[0], rel_tol=1e-14)
         np.testing.assert_allclose(a.gammas, b.gammas, rtol=1e-14, atol=0)
         np.testing.assert_allclose(a.thetas, b.thetas, rtol=1e-14, atol=0)
-        assert math.isclose(a.theta_sum, b.theta_sum, rel_tol=1e-14)
+        assert math.isclose(a.theta_sum[0], b.theta_sum[0], rel_tol=1e-14)
 
 
 def test_init_params():
     pm = sched.init_params(3)
-    assert pm.k == -1
-    assert math.isnan(pm.eta)
-    np.testing.assert_array_equal(pm.gammas, np.ones(3))
-    np.testing.assert_array_equal(pm.thetas, np.full(3, 1.0 / 3.0))
-    assert pm.theta_sum == 1.0
-    assert pm.q == 3
+    assert pm.k0 == -1
+    assert pm.eta.shape == pm.theta_sum.shape == (1,) and math.isnan(pm.eta[0])
+    np.testing.assert_array_equal(pm.gammas, np.ones((1, 3)))
+    np.testing.assert_array_equal(pm.thetas, np.full((1, 3), 1.0 / 3.0))
+    assert pm.theta_sum[0] == 1.0
     with pytest.raises(ValueError, match="^extrapolation count must be >= 1, got 0$"):
         sched.init_params(0)
 
@@ -158,7 +157,7 @@ def test_dense_solve_guards():
 
 def test_stacked_dense_solve_matches_per_bundle():
     for p in range(2, 7):
-        gammas = np.array([sched.params_general(k, p).gammas for k in range(0, 5000, 37)])
+        gammas = np.array([sched.params_general(k, p).gammas[0] for k in range(0, 5000, 37)])
         stacked = ver.solve_weights_linear(gammas)
         assert stacked.shape == gammas.shape
         for row, g in zip(stacked, gammas):
@@ -250,31 +249,8 @@ def test_validate_schedule_weights():
 
 def test_validate_flags_broken_sign_pattern():
     pm = sched.params_general(10, 4)
-    doctored = sched.IterationParams(
-        k=pm.k,
-        eta=pm.eta,
-        gammas=pm.gammas,
-        thetas=np.abs(pm.thetas),
-        theta_sum=pm.theta_sum,
-    )
+    doctored = sched.ParamsBlock(pm.k0, pm.eta, pm.gammas, np.abs(pm.thetas), pm.theta_sum)
     assert not ver.validate(doctored).signs_alternate
-
-
-def test_bundle_fields_are_float_tuples():
-    pm = sched.params_general(10, 4)
-    assert type(pm.gammas) is tuple and type(pm.thetas) is tuple
-    assert all(type(v) is float for v in pm.gammas + pm.thetas)
-    assert pm.q == 3
-    with pytest.raises(ValueError, match="1-d"):
-        sched.IterationParams(k=0, eta=1.0, gammas=[[0.5]], thetas=[[1.0]], theta_sum=1.0)
-    with pytest.raises(ValueError, match="equal length"):
-        sched.IterationParams(k=0, eta=1.0, gammas=[0.5, 0.25], thetas=[1.0], theta_sum=1.0)
-    # a tuple of Python floats is stored as the same floats, -0.0 and NaN kept
-    odd = sched.IterationParams(k=0, eta=1.0, gammas=(-0.0, math.nan), thetas=(1.0, -0.0),
-                                theta_sum=1.0)
-    assert math.copysign(1.0, odd.gammas[0]) == math.copysign(1.0, odd.thetas[1]) == -1.0
-    assert math.isnan(odd.gammas[1])
-    assert all(type(v) is float for v in odd.gammas + odd.thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +312,19 @@ def test_iteration_threshold():
         sched.iteration_threshold(3, 5.0, 0.0)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    ("theorem_constant", (3, 1.0, math.nan, 1.0, 1.0), "sigma must be nonnegative, got nan"),
+    ("theorem_constant", (4, -1.0, 1.0, 1.0, 1.0), "f0_minus_flow must be nonnegative, got -1.0"),
+    ("theorem_constant", (2, 1.0, 1.0, 1.0, math.nan), "Lp must be nonnegative, got nan"),
+    ("iteration_threshold", (3, math.nan, 0.1), "M must be positive, got nan"),
+    ("iteration_threshold", (3, 0.0, 0.1), "M must be positive, got 0.0"),
+])
+def test_reporting_constants_refuse_bad_values(fn, args, message):
+    """A NaN is refused as a negative or zero value is, by the argument's name."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(sched, fn)(*args)
+
+
 # ---------------------------------------------------------------------------
 # vectorized sweeps agree with the scalar path
 # ---------------------------------------------------------------------------
@@ -347,9 +336,9 @@ def test_schedule_arrays_match_scalar_path():
         assert gam.shape == (p - 1, ks.size)
         for j, k in enumerate(ks):
             pm = sched.params_general(int(k), p)
-            assert eta[j] == pm.eta
-            np.testing.assert_array_equal(gam[:, j], pm.gammas)
-            np.testing.assert_array_equal(th[:, j], pm.thetas)
+            assert eta[j] == pm.eta[0]
+            np.testing.assert_array_equal(gam[:, j], pm.gammas[0])
+            np.testing.assert_array_equal(th[:, j], pm.thetas[0])
 
 
 def test_p3_arrays_match_scalar_path():
@@ -359,9 +348,9 @@ def test_p3_arrays_match_scalar_path():
     eta, gam, th = ver.p3_arrays(ks)
     for j, k in enumerate(ks):
         pm = ver.params_p3(int(k))
-        assert math.isclose(eta[j], pm.eta, rel_tol=5e-15)
-        np.testing.assert_allclose(gam[:, j], pm.gammas, rtol=5e-15, atol=0)
-        np.testing.assert_allclose(th[:, j], pm.thetas, rtol=5e-14, atol=0)
+        assert math.isclose(eta[j], pm.eta[0], rel_tol=5e-15)
+        np.testing.assert_allclose(gam[:, j], pm.gammas[0], rtol=5e-15, atol=0)
+        np.testing.assert_allclose(th[:, j], pm.thetas[0], rtol=5e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +384,13 @@ def test_params_block_bitwise_equals_scalar_formula(p, k0):
     assert block.k0 == k0
     assert block.eta.shape == block.theta_sum.shape == (k1 - k0,)
     assert block.gammas.shape == block.thetas.shape == (k1 - k0, p - 1)
-    bundles = block.bundles()
     for j, k in enumerate(range(k0, k1)):
         eta, gammas, thetas, theta_sum = _params_general_literal(k, p)
         assert block.eta[j] == eta and block.theta_sum[j] == theta_sum
         assert block.gammas[j].tolist() == gammas and block.thetas[j].tolist() == thetas
         one = sched.params_general(k, p)
-        for b in (bundles[j], one):
-            assert (b.k, b.eta, b.gammas, b.thetas, b.theta_sum) == (
-                k, eta, tuple(gammas), tuple(thetas), theta_sum)
-            assert all(type(v) is float for v in (b.eta, b.theta_sum, *b.gammas, *b.thetas))
+        assert (one.k0, one.eta.tolist(), one.gammas.tolist(), one.thetas.tolist(),
+                one.theta_sum.tolist()) == (k, [eta], [gammas], [thetas], [theta_sum])
 
 
 @pytest.mark.parametrize("p", [2, 4, 6])
@@ -417,22 +403,6 @@ def test_params_block_rows_do_not_depend_on_the_split(p):
         for field in ("eta", "gammas", "thetas", "theta_sum"):
             joined = np.concatenate([getattr(part, field) for part in parts])
             assert joined.tobytes() == getattr(whole, field).tobytes()
-
-
-def test_params_block_of_is_the_inverse_of_bundles():
-    block = sched.params_block(4, 250, 260)
-    back = sched.ParamsBlock.of(block.bundles())
-    assert back.k0 == 250
-    for field in ("eta", "gammas", "thetas", "theta_sum"):
-        assert getattr(back, field).tobytes() == getattr(block, field).tobytes()
-    rows = [sched.params_general(k, 3) for k in (7, 8, 10)]
-    with pytest.raises(ValueError, match=r"^params are for k=10 with q=2, state is at k=9 with q=2$"):
-        sched.ParamsBlock.of(rows)
-    rows[2] = sched.params_general(9, 4)
-    with pytest.raises(ValueError, match=r"^params are for k=9 with q=3, state is at k=9 with q=2$"):
-        sched.ParamsBlock.of(rows)
-    with pytest.raises(ValueError, match="^a ParamsBlock needs at least one bundle$"):
-        sched.ParamsBlock.of([])
 
 
 def test_params_block_errors():
@@ -451,4 +421,3 @@ def test_params_block_errors():
         sched.params_general(10**400, 3)
     empty = sched.params_block(4, 7, 7)
     assert empty.gammas.shape == empty.thetas.shape == (0, 3)
-    assert empty.bundles() == []

@@ -221,8 +221,7 @@ def test_weight_residual_sweep_small():
 
 def _residual_dot_form(params):
     # validate's residual as it read with one dot product per power r
-    g = np.asarray(params.gammas)
-    th = np.asarray(params.thetas)
+    (g,), (th,) = params.gammas, params.thetas
     u = 1.0 / g
     worst = 0.0
     row_norm = 0.0
@@ -240,9 +239,9 @@ def test_validate_residual_matches_the_dot_product_form():
     bundles = [sched.params_general(k, p) for p in range(2, 7) for k in range(0, 3000, 7)]
     bundles += [ver.params_p3(k) for k in (0, 1, 100)]
     for b in bundles:
-        assert abs(ver.validate(b).residual - _residual_dot_form(b)) <= 1e-16, (b.k, b.q)
-    zero = sched.IterationParams(k=0, eta=1.0, gammas=(0.5, 0.25), thetas=(0.0, 0.0),
-                                 theta_sum=0.0)
+        assert abs(ver.validate(b).residual - _residual_dot_form(b)) <= 1e-16, (b.k0, b.gammas)
+    zero = sched.ParamsBlock(0, np.array([1.0]), np.array([[0.5, 0.25]]), np.zeros((1, 2)),
+                             np.array([0.0]))
     assert ver.validate(zero).residual == _residual_dot_form(zero) == math.inf
 
 
@@ -257,8 +256,8 @@ def test_dense_agreement_sweep_matches_per_bundle_loop(monkeypatch):
         worst = 0.0
         for k in range(201):
             params = ver.params_general(k, p)
-            ref = ver.solve_weights_linear(params.gammas)
-            gap = np.max(np.abs(params.thetas - ref)) / np.max(np.abs(ref))
+            ref = ver.solve_weights_linear(params.gammas[0])
+            gap = np.max(np.abs(params.thetas[0] - ref)) / np.max(np.abs(ref))
             worst = max(worst, float(gap))
         assert ver.dense_agreement_sweep(p, 200) == worst
 
@@ -291,8 +290,8 @@ def _p3_consistency_from_params_p3(k_max):
     worst = 0.0
     for a in ver._bundle_blocks(3, 0, k_max + 1):
         general = np.column_stack([a.eta, a.theta_sum, a.gammas, a.thetas])
-        dedicated = np.array([(b.eta, b.theta_sum, *b.gammas, *b.thetas)
-                              for b in map(ver.params_p3, range(a.k0, a.k0 + len(a.eta)))])
+        dedicated = np.concatenate([np.column_stack([b.eta, b.theta_sum, b.gammas, b.thetas])
+                                    for b in map(ver.params_p3, range(a.k0, a.k0 + len(a.eta)))])
         worst = max(worst, float((np.abs(general - dedicated) / np.abs(dedicated)).max()))
     return ver.CheckReport(
         name="p3-consistency", passed=worst <= 1e-14, worst_case=worst, samples=k_max + 1,
@@ -304,7 +303,7 @@ def test_p3_consistency_check_equals_its_params_p3_form():
         assert ver.p3_consistency_check(k_max) == _p3_consistency_from_params_p3(k_max)
     for k in (0, 1, 7, 12345, 10**6, 2**40):
         b = ver.params_p3(k)
-        assert b.theta_sum == math.fsum(b.thetas)
+        assert b.theta_sum[0] == math.fsum(b.thetas[0])
 
 
 def test_verify_all_reports_the_direct_checks():
