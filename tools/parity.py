@@ -46,14 +46,13 @@ against each tree's src/, and compares the two result lists. The matrix:
   at a k_max past several boundaries of the sweeps' chunks;
 - the CLI's run (csv, json and --out), compare and verify.
 
-The matrix calls the API as it stands since the kernel came to read the
-draw itself (7f69c18); older trees are not supported. It runs on trees
-where one iteration's bundle is a type of its own (the type of
-init_params' warm-up row) and on trees where it is a one-row
-ParamsBlock: the matrix builds its hand-made bundles and per-k streams
-as each tree takes them, and records every bundle as its row (k, eta,
-gammas, thetas, theta_sum) in Python numbers, so the entries of two such
-trees compare one to one.
+The matrix calls the API as it stands since one iteration's bundle became
+a one-row ParamsBlock (aee5214); older trees are not supported. It runs on
+trees whose ParamsBlock stores each row's weight sum as a theta_sum column
+and on trees where it holds only (k0, eta, gammas, thetas): the matrix
+builds its hand-made bundles and per-k streams from the tree's own fields,
+and records every one-row bundle as its row (k0, eta, gammas, thetas) in
+Python numbers, so the entries of two such trees compare one to one.
 
 Each result is recorded as its repr (arrays at full precision) and the
 json.dumps of its plain form, with elapsed_seconds masked: the only field
@@ -74,6 +73,7 @@ import dataclasses
 import importlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -130,17 +130,14 @@ def _plain(obj):
 
 
 def _row(bundle) -> tuple:
-    """A bundle's row (k, eta, gammas, thetas, theta_sum) in Python
-    numbers, whether its type holds one iteration (k) or a block (k0)."""
-    k = bundle.k0 if hasattr(bundle, "k0") else bundle.k
-    (eta,), gammas, thetas, (theta_sum,) = (np.ravel(getattr(bundle, c)).tolist() for c in (
-        "eta", "gammas", "thetas", "theta_sum"))
-    return int(k), eta, tuple(gammas), tuple(thetas), theta_sum
+    """A one-row bundle's row (k0, eta, gammas, thetas) in Python numbers."""
+    (eta,), (gammas,), (thetas,) = (getattr(bundle, c).tolist() for c in ("eta", "gammas", "thetas"))
+    return int(bundle.k0), eta, tuple(gammas), tuple(thetas)
 
 
 def _is_bundle(obj) -> bool:
-    """One iteration's bundle: what holds a theta_sum for one k."""
-    return hasattr(obj, "theta_sum") and np.size(obj.theta_sum) == 1
+    """One iteration's bundle: a block (what has a k0) of one row."""
+    return hasattr(obj, "k0") and np.size(obj.eta) == 1
 
 
 def _flatten_bundles(obj):
@@ -178,32 +175,26 @@ class CountingClock:
         return float(self.calls)
 
 
-def _one_row(m, k, eta, gammas, thetas, theta_sum):
-    """The bundle (k, eta, gammas, thetas, theta_sum) as the tree's
-    mem_step and validate take it, of the type of its warm-up row
-    init_params: a type of its own in older trees, a one-row ParamsBlock
-    since."""
-    sch = m.schedule
-    bundle = type(sch.init_params(1))
-    if bundle is not sch.ParamsBlock:
-        return bundle(k, eta, gammas, thetas, theta_sum)
-    return sch.ParamsBlock(k, *(np.array([v], dtype=float) for v in (eta, gammas, thetas,
-                                                                     theta_sum)))
+def _block(m, k0, eta, gammas, thetas, stored_sum=None):
+    """The ParamsBlock at k0 of the columns eta (B,), gammas and thetas
+    (B, q), built from the tree's own fields: where the block stores a
+    theta_sum column, it holds stored_sum, or math.fsum of each thetas row."""
+    sums = [math.fsum(t) for t in thetas] if stored_sum is None else stored_sum
+    cols = {"eta": eta, "gammas": gammas, "thetas": thetas, "theta_sum": sums}
+    block = m.schedule.ParamsBlock
+    return block(k0, **{f.name: np.array(cols[f.name], dtype=float)
+                        for f in dataclasses.fields(block) if f.name != "k0"})
 
 
-def _bundle(m, kind, k):
-    """The bundle of iteration k from the kind's stream, as the tree's
-    mem_step takes it."""
-    block = kind.bundles(k, k + 1)
-    return block if type(m.schedule.init_params(1)) is m.schedule.ParamsBlock else _one_row(
-        m, *_row(block))
+def _one_row(m, k, eta, gammas, thetas, stored_sum=None):
+    """The one-row bundle (k, eta, gammas, thetas), as _block builds it."""
+    return _block(m, k, [eta], [gammas], [thetas], None if stored_sum is None else [stored_sum])
 
 
 def _per_k(m, row):
-    """The block stream of a per-k rule row(k) -> (eta, gammas, thetas,
-    theta_sum), written as the block's columns."""
-    return lambda k0, k1: m.schedule.ParamsBlock(
-        k0, *(np.array(c, dtype=float) for c in zip(*map(row, range(k0, k1)))))
+    """The block stream of a per-k rule row(k) -> (eta, gammas, thetas),
+    written as the block's columns."""
+    return lambda k0, k1: _block(m, k0, *zip(*map(row, range(k0, k1))))
 
 
 def _kinds(m):
@@ -349,7 +340,7 @@ def mem_step_section(m):
     out = []
     for k in range(6):
         xi = np.array([prob.draw_sample(noise, 5, s, k) for s in range(3)])
-        state = opt.mem_step(state, _bundle(m, kind, k), oracle, xi)
+        state = opt.mem_step(state, kind.bundles(k, k + 1), oracle, xi)
         out.append(entry(f"mem_step stack k={k}", state))
     scalar = prob.NoiseModel("scalar-gaussian-envelope", 1.5)
     oracle = lambda z, xi: prob.stochastic_grad(problem, scalar, z, xi)
@@ -358,7 +349,7 @@ def mem_step_section(m):
         state = opt.initial_state(np.linspace(-1.0, 1.0, 5), kind.q)
         for k in range(5):
             xi = prob.draw_sample(scalar, 5, 0, k)
-            state = opt.mem_step(state, _bundle(m, kind, k), oracle, xi)
+            state = opt.mem_step(state, kind.bundles(k, k + 1), oracle, xi)
             out.append(entry(f"mem_step (n,) q={kind.q} k={k}", state))
     return out
 
@@ -369,15 +360,14 @@ def _mixed_stream(m):
     rows = [((1.0, 1.0), (0.5, 0.5)), ((1.0, 0.5), (0.6, -0.2)),
             ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
     return m.optimizer.AlgorithmKind("mixed", 2, _per_k(m, lambda k: (
-        0.05, *rows[k % 4], sum(rows[k % 4][1]))))
+        0.05, *rows[k % 4])))
 
 
 def _alternating(m):
     """A custom q = 1 per-k stream whose gamma alternates 1.0 / 0.5 and whose
     weight is 1.0 (m dropped) at every third k."""
     return m.optimizer.AlgorithmKind("alternating", 1, _per_k(m, lambda k: (
-        0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,),
-        1.0 if k % 3 == 0 else 0.4)))
+        0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,))))
 
 
 def _signed_zero(m, sign):
@@ -385,7 +375,7 @@ def _signed_zero(m, sign):
     sign * 0.0 at k = 1 and 0.5 after."""
     theta = lambda k: 1.5 if k == 0 else sign * 0.0 if k == 1 else 0.5
     return m.optimizer.AlgorithmKind(f"zero{sign:+.0f}", 1, _per_k(m, lambda k: (
-        0.05, (1.0,), (theta(k),), theta(k))))
+        0.05, (1.0,), (theta(k),))))
 
 
 def custom_stream_section(m):
@@ -408,10 +398,10 @@ def custom_stream_section(m):
     x_prev = x.copy()
     x_prev[1, 2:4] = (np.inf, np.nan)
     for gammas in ((1.0, 1.0), (1.0, 0.5)):
-        carry = _one_row(m, -1, float("nan"), gammas, (0.5, 0.5), 1.0)
+        carry = _one_row(m, -1, float("nan"), gammas, (0.5, 0.5))
         state = opt.OptimizerState(x_prev, x, np.zeros_like(x), 0, carry)
         for k in range(4):
-            state = opt.mem_step(state, _bundle(m, kind, k), oracle, np.zeros(3))
+            state = opt.mem_step(state, kind.bundles(k, k + 1), oracle, np.zeros(3))
             out.append(entry(f"mixed stream mem_step carry={gammas} k={k}", state))
     def gradient(x):  # a -0.0 second coordinate, which weight 1.5 carries into m
         x = np.asarray(x, dtype=float)
@@ -424,7 +414,7 @@ def custom_stream_section(m):
         [6, 6], [0, 1], [1, 1])))
     three = lambda z, xi: np.zeros((3, *z.shape[1:]))
     out.append(entry("mem_step 2 weights for 3 gradients", _outcome(
-        opt.mem_step, opt.initial_state(x, 2), _bundle(m, kind, 0), three, 0.0)))
+        opt.mem_step, opt.initial_state(x, 2), kind.bundles(0, 1), three, 0.0)))
     return out
 
 
@@ -481,7 +471,7 @@ def schedule_section(m):
     for p in range(2, 7):
         bundles = [sch.params_general(k, p) for k in ks]
         gammas = np.array([_row(b)[2] for b in bundles])
-        _, _, g, t, _ = _row(bundles[3])
+        _, _, g, t = _row(bundles[3])
         odd.append(_one_row(m, 9, 0.1, g, tuple(map(abs, t)), 0.5))
         out += [
             entry(f"schedule_arrays p={p}", ver.schedule_arrays(p, np.array(ks))),
@@ -532,7 +522,7 @@ def _contractions(m, p: int) -> list:
     """(signed contraction, check_potential_inequality) at k = 0, 7, .. 2996:
     a change that moves the contraction but not its sign still shows."""
     sch, ver, ks = m.schedule, m.verify, range(0, 3000, 7)
-    sums = sch.params_block(p, 0, 3000).theta_sum[::7]
+    sums = map(math.fsum, sch.params_block(p, 0, 3000).thetas[::7].tolist())
     return [(float(ver._contraction(s, sch.potential_weight(k, p),
                                     sch.potential_weight(k + 1, p), p)),
              ver.check_potential_inequality(k, p)) for k, s in zip(ks, sums)]
