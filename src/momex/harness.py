@@ -19,6 +19,7 @@ import collections
 import contextlib
 import json
 import math
+import os
 import statistics
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -350,7 +351,10 @@ def build_problem(config: RunConfig):
         if config.synthetic is not None:
             data = generate_synthetic(config.synthetic, config.data_seed)
         else:
-            data = load_csv_dataset(config.dataset, config.target)
+            try:
+                data = load_csv_dataset(config.dataset, config.target)
+            except OSError as exc:
+                raise ConfigError(f"--dataset: cannot read {config.dataset}: {exc}") from exc
         problem = datafit_problem(data) if config.problem == "datafit" else robust_problem(data)
     noise = NoiseModel(kind=config.noise, sigma_tilde=config.sigma)
     if config.x0 == "ones":
@@ -464,19 +468,19 @@ def parse_records(text: str) -> Tuple[TrajectoryRecord, ...]:
     return tuple(out)
 
 
-def _open(path: Optional[str]):
+def _open(path: Optional[str], mode: str = "w"):
     """path opened for writing, or stdout (left open) when path is None."""
     try:
-        return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+        return contextlib.nullcontext(sys.stdout) if path is None else open(path, mode, newline="")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _output(chunks, path: Optional[str] = None, receipt: Optional[dict] = None, out=None) -> None:
-    """Write chunks (at least one string) to out, what _open(path) gave, or
-    to _open(path) now: to a file as they are, to stdout newline-terminated;
-    after a file, print the receipt, if any, as one JSON line with the path."""
-    with out or _open(path) as fh:
+def _output(chunks, path: Optional[str] = None, receipt: Optional[dict] = None) -> None:
+    """Write chunks (at least one string) to _open(path): to a file as they
+    are, to stdout newline-terminated; after a file, print the receipt, if
+    any, as one JSON line with the path."""
+    with _open(path) as fh:
         for chunk in chunks:
             fh.write(chunk)
         fh.write("" if path is not None or chunk.endswith("\n") else "\n")
@@ -717,12 +721,15 @@ def verify_all(
 
 def _cmd_run(argv: Sequence[str]) -> int:
     config = parse_config(argv)
-    out = _open(config.out)  # a path that cannot be written fails before the run
-    with out:
-        records, summary = run_experiment(config)
-        if summary["status"].startswith("non-finite"):
-            print(f"warning: the run's status is {summary['status']!r}", file=sys.stderr)
-        _output(_payload(records, config.format, config, summary), config.out, summary, out)
+    if config.out is not None:  # a path that cannot be written fails before the run,
+        fresh = not os.path.lexists(config.out)  # and a run that fails leaves it as it was
+        _open(config.out, "a").close()
+        if fresh:
+            os.remove(config.out)
+    records, summary = run_experiment(config)
+    if summary["status"].startswith("non-finite"):
+        print(f"warning: the run's status is {summary['status']!r}", file=sys.stderr)
+    _output(_payload(records, config.format, config, summary), config.out, summary)
     return 0
 
 

@@ -103,7 +103,7 @@ Oracle = Callable[[np.ndarray, Union[float, np.ndarray]], np.ndarray]
 def _fault(block: ParamsBlock, k0: int, n: int, q: int) -> Optional[str]:
     """What is wrong with the shape of a member's block of the n
     iterations k0 .., or None."""
-    for name in ("eta", "gammas", "thetas", "theta_sum"):
+    for name in ("eta", "gammas", "thetas"):
         rows = len(getattr(block, name))
         if rows != n:
             what = f"{rows} bundles" if name == "eta" else f"{name} has {rows} rows"
@@ -118,18 +118,18 @@ def _fault(block: ParamsBlock, k0: int, n: int, q: int) -> Optional[str]:
 def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple) -> tuple:
     """The members' blocks of the n iterations k0 .. as float columns behind
     their carried rows (the columns of the bundles they ran last, at k0 - 1:
-    eta and theta_sum (K,), gammas and thetas (K, q)): eta and theta_sum
-    (K, n + 1), gammas and thetas (K, n + 1, q). A gate checks them
-    member after member, and its ValueError says what is wrong:
-    each block has n rows in every column, starts at k0 and has the carry's
-    q; the carried gammas and those of rows 0 .. n-2 lie in (0, 1] and every
-    eta is > 0, naming the k of the first bad bundle, gammas before eta."""
+    eta (K,), gammas and thetas (K, q)): eta (K, n + 1), gammas and thetas
+    (K, n + 1, q). A gate checks them member after member, and its
+    ValueError says what is wrong: each block has n rows in every column,
+    starts at k0 and has the carry's q; the carried gammas and those of rows
+    0 .. n-2 lie in (0, 1] and every eta is > 0, naming the k of the first
+    bad bundle, gammas before eta."""
     q = carry[1].shape[-1]
     faults = [_fault(b, k0, n, q) for b in blocks]
     K = next((i for i, f in enumerate(faults) if f), len(blocks))  # the members before it first
-    E, G, T, sums = (np.concatenate((c[:K, None], np.array(
+    E, G, T = (np.concatenate((c[:K, None], np.array(
         [getattr(b, f) for b in blocks[:K]], dtype=float).reshape(K, n, *c.shape[1:])), axis=1)
-        for c, f in zip(carry, ("eta", "gammas", "thetas", "theta_sum")))
+        for c, f in zip(carry, ("eta", "gammas", "thetas")))
     # per member, step j's q gammas then its eta, in reading order
     ok = np.concatenate(((G[:, :n] > 0.0) & (G[:, :n] <= 1.0), E[:, 1:, None] > 0.0), axis=2)
     if not ok.all():
@@ -141,7 +141,7 @@ def _stack(blocks: Sequence[ParamsBlock], k0: int, n: int, carry: tuple) -> tupl
         raise ValueError(f"bundle for k={k0 + j}: eta must be positive, got {blocks[i].eta[j]}")
     if K < len(blocks):
         raise ValueError(faults[K])
-    return E, G, T, sums
+    return E, G, T
 
 
 def _steps(
@@ -168,7 +168,7 @@ def _steps(
     takes z = x (x + 0 (x - x_prev) would turn -0.0 into +0.0 and inf into
     NaN), and a row whose weights sum to one drops m, as a member alone
     does."""
-    (x_prev, x, m, zero_steps, _), (E, G, TS, _) = state, block
+    (x_prev, x, m, zero_steps, _), (E, G, TS) = state, block
     n, q = len(xis), G.shape[-1]
     G, TS = G[:, :n], TS[:, :n]
     W, one = np.array([[1.0 - math.fsum(t) for t in ts] for ts in TS.tolist()]), G == 1.0
@@ -231,7 +231,7 @@ def mem_step(state: OptimizerState, params: ParamsBlock, oracle: Oracle, xi,
     c = state.carry
     (x_prev, x, m, zero_steps, zs), *_ = _steps(
         (state.x_prev, state.x_cur, state.m, state.zero_steps, ()),
-        _stack([params], state.k, 1, (c.eta, c.gammas, c.thetas, c.theta_sum)), oracle, [xi],
+        _stack([params], state.k, 1, (c.eta, c.gammas, c.thetas)), oracle, [xi],
         normalized)
     return OptimizerState(x_prev, x, m, state.k + 1, params,
                           state.oracle_calls + c.gammas.shape[-1], zero_steps, tuple(zs))
@@ -242,8 +242,9 @@ class AlgorithmKind:
     """A method as the kernel sees it: q query points per iteration,
     bundles(k0, k1) -> the ParamsBlock for iterations k0 .. k1 - 1, and
     whether the step is normalized. A per-k rule is written as columns: the
-    stream lambda k0, k1: ParamsBlock(k0, eta, gammas, thetas, theta_sum)
-    with the rule's values for k0 .. k1 - 1 as rows."""
+    stream lambda k0, k1: ParamsBlock(k0, eta, gammas, thetas) with the
+    rule's values for k0 .. k1 - 1 as rows; the kernel sums each row's
+    thetas itself."""
 
     name: str
     q: int
@@ -280,11 +281,11 @@ def _refuse(gamma: Rule, eta: Rule, gamma_in: Callable[[float], bool], interval:
 
 def _momentum_stream(gamma_rule: Rule, eta_rule: Rule) -> Callable[[int, int], ParamsBlock]:
     """The q = 1 stream that queries x itself and weighs its gradient by
-    gamma_k: the block whose row k holds eta_k, gammas (1.0,), thetas
-    (gamma_k,) and theta_sum gamma_k. A float rule is refused when the kind
-    is built, a callable gamma rule at the k where it leaves (0, 1] (gamma_k is
-    the theta, which the kernel's gate does not read), and a callable eta
-    rule by the gate. A block reads its gammas, then its etas."""
+    gamma_k: the block whose row k holds eta_k, gammas (1.0,) and thetas
+    (gamma_k,). A float rule is refused when the kind is built, a callable
+    gamma rule at the k where it leaves (0, 1] (gamma_k is the theta, which
+    the kernel's gate does not read), and a callable eta rule by the gate.
+    A block reads its gammas, then its etas."""
     _refuse(gamma_rule, eta_rule, lambda g: 0.0 < g <= 1.0, "(0, 1]")
 
     def bundles(k0: int, k1: int) -> ParamsBlock:
@@ -293,8 +294,7 @@ def _momentum_stream(gamma_rule: Rule, eta_rule: Rule) -> Callable[[int, int], P
             if not 0.0 < gamma <= 1.0:
                 raise ValueError(f"bundle for k={k}: gamma must be in (0, 1], got {gamma}")
         return ParamsBlock(k0, np.array(_column(eta_rule, k0, k1), dtype=float),
-                           np.ones((k1 - k0, 1)), np.array(gammas, dtype=float)[:, None],
-                           np.array(gammas, dtype=float))
+                           np.ones((k1 - k0, 1)), np.array(gammas, dtype=float)[:, None])
 
     return bundles
 
@@ -320,7 +320,7 @@ def nigt(gamma: float, eta: float) -> AlgorithmKind:
     (gamma, eta) bundle, so it matches mem on a constant q = 1 stream."""
     _refuse(gamma, eta, lambda g: 0.0 < g < 1.0, "(0, 1)")
     thetas = solve_weights_closed_form([gamma])
-    row = (np.array([eta], dtype=float), np.array([[gamma]], dtype=float), thetas[None], thetas)
+    row = (np.array([eta], dtype=float), np.array([[gamma]], dtype=float), thetas[None])
     return AlgorithmKind("nigt", 1, lambda k0, k1: ParamsBlock(
         k0, *(np.repeat(c, k1 - k0, axis=0) for c in row)))
 
@@ -466,7 +466,7 @@ def run_batch(
         st = initial_state(np.tile(x0, (S * len(members), 1)), g[0])
         state[g] = (st.x_prev, st.x_cur, st.m, st.zero_steps, st.zs)
         carry[g] = tuple(np.repeat(c, len(members), axis=0) for c in (
-            st.carry.eta, st.carry.gammas, st.carry.thetas, st.carry.theta_sum))
+            st.carry.eta, st.carry.gammas, st.carry.thetas))
         at[g], logs[g], Xs[g] = 0, [], []
         bad_at[g] = np.full(S * len(members), -1)
     strides = {g: {log_strides[i] for i in members} for g, members in groups.items()}

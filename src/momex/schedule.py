@@ -87,14 +87,14 @@ class ScheduleConfig:
 
 @dataclass(frozen=True, eq=False)
 class ParamsBlock:
-    """Bundles of iterations k0 .. k0 + B - 1 as arrays: eta and theta_sum
-    (B,), gammas and thetas (B, q). Row j is the bundle of iteration k0 + j;
-    one iteration's bundle is a one-row block.
+    """Bundles of iterations k0 .. k0 + B - 1 as arrays: eta (B,), gammas
+    and thetas (B, q). Row j is the bundle of iteration k0 + j; one
+    iteration's bundle is a one-row block. A row's weight sum is the
+    exactly rounded sum of its thetas, math.fsum of the row.
 
     Schedule outputs keep the gammas strictly decreasing in (0,1), the
-    thetas alternating in sign starting positive, and theta_sum inside
-    (0,1), stored as the exactly rounded sum of the thetas;
-    verify.validate() measures those properties for hand-built bundles.
+    thetas alternating in sign starting positive, and the weight sum inside
+    (0,1); verify.validate() measures those properties for hand-built bundles.
     The warm-up row from init_params() intentionally sits outside these
     conventions (gamma = 1, equal positive weights)."""
 
@@ -102,7 +102,6 @@ class ParamsBlock:
     eta: np.ndarray
     gammas: np.ndarray
     thetas: np.ndarray
-    theta_sum: np.ndarray
 
 
 def params_block(p: int, k0: int, k1: int) -> ParamsBlock:
@@ -116,9 +115,8 @@ def params_block(p: int, k0: int, k1: int) -> ParamsBlock:
     exponentials share one log of (k+p) so a single bundle never mixes
     inconsistent roundings of the base power. The logs, exponentials and
     powers go through libm one value at a time (numpy's vector kernels can
-    be an ulp away) and theta_sum is the exactly rounded row sum; the rest
-    is exactly rounded arithmetic on whole columns. So a row has the same
-    bits whatever block computes it.
+    be an ulp away); the rest is exactly rounded arithmetic on whole
+    columns. So a row has the same bits whatever block computes it.
 
     Raises:
         ValueError: p < 2, k0 < 0 or k1 < k0.
@@ -138,14 +136,7 @@ def params_block(p: int, k0: int, k1: int) -> ParamsBlock:
     eta = np.array(list(map(math.exp, (-(2.0 * p + 1.0) / d * lg).tolist())))
     # c > 1, so these lie in (0,1) and decrease: valid by construction
     gammas = 1.0 / (c[:, None] * np.arange(1.0, p))
-    thetas = _closed_form(gammas)
-    return ParamsBlock(
-        k0=k0,
-        eta=eta,
-        gammas=gammas,
-        thetas=thetas,
-        theta_sum=np.array(list(map(math.fsum, thetas.tolist()))),
-    )
+    return ParamsBlock(k0=k0, eta=eta, gammas=gammas, thetas=_closed_form(gammas))
 
 
 def params_general(k: int, p: int) -> ParamsBlock:
@@ -175,13 +166,8 @@ def init_params(q: int) -> ParamsBlock:
     """
     if q < 1:
         raise ValueError(f"extrapolation count must be >= 1, got {q}")
-    return ParamsBlock(
-        k0=-1,
-        eta=np.array([math.nan]),
-        gammas=np.ones((1, q)),
-        thetas=np.full((1, q), 1.0 / q),
-        theta_sum=np.array([1.0]),
-    )
+    return ParamsBlock(k0=-1, eta=np.array([math.nan]), gammas=np.ones((1, q)),
+                       thetas=np.full((1, q), 1.0 / q))
 
 
 # tiny or nearly equal gammas may overflow a factor, as the scalar product would, quietly

@@ -451,8 +451,8 @@ def _p3_weights(c):
 
 
 def _p3_literal(k: int) -> tuple:
-    """(eta, theta_sum, gamma_1, gamma_2, theta_1, theta_2) of params_p3 as
-    plain floats, through the scalar libm."""
+    """(eta, S, gamma_1, gamma_2, theta_1, theta_2), S the weight sum, of the
+    literal order-3 bundle as plain floats, through the scalar libm."""
     lg = math.log(float(k) + 3.0)
     c = math.exp(3.0 / 5.0 * lg)
     (g1, g2), (t1, t2) = _p3_weights(c)
@@ -462,7 +462,7 @@ def _p3_literal(k: int) -> tuple:
 
 def params_p3(k: int) -> ParamsBlock:
     """Bundle of the third-order schedule in its literal form (an oracle),
-    as a one-row block.
+    as a one-row block (k, eta, gammas, thetas).
 
         eta_k    = (k+3)^(-7/10)
         gamma_1  = (k+3)^(-3/5),          gamma_2 = gamma_1 / 2
@@ -474,9 +474,8 @@ def params_p3(k: int) -> ParamsBlock:
     fractions.
     """
     _check_index(k)
-    eta, theta_sum, g1, g2, t1, t2 = _p3_literal(k)
-    return ParamsBlock(k, np.array([eta]), np.array([[g1, g2]]), np.array([[t1, t2]]),
-                       np.array([theta_sum]))
+    eta, _, g1, g2, t1, t2 = _p3_literal(k)
+    return ParamsBlock(k, np.array([eta]), np.array([[g1, g2]]), np.array([[t1, t2]]))
 
 
 def _as_indices(ks) -> np.ndarray:
@@ -618,15 +617,19 @@ def weight_sum_closed_form(gammas) -> float:
 
 def validate(params: ParamsBlock) -> WeightDiagnostics:
     """Measure a bundle, a one-row block, against (*), the unit-interval
-    sum, and the signs.
+    sum (math.fsum of its thetas), and the signs.
 
     Never raises on a one-row block; failures are carried in the flags so
     sweeps can aggregate.
     """
-    (g,), (th,), (s,) = params.gammas, params.thetas, params.theta_sum
+    (g,), (th,) = params.gammas, params.thetas
+    try:
+        s = math.fsum(th.tolist())
+    except (ValueError, OverflowError):  # inf - inf, or a partial sum past the float range
+        s = math.nan
     return WeightDiagnostics(
         residual=float(_scaled_residual(g, th)),
-        theta_sum_in_unit=bool(0.0 < s < 1.0),
+        theta_sum_in_unit=0.0 < s < 1.0,
         signs_alternate=_sign_faults(th) == 0,
     )
 
@@ -634,11 +637,11 @@ def validate(params: ParamsBlock) -> WeightDiagnostics:
 def check_potential_inequality(k: int, p: int) -> bool:
     """True when (1 - S_k) p_{k+1} <= (1 - S_k / d) p_k.
 
-    S_k is the iteration's weight sum and d = 2 at order 3, d = p + 1
-    otherwise. This is the contraction the error-discount weights were
-    chosen for; the built-in schedules satisfy it at every k.
+    S_k is the iteration's weight sum, math.fsum of its thetas; d = 2 at
+    order 3, d = p + 1 otherwise. This is the contraction the error-discount
+    weights were chosen for; the built-in schedules satisfy it at every k.
     """
-    (s,) = params_general(k, p).theta_sum
+    s = math.fsum(params_general(k, p).thetas[0].tolist())
     pk, pk1 = (potential_weight(j, p) for j in (k, k + 1))
     return bool(_contraction(s, pk, pk1, p) <= 0.0)
 
@@ -821,7 +824,8 @@ def p3_consistency_check(k_max: int = 10**4) -> CheckReport:
     """
     worst = 0.0
     for a in _bundle_blocks(3, 0, k_max + 1):
-        general = np.column_stack([a.eta, a.theta_sum, a.gammas, a.thetas])
+        general = np.column_stack([a.eta, list(map(math.fsum, a.thetas.tolist())), a.gammas,
+                                   a.thetas])
         dedicated = np.array([_p3_literal(k) for k in range(a.k0, a.k0 + len(a.eta))])
         worst = max(worst, float((np.abs(general - dedicated) / np.abs(dedicated)).max()))
     return CheckReport(

@@ -6,7 +6,6 @@ unit suites own the fine-grained cases; these tests exercise the public
 surface end to end.
 """
 
-import math
 import time
 
 import numpy as np
@@ -129,7 +128,7 @@ def test_single_extrapolation_constant_schedule_reproduces_nigt():
         name="mem", q=1,
         bundles=lambda k0, k1: sch.ParamsBlock(
             k0, np.full(k1 - k0, 0.05), np.full((k1 - k0, 1), 0.3),
-            np.tile(thetas, (k1 - k0, 1)), np.full(k1 - k0, math.fsum(thetas))),
+            np.tile(thetas, (k1 - k0, 1))),
     )
     a = opt.run(opt.nigt(gamma=0.3, eta=0.05), problem, noise, x0,
                 budget=400, seed=21)

@@ -348,7 +348,7 @@ def test_mem_p3_uses_general_schedule():
     for k in (0, 1, 1234):
         a, b = kind.bundles(k, k + 1), params_general(k, 3)
         assert a.k0 == b.k0
-        for field in ("eta", "gammas", "thetas", "theta_sum"):
+        for field in ("eta", "gammas", "thetas"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -553,7 +553,7 @@ def test_cli_run_refuses_an_unwritable_out_before_the_run(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {bad}: ") and not bad.exists()
 
-    # --out is opened, so emptied, before the run: a run that fails leaves it empty
+    # a run that fails leaves an existing --out byte for byte and makes no new one
     def failing(*args, **kwargs):
         raise ValueError("the run failed")
 
@@ -562,7 +562,31 @@ def test_cli_run_refuses_an_unwritable_out_before_the_run(tmp_path, monkeypatch,
     out.write_text("old content\n")
     assert har.main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: the run failed\n"
-    assert out.read_text() == ""
+    assert out.read_text() == "old content\n"
+    fresh = tmp_path / "new.csv"
+    assert har.main([*argv, "--out", str(fresh)]) == 2
+    assert capsys.readouterr().err == "error: the run failed\n"
+    assert not fresh.exists()
+
+
+def test_cli_run_that_fails_in_its_set_up_keeps_its_out(tmp_path, capsys):
+    """A refusal raised while the run is set up (a bad --x0, an unreadable
+    --dataset) leaves --out as it was."""
+    out, fresh = tmp_path / "out.csv", tmp_path / "new.csv"
+    out.write_bytes(b"k,f_val\r\n0,1.0\r\n")
+    base = ["run", "--alg", "mem", "--p", "3", "--iters", "5"]
+    missing = tmp_path / "nope.csv"
+    for flags, message in (
+        (["--problem", "quadratic", "--dim", "3", "--x0", "1,2"],
+         "error: --x0 has 2 coordinates, problem has dimension 3\n"),
+        (["--problem", "datafit", "--dataset", str(missing)],
+         f"error: --dataset: cannot read {missing}: [Errno 2] No such file or directory: "
+         f"'{missing}'\n"),
+    ):
+        for path in (out, fresh):
+            assert har.main([*base, *flags, "--out", str(path)]) == 2
+            assert capsys.readouterr().err == message
+        assert out.read_bytes() == b"k,f_val\r\n0,1.0\r\n" and not fresh.exists()
 
 
 _OUT_COMMANDS = [
@@ -651,6 +675,19 @@ def test_cli_reports_a_non_finite_dataset_cell(tmp_path, capsys):
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err == f"error: {path}: non-finite value 'inf' at row 3, column 'b'\n"
+
+
+def test_an_unreadable_dataset_names_its_flag(tmp_path, capsys):
+    path = tmp_path / "nope.csv"
+    with pytest.raises(har.ConfigError, match=rf"^--dataset: cannot read {re.escape(str(path))}: "):
+        har.build_problem(har.RunConfig(algorithm="mem", p=3, problem="datafit", dataset=str(path),
+                                        iters=1))
+    for command in (["run", "--alg", "mem", "--p", "3", "--iters", "3"],
+                    ["compare", "--algs", "mem:2", "--budget", "4", "--seeds", "1"]):
+        assert har.main([*command, "--problem", "datafit", "--dataset", str(path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: --dataset: cannot read {path}: [Errno 2] ")
 
 
 def test_cli_reports_a_dataset_with_no_feature_column(tmp_path, capsys):

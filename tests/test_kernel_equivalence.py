@@ -196,7 +196,7 @@ def test_mem_p3_tracks_the_literal_order3_schedule():
     def p3_block(k0, k1):  # params_p3's one-row blocks stacked
         rows = [ver.params_p3(k) for k in range(k0, k1)]
         return sch.ParamsBlock(k0, *(np.concatenate([getattr(b, c) for b in rows])
-                                     for c in ("eta", "gammas", "thetas", "theta_sum")))
+                                     for c in ("eta", "gammas", "thetas")))
 
     literal = opt.AlgorithmKind("mem", 2, p3_block)
     general = opt.mem(sch.ScheduleConfig(p=3, q=2))

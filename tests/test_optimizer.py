@@ -22,13 +22,12 @@ def _oracle(problem, noise):
 
 def _block(k0, rows):
     """The ParamsBlock holding iterations k0 .. whose bundles are rows of
-    (eta, gammas, thetas, theta_sum), written as its columns."""
+    (eta, gammas, thetas), written as its columns."""
     return sched.ParamsBlock(k0, *(np.array(c, dtype=float) for c in zip(*rows)))
 
 
 def _per_k(row):
-    """The block stream of a per-k rule row(k) -> (eta, gammas, thetas,
-    theta_sum)."""
+    """The block stream of a per-k rule row(k) -> (eta, gammas, thetas)."""
     return lambda k0, k1: _block(k0, map(row, range(k0, k1)))
 
 
@@ -36,8 +35,7 @@ def _carry(state):
     """A state's carry as its k and columns in Python floats: its repr
     tells every bit, -0.0 and NaN included."""
     c = state.carry
-    return repr((c.k0, *(getattr(c, f).tolist() for f in ("eta", "gammas", "thetas",
-                                                          "theta_sum"))))
+    return repr((c.k0, *(getattr(c, f).tolist() for f in ("eta", "gammas", "thetas"))))
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +52,11 @@ def _one_step(x_prev, x, m, gammas, thetas, grads=None, eta=0.3):
         seen.append(z.copy())
         return np.zeros_like(z) if grads is None else np.array(grads, dtype=float)
 
-    carry = _block(-1, [(math.nan, gammas, thetas, math.fsum(thetas))])
+    carry = _block(-1, [(math.nan, gammas, thetas)])
     state = opt.OptimizerState(np.array(x_prev, dtype=float), np.array(x, dtype=float),
                                np.array(m, dtype=float), 0, carry)
     q = len(gammas)
-    params = _block(0, [(eta, (1.0,) * q, (1.0 / q,) * q, 1.0)])
+    params = _block(0, [(eta, (1.0,) * q, (1.0 / q,) * q)])
     return opt.mem_step(state, params, oracle, 0.0), seen[0]
 
 
@@ -239,7 +237,7 @@ def test_nigt_matches_constant_mem():
     constant = opt.AlgorithmKind(
         name="mem",
         q=1,
-        bundles=_per_k(lambda k: (0.05, [0.3], thetas, math.fsum(thetas))),
+        bundles=_per_k(lambda k: (0.05, [0.3], thetas)),
     )
     a = opt.run(constant, problem, noise, x0, budget=100, seed=11)
     b = opt.run(opt.nigt(0.3, 0.05), problem, noise, x0, budget=100, seed=11)
@@ -352,6 +350,8 @@ def test_store_iterates_and_output_draw():
     stored = {it.tobytes() for it in res.iterates[:-1]}
     assert picks <= stored  # never the closing iterate
     assert len(picks) > 1
+    with pytest.raises(ValueError, match=r"^need at least two stored iterates \(x\^0 and x\^1\)$"):
+        opt.select_output_iterate(res.iterates[:1], np.random.default_rng(0))
 
 
 def test_noise_free_descent_examples():
@@ -430,8 +430,7 @@ def _alternating():
     """A custom q = 1 stream whose gamma alternates 1.0 / 0.5 and whose
     weight is 1.0 (m dropped) at every third k."""
     return opt.AlgorithmKind("alternating", 1, _per_k(lambda k: (
-        0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,),
-        1.0 if k % 3 == 0 else 0.4)))
+        0.05, (1.0 if k % 2 == 0 else 0.5,), (1.0 if k % 3 == 0 else 0.4,))))
 
 
 def _same_as_alone(got, kind, problem, noise, x0, budget, seed, stride, **kw):
@@ -543,7 +542,7 @@ def _signed_zero(sign):
     sign * 0.0 at k = 1 and 0.5 after."""
     theta = lambda k: 1.5 if k == 0 else sign * 0.0 if k == 1 else 0.5
     return opt.AlgorithmKind(f"zero{sign:+.0f}", 1, _per_k(lambda k: (
-        0.05, (1.0,), (theta(k),), theta(k))))
+        0.05, (1.0,), (theta(k),))))
 
 
 def test_a_group_shares_a_coefficient_only_on_its_bits():
@@ -572,7 +571,7 @@ def _mixed_stream():
     rows = [((1.0, 1.0), (0.5, 0.5)), ((1.0, 0.5), (0.6, -0.2)),
             ((0.5, 1.0), (0.3, 0.1)), ((0.5, 0.5), (0.7, 0.3))]
     return opt.AlgorithmKind("mixed", 2, _per_k(lambda k: (
-        0.05, *rows[k % 4], sum(rows[k % 4][1]))))
+        0.05, *rows[k % 4])))
 
 
 def test_mem_step_past_a_non_finite_x_prev_raises_no_warning():
@@ -584,7 +583,7 @@ def test_mem_step_past_a_non_finite_x_prev_raises_no_warning():
     x = np.array([[-0.0, 0.5, -1.0, 0.25, 2.0], np.linspace(-1.0, 1.0, 5), np.full(5, -0.0)])
     x_prev = x.copy()
     x_prev[1, 2:4] = (np.inf, np.nan)
-    carry = _block(-1, [(math.nan, (1.0, 0.5), (0.5, 0.5), 1.0)])
+    carry = _block(-1, [(math.nan, (1.0, 0.5), (0.5, 0.5))])
     state = opt.OptimizerState(x_prev, x, np.zeros_like(x), 0, carry)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -783,7 +782,7 @@ def test_run_reads_bundle_blocks_bit_for_bit(p):
 def test_hand_built_streams_are_read_one_k_after_another():
     seen = []
     kind = opt.AlgorithmKind("probe", 1, _per_k(lambda k: seen.append(k) or (
-        (k + 1.0) ** -0.5, (1.0,), (1.0,), 1.0)))
+        (k + 1.0) ** -0.5, (1.0,), (1.0,))))
     opt.run(kind, _datafit(), prob.NoiseModel(), np.ones(10), 300, seed=0, log_stride=50)
     assert seen == list(range(300))
 
@@ -866,7 +865,6 @@ def test_custom_blocks_are_checked():
          r"^7 bundles for the 10 iterations 0..9$"),
         (2, cut("gammas"), r"^gammas has 9 rows for the 10 iterations 0..9$"),
         (2, cut("thetas"), r"^thetas has 9 rows for the 10 iterations 0..9$"),
-        (2, cut("theta_sum"), r"^theta_sum has 9 rows for the 10 iterations 0..9$"),
         (2, cut("thetas", q=1), r"^thetas have q=3, state is at k=0 with q=2$"),
     ]
     for q, block, message in cases:
@@ -894,10 +892,10 @@ def test_one_gate_per_block_names_the_bad_k():
         gammas = block.gammas.copy()
         if a <= 300 < b:
             gammas[300 - a, 0] = 0.0
-        return sched.ParamsBlock(block.k0, block.eta, gammas, block.thetas, block.theta_sum)
+        return sched.ParamsBlock(block.k0, block.eta, gammas, block.thetas)
 
     per_k = opt.AlgorithmKind(
-        "custom", 1, _per_k(lambda k: (0.01, (gamma_at(k),), (0.5,), 0.5)))
+        "custom", 1, _per_k(lambda k: (0.01, (gamma_at(k),), (0.5,))))
     blocked = opt.AlgorithmKind("custom", 2, view)
     cases = [(make(eta_at(bad)), rf"^bundle for k=300: eta must be positive, got {bad}$")
              for make in (opt.sg, lambda rule: opt.sg_pm(eta_rule=rule))
@@ -909,7 +907,7 @@ def test_one_gate_per_block_names_the_bad_k():
             opt.run(kind, problem, noise, x0, 400, 0)
 
     # a hand-built state whose carry has gamma 0 is refused at the carry's k
-    carry = _block(6, [(0.1, (0.0,), (0.5,), 0.5)])
+    carry = _block(6, [(0.1, (0.0,), (0.5,))])
     state = opt.OptimizerState(x0, x0, np.zeros(5), 7, carry)
     with pytest.raises(ValueError, match=r"^bundle for k=6: gamma must be in \(0, 1\], got 0.0$"):
         opt.mem_step(state, per_k.bundles(7, 8), _oracle(problem, noise), 0.0)
@@ -929,7 +927,7 @@ def test_the_gate_reads_a_group_member_after_member():
     problem, noise, x0 = prob.quadratic_problem(5), prob.NoiseModel(), np.ones(5)
     eta = opt.sg_pm(eta_rule=lambda k: 0.0 if k == 350 else 0.01)
     gamma = opt.AlgorithmKind("custom", 1, _per_k(lambda k: (
-        0.01, (0.0 if k == 300 else 0.5,), (0.5,), 0.5)))
+        0.01, (0.0 if k == 300 else 0.5,), (0.5,))))
     wide = opt.AlgorithmKind("wide", 1, lambda a, b: sched.params_block(2 if a < 256 else 3, a, b))
     cases = [([eta, gamma], r"^bundle for k=350: eta must be positive, got 0.0$"),
              ([gamma, eta], r"^bundle for k=300: gamma must be in \(0, 1\], got 0.0$"),

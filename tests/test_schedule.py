@@ -24,7 +24,7 @@ def test_p3_first_iteration_pinned():
     assert pm.gammas[0, 1] == 0.2586409289858933
     assert pm.thetas[0, 0] == 0.7669831953568296
     assert pm.thetas[0, 1] == -0.1248506686925215
-    assert pm.theta_sum[0] == 0.6421325266643081
+    assert math.fsum(pm.thetas[0]) == 0.6421325266643081
 
 
 def test_general_p4_first_iteration_pinned():
@@ -37,7 +37,7 @@ def test_general_p4_first_iteration_pinned():
         assert math.isclose(got, ref, rel_tol=1e-14)
     for got, ref in zip(pm.thetas[0], ref_th, strict=True):
         assert math.isclose(got, ref, rel_tol=1e-13)
-    assert math.isclose(pm.theta_sum[0], 0.6125054885171676, rel_tol=1e-13)
+    assert math.isclose(math.fsum(pm.thetas[0]), 0.6125054885171676, rel_tol=1e-13)
 
 
 def test_general_specializes_to_p3():
@@ -49,16 +49,16 @@ def test_general_specializes_to_p3():
         assert math.isclose(a.eta[0], b.eta[0], rel_tol=1e-14)
         np.testing.assert_allclose(a.gammas, b.gammas, rtol=1e-14, atol=0)
         np.testing.assert_allclose(a.thetas, b.thetas, rtol=1e-14, atol=0)
-        assert math.isclose(a.theta_sum[0], b.theta_sum[0], rel_tol=1e-14)
+        assert math.isclose(math.fsum(a.thetas[0]), math.fsum(b.thetas[0]), rel_tol=1e-14)
 
 
 def test_init_params():
     pm = sched.init_params(3)
     assert pm.k0 == -1
-    assert pm.eta.shape == pm.theta_sum.shape == (1,) and math.isnan(pm.eta[0])
+    assert pm.eta.shape == (1,) and math.isnan(pm.eta[0])
     np.testing.assert_array_equal(pm.gammas, np.ones((1, 3)))
     np.testing.assert_array_equal(pm.thetas, np.full((1, 3), 1.0 / 3.0))
-    assert pm.theta_sum[0] == 1.0
+    assert math.fsum(pm.thetas[0]) == 1.0
     with pytest.raises(ValueError, match="^extrapolation count must be >= 1, got 0$"):
         sched.init_params(0)
 
@@ -249,8 +249,20 @@ def test_validate_schedule_weights():
 
 def test_validate_flags_broken_sign_pattern():
     pm = sched.params_general(10, 4)
-    doctored = sched.ParamsBlock(pm.k0, pm.eta, pm.gammas, np.abs(pm.thetas), pm.theta_sum)
+    doctored = sched.ParamsBlock(pm.k0, pm.eta, pm.gammas, np.abs(pm.thetas))
     assert not ver.validate(doctored).signs_alternate
+
+
+def test_validate_takes_the_weight_sum_from_the_thetas():
+    # the unit-interval flag reads math.fsum of the thetas row, as the kernel
+    # does; a row whose sum fsum refuses (inf - inf) is flagged, not raised
+    def row(thetas):
+        return sched.ParamsBlock(3, np.array([0.1]), np.array([[0.6, 0.3]]), np.array([thetas]))
+
+    with np.errstate(invalid="ignore"):  # the residual of an infinite row is NaN
+        flags = [ver.validate(row(t)).theta_sum_in_unit
+                 for t in ([0.6, -0.2], [0.9, 0.3], [0.9, math.nan], [math.inf, -math.inf])]
+    assert flags == [True, False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +351,8 @@ def test_schedule_arrays_match_scalar_path():
             assert eta[j] == pm.eta[0]
             np.testing.assert_array_equal(gam[:, j], pm.gammas[0])
             np.testing.assert_array_equal(th[:, j], pm.thetas[0])
+    with pytest.raises(ValueError, match="^iteration indices must be >= 0$"):
+        ver.schedule_arrays(3, [-1])
 
 
 def test_p3_arrays_match_scalar_path():
@@ -382,15 +396,15 @@ def test_params_block_bitwise_equals_scalar_formula(p, k0):
     k1 = k0 + 300  # from 250 the block crosses 255/256
     block = sched.params_block(p, k0, k1)
     assert block.k0 == k0
-    assert block.eta.shape == block.theta_sum.shape == (k1 - k0,)
+    assert block.eta.shape == (k1 - k0,)
     assert block.gammas.shape == block.thetas.shape == (k1 - k0, p - 1)
     for j, k in enumerate(range(k0, k1)):
         eta, gammas, thetas, theta_sum = _params_general_literal(k, p)
-        assert block.eta[j] == eta and block.theta_sum[j] == theta_sum
+        assert block.eta[j] == eta and math.fsum(block.thetas[j]) == theta_sum
         assert block.gammas[j].tolist() == gammas and block.thetas[j].tolist() == thetas
         one = sched.params_general(k, p)
         assert (one.k0, one.eta.tolist(), one.gammas.tolist(), one.thetas.tolist(),
-                one.theta_sum.tolist()) == (k, [eta], [gammas], [thetas], [theta_sum])
+                math.fsum(one.thetas[0])) == (k, [eta], [gammas], [thetas], theta_sum)
 
 
 @pytest.mark.parametrize("p", [2, 4, 6])
@@ -400,7 +414,7 @@ def test_params_block_rows_do_not_depend_on_the_split(p):
     for cuts in ([1001], [1255, 1256, 1257], [1100, 1100, 1399], list(range(1007, 1400, 97))):
         edges = [k0, *cuts, k1]
         parts = [sched.params_block(p, a, b) for a, b in zip(edges, edges[1:])]
-        for field in ("eta", "gammas", "thetas", "theta_sum"):
+        for field in ("eta", "gammas", "thetas"):
             joined = np.concatenate([getattr(part, field) for part in parts])
             assert joined.tobytes() == getattr(whole, field).tobytes()
 

@@ -107,6 +107,8 @@ def test_taylor_remainder_empirical_datafit():
     assert np.isfinite(rep.worst_case) and rep.worst_case >= 0.0
     with pytest.raises(ValueError, match="orders 1 and 2"):
         ver.taylor_remainder_check(d, x, x + 0.05, 3)
+    with pytest.raises(ValueError, match=r"^expansion order must be >= 1, got 0$"):
+        ver.taylor_remainder_check(d, x, x + 0.05, 0)
 
 
 def test_lipschitz_estimate_respects_true_constant():
@@ -114,6 +116,8 @@ def test_lipschitz_estimate_respects_true_constant():
     est = ver.lipschitz_estimate(q, order=1, n_pairs=300, seed=0)
     assert est <= 6.0 * (1.0 + 1e-12)
     assert est >= 3.0  # random pairs land near the top eigenvalue eventually
+    with pytest.raises(ValueError, match=r"^n_pairs must be >= 1, got 0$"):
+        ver.lipschitz_estimate(q, 1, n_pairs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +184,10 @@ def test_unbiasedness_bridges_five_draws_in_one_block_of_memory(monkeypatch):
     assert rep.worst_case == _whole_array_z(False, 20, 100_000, 4)
     with pytest.raises(ValueError, match="at least 5 draws"):
         ver.noise_unbiasedness_check(problem, nm, np.ones(20), 4)
+    # the five bridged draws catch an oracle off the reduction by 0.1%
+    monkeypatch.setattr(ver, "stochastic_grad", lambda *args: 1.001 * prob.stochastic_grad(*args))
+    with pytest.raises(RuntimeError, match="^draw reduction disagrees with the oracle path$"):
+        ver.noise_unbiasedness_check(problem, nm, np.ones(20), 100, 4)
 
 
 def test_noise_moment_identity():
@@ -193,7 +201,7 @@ def test_noise_moment_identity():
     assert rep.passed, rep.detail
 
 
-def test_noise_moment_guards():
+def test_noise_moment_guards(monkeypatch):
     d = _datafit(8)
     nm = prob.NoiseModel(kind="scalar-gaussian-envelope", sigma_tilde=2.0)
     with pytest.raises(ValueError, match="10\\^4"):
@@ -201,6 +209,10 @@ def test_noise_moment_guards():
     el = prob.NoiseModel(kind="elementwise-gaussian-envelope", sigma_tilde=2.0)
     with pytest.raises(ValueError, match="scalar"):
         ver.noise_moment_check(d, el, np.ones(8), np.zeros(8))
+    # an oracle off by a factor (a constant offset cancels in the difference)
+    monkeypatch.setattr(ver, "stochastic_grad", lambda *args: 1.001 * prob.stochastic_grad(*args))
+    with pytest.raises(RuntimeError, match="^quadratic reduction disagrees with the oracle path$"):
+        ver.noise_moment_check(d, nm, np.ones(8), 0.05 * np.ones(8))
 
 
 def test_smoothness_ratio_diverges_near_origin():
@@ -209,6 +221,8 @@ def test_smoothness_ratio_diverges_near_origin():
     rep = ver.smoothness_ratio_check(d, nm)
     assert rep.passed, rep.detail
     assert rep.worst_case == 0.0
+    with pytest.raises(ValueError, match="^ratio check needs a gaussian noise kind$"):
+        ver.smoothness_ratio_check(d, prob.NoiseModel())
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +231,8 @@ def test_smoothness_ratio_diverges_near_origin():
 
 def test_weight_residual_sweep_small():
     assert ver.weight_residual_sweep(4, 500) <= 1e-9
+    with pytest.raises(ValueError, match="^k_max must be >= 0, got -1$"):
+        ver.weight_residual_sweep(3, -1)
 
 
 def _residual_dot_form(params):
@@ -240,8 +256,7 @@ def test_validate_residual_matches_the_dot_product_form():
     bundles += [ver.params_p3(k) for k in (0, 1, 100)]
     for b in bundles:
         assert abs(ver.validate(b).residual - _residual_dot_form(b)) <= 1e-16, (b.k0, b.gammas)
-    zero = sched.ParamsBlock(0, np.array([1.0]), np.array([[0.5, 0.25]]), np.zeros((1, 2)),
-                             np.array([0.0]))
+    zero = sched.ParamsBlock(0, np.array([1.0]), np.array([[0.5, 0.25]]), np.zeros((1, 2)))
     assert ver.validate(zero).residual == _residual_dot_form(zero) == math.inf
 
 
@@ -289,8 +304,9 @@ def _p3_consistency_from_params_p3(k_max):
     # p3_consistency_check as it read with one params_p3 bundle per k
     worst = 0.0
     for a in ver._bundle_blocks(3, 0, k_max + 1):
-        general = np.column_stack([a.eta, a.theta_sum, a.gammas, a.thetas])
-        dedicated = np.concatenate([np.column_stack([b.eta, b.theta_sum, b.gammas, b.thetas])
+        general = np.column_stack([a.eta, [math.fsum(t) for t in a.thetas], a.gammas, a.thetas])
+        dedicated = np.concatenate([np.column_stack([b.eta, [math.fsum(b.thetas[0])], b.gammas,
+                                                     b.thetas])
                                     for b in map(ver.params_p3, range(a.k0, a.k0 + len(a.eta)))])
         worst = max(worst, float((np.abs(general - dedicated) / np.abs(dedicated)).max()))
     return ver.CheckReport(
@@ -301,9 +317,6 @@ def _p3_consistency_from_params_p3(k_max):
 def test_p3_consistency_check_equals_its_params_p3_form():
     for k_max in (0, 255, 256, 1000):
         assert ver.p3_consistency_check(k_max) == _p3_consistency_from_params_p3(k_max)
-    for k in (0, 1, 7, 12345, 10**6, 2**40):
-        b = ver.params_p3(k)
-        assert b.theta_sum[0] == math.fsum(b.thetas[0])
 
 
 def test_verify_all_reports_the_direct_checks():
@@ -334,6 +347,8 @@ def test_schedule_cross_check_small():
     rep = ver.schedule_cross_check(3, 500)
     assert rep.passed
     assert rep.worst_case <= 1.0
+    with pytest.raises(ValueError, match=r"^cross check covers p in 2\.\.6, got 7$"):
+        ver.schedule_cross_check(7, 10)
 
 
 def test_bound_sweep_small():
@@ -341,6 +356,8 @@ def test_bound_sweep_small():
         rep = ver.bound_sweep(p, k_max=10_000)
         assert rep.passed, rep.detail
         assert rep.worst_case <= 0.0  # signed margin, negative means slack
+    with pytest.raises(ValueError, match=r"^bound sweep covers p in 2\.\.6, got 7$"):
+        ver.bound_sweep(7, 10)
 
 
 def test_p3_consistency_small():
